@@ -351,8 +351,9 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
 #     b'_h = b_h eps_h - mu_h h (a_h + h)       (mod h^order).
 #
 # Both sides are linear in the coefficients of eps_h and mu_h, so each
-# h-degree contributes one affine equation; the first infeasible prefix is
-# the failure order.  The witness is f(e2) = eps_h e2, f(e1) = e1 + mu_h h e2.
+# h-degree contributes one affine equation; when the whole system is
+# infeasible, the first infeasible prefix is the failure order.  The
+# witness is f(e2) = eps_h e2, f(e1) = e1 + mu_h h e2.
 
 
 def _family_witness(eps: TruncSeries, mu: TruncSeries, field) -> EquivalenceWitness:
@@ -401,16 +402,18 @@ def family2d_equiv(a_h, b_h, a2_h, b2_h, field=None) -> EquivVerdict:
             row[n_eps + (k - j)] = row[n_eps + (k - j)] - g[j]
         return row
 
-    rows, rhs = [], []
-    for k in range(order):
-        rows.append(row_for_degree(k))
-        rhs.append(b2_h.coeffs[k] - b_h.coeffs[k])
-        sol = solve_affine(rows, rhs, field.one())
-        if not sol.feasible:
-            return not_equivalent(
-                k,
-                f"no admissible ε_h: the b-coefficient constraint at h^{k} is infeasible",
-            )
+    rows = [row_for_degree(k) for k in range(order)]
+    rhs = [b2_h.coeffs[k] - b_h.coeffs[k] for k in range(order)]
+    sol = solve_affine(rows, rhs, field.one())
+    if not sol.feasible:
+        # Adding a row only shrinks the solution set, so some prefix is the
+        # first infeasible one; its h-degree is the failure order.
+        for k in range(order):
+            if not solve_affine(rows[: k + 1], rhs[: k + 1], field.one()).feasible:
+                return not_equivalent(
+                    k,
+                    f"no admissible ε_h: the b-coefficient constraint at h^{k} is infeasible",
+                )
 
     eps = TruncSeries(order, (field.one(),) + tuple(sol.particular[:n_eps]))
     mu = TruncSeries(order, tuple(sol.particular[n_eps:]))

@@ -1,9 +1,10 @@
-"""Exact dense linear algebra over the scalar tower.
+"""Exact linear algebra over the scalar tower.
 
-The solver does Gauss-Jordan elimination with the coefficient matrix over a
-field (rationals or Gaussian rationals).  Right-hand sides only need module
-operations (+, -, scaling by field elements), so the same routine solves
-systems whose right-hand side carries symbolic parameters.
+The solver does Gauss-Jordan elimination on sparse rows, with the
+coefficient matrix over a field (rationals or Gaussian rationals).
+Right-hand sides only need module operations (+, -, scaling by field
+elements), so the same routine solves systems whose right-hand side
+carries symbolic parameters.
 """
 
 from __future__ import annotations
@@ -36,16 +37,8 @@ def _dot(row, col):
     return acc
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_neg(a):
     return [[-x for x in row] for row in a]
-
-
-def identity_rows(n, one=Fraction(1), zero=Fraction(0)):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def is_identity_matrix(rows):
@@ -85,13 +78,18 @@ def solve_affine(matrix, rhs, one=Fraction(1)):
     infeasible system the residuals list holds every nonzero entry stranded
     on a zero row; when right-hand sides are symbolic the caller decides
     what a nonzero residual means.
+
+    Rows are dicts from column to nonzero (truthy) coefficient; pivots, row
+    swaps and row operations follow dense elimination step for step, so the
+    result, residuals included, is the dense one without work on zeros.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
-    a = [list(row) for row in matrix]
+    a = [{j: x for j, x in enumerate(row) if x} for row in matrix]
     b = list(rhs)
     if len(b) != nrows:
         raise ValueError("rhs length does not match row count")
+    zero = one * 0
 
     pivot_cols = []
     pivot_row_of = {}
@@ -99,7 +97,7 @@ def solve_affine(matrix, rhs, one=Fraction(1)):
     for c in range(ncols):
         pivot = None
         for k in range(r, nrows):
-            if a[k][c] != 0:
+            if c in a[k]:
                 pivot = k
                 break
         if pivot is None:
@@ -107,15 +105,19 @@ def solve_affine(matrix, rhs, one=Fraction(1)):
         a[r], a[pivot] = a[pivot], a[r]
         b[r], b[pivot] = b[pivot], b[r]
         inv = one / a[r][c]
-        a[r] = [inv * x for x in a[r]]
+        prow = a[r] = {j: inv * x for j, x in a[r].items()}
         b[r] = inv * b[r]
         for k in range(nrows):
-            if k == r:
+            row = a[k]
+            f = row.get(c)
+            if f is None or k == r:
                 continue
-            f = a[k][c]
-            if f == 0:
-                continue
-            a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+            for j, y in prow.items():
+                x = row.get(j, zero) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
             b[k] = b[k] - f * b[r]
         pivot_row_of[c] = r
         pivot_cols.append(c)
@@ -138,12 +140,11 @@ def solve_affine(matrix, rhs, one=Fraction(1)):
                 zero_rhs = b[0] * 0 if nrows else Fraction(0)
             particular.append(zero_rhs)
     basis = []
-    zero = one * 0
     for f in free_cols:
         vec = [zero] * ncols
         vec[f] = one
         for c in pivot_cols:
-            vec[c] = -a[pivot_row_of[c]][f]
+            vec[c] = -a[pivot_row_of[c]].get(f, zero)
         basis.append(vec)
     return LinearSolveResult(True, particular, basis, free_cols, pivot_cols, [])
 
@@ -169,12 +170,11 @@ def invert_series_matrix(layers):
         raise ValueError("need at least the constant layer")
     if not is_identity_matrix(layers[0]):
         raise ValueError("constant layer must be the identity matrix")
-    n = len(layers[0])
     out = [[row[:] for row in layers[0]]]
     for k in range(1, len(layers)):
         acc = None
         for j in range(1, k + 1):
             piece = matmul(layers[j], out[k - j])
             acc = piece if acc is None else [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, piece)]
-        out.append(mat_neg(acc) if acc is not None else identity_rows(n))
+        out.append(mat_neg(acc))
     return out

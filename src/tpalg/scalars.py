@@ -237,10 +237,7 @@ class ParamPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = ParamPoly.constant(self.variables, Fraction(1))
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(ParamPoly.constant(self.variables, Fraction(1)), self, n)
 
     def __truediv__(self, other):
         if isinstance(other, ParamPoly):
@@ -416,10 +413,7 @@ class TruncSeries:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("series powers must be nonnegative integers")
-        out = TruncSeries.constant(self.order, Fraction(1))
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(TruncSeries.constant(self.order, Fraction(1)), self, k)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -468,6 +462,19 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 # Free functions on the tower
 # ---------------------------------------------------------------------------
+
+
+def _power(one, base, n):
+    """base^n by repeated squaring; exact and commutative rings give the
+    same result as n successive multiplications."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _invert_base(c):
@@ -681,6 +688,13 @@ def _tokenize(text):
     return tokens
 
 
+# Limits on scalar strings from outside the program: a larger exponent
+# literal or deeper parentheses are refused before any work is done, so a
+# scalar string can neither hang the arithmetic nor exhaust the stack.
+MAX_EXPONENT = 1000
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the scalar grammar.
 
@@ -694,6 +708,7 @@ class _Parser:
         self.pos = 0
         self.env = env
         self.text = text
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -759,9 +774,13 @@ class _Parser:
             value = self.env[tok]
             return self._maybe_power(value)
         if kind == "op" and tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                self.fail(f"parentheses nest deeper than {MAX_NESTING}")
             value = self.expr()
             if self.take() != ("op", ")"):
                 self.fail("expected ')'")
+            self.depth -= 1
             return self._maybe_power(value)
         self.fail(f"unexpected token {tok!r}")
 
@@ -771,6 +790,8 @@ class _Parser:
             kind, tok = self.take()
             if kind != "int":
                 self.fail("expected an integer exponent")
+            if tok > MAX_EXPONENT:
+                self.fail(f"exponent {tok} is above {MAX_EXPONENT}")
             return value**tok
         return value
 

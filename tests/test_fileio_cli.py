@@ -496,6 +496,21 @@ def test_cli_usage_errors(capsys):
     assert run_cli(capsys, "check")[0] == 3  # missing file and identity
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family2d", "--params", "a=h^99999999,b=0", "--order", "2"],
+        ["normalize", "--params", "a=" + "(" * 3000 + "h" + ")" * 3000 + ",b=0", "--order", "3"],
+    ],
+    ids=["huge-exponent", "deep-parentheses"],
+)
+def test_cli_refuses_oversized_scalars(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("tpalg: error: ") and err.count("\n") == 1
+
+
 def test_reports_are_deterministic(capsys, a01_file):
     _, first = run_cli(capsys, "check", a01_file, "--identity", "comm_assoc", "--format", "json")
     _, second = run_cli(capsys, "check", a01_file, "--identity", "comm_assoc", "--format", "json")

@@ -1,5 +1,6 @@
-"""Exact linear algebra: affine solving against sympy, series-matrix
-inversion against direct multiplication."""
+"""Exact linear algebra: affine solving against sympy and against a dense
+Gauss-Jordan reference, series-matrix inversion against direct
+multiplication."""
 
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from tpalg.linalg import (
     matvec,
     solve_affine,
 )
+from tpalg.scalars import GaussianRational, ParamPoly
 
 F = Fraction
 
@@ -109,3 +111,125 @@ def test_result_shape():
     sol = solve_affine([[F(0)]], [F(0)])
     assert isinstance(sol, LinearSolveResult)
     assert sol.feasible and sol.free_cols == [0]
+
+
+# ---------------------------------------------------------------------------
+# Sparse elimination against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def dense_solve_affine(matrix, rhs, one=Fraction(1)):
+    """Dense Gauss-Jordan reference.  solve_affine must make the same
+    pivots, row swaps and row operations, so every result field, residuals
+    and their order included, is the same."""
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
+    a = [list(row) for row in matrix]
+    b = list(rhs)
+    if len(b) != nrows:
+        raise ValueError("rhs length does not match row count")
+
+    pivot_cols = []
+    pivot_row_of = {}
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for k in range(r, nrows):
+            if a[k][c] != 0:
+                pivot = k
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        b[r], b[pivot] = b[pivot], b[r]
+        inv = one / a[r][c]
+        a[r] = [inv * x for x in a[r]]
+        b[r] = inv * b[r]
+        for k in range(nrows):
+            if k == r:
+                continue
+            f = a[k][c]
+            if f == 0:
+                continue
+            a[k] = [x - f * y for x, y in zip(a[k], a[r])]
+            b[k] = b[k] - f * b[r]
+        pivot_row_of[c] = r
+        pivot_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+
+    residuals = [b[k] for k in range(r, nrows) if b[k] != 0]
+    if residuals:
+        return LinearSolveResult(False, None, None, None, pivot_cols, residuals)
+
+    free_cols = [c for c in range(ncols) if c not in pivot_row_of]
+    particular = []
+    zero_rhs = None
+    for c in range(ncols):
+        if c in pivot_row_of:
+            particular.append(b[pivot_row_of[c]])
+        else:
+            if zero_rhs is None:
+                zero_rhs = b[0] * 0 if nrows else Fraction(0)
+            particular.append(zero_rhs)
+    basis = []
+    zero = one * 0
+    for f in free_cols:
+        vec = [zero] * ncols
+        vec[f] = one
+        for c in pivot_cols:
+            vec[c] = -a[pivot_row_of[c]][f]
+        basis.append(vec)
+    return LinearSolveResult(True, particular, basis, free_cols, pivot_cols, [])
+
+
+SMALL = sorted({F(p, q) for p in range(-3, 4) for q in (1, 2, 3)})
+NONZERO_Q = [x for x in SMALL if x]
+NONZERO_QI = [GaussianRational(x, y) for x in SMALL[::3] for y in SMALL[::3] if x or y]
+PARAMS = ("s", "t")
+
+
+def _sparse(nonzero, zero):
+    # about 20 % nonzero; shrinking moves toward the zeros at the front
+    return st.sampled_from([zero] * (4 * len(nonzero)) + nonzero)
+
+
+def _params(coeffs):
+    expo = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.dictionaries(expo, coeffs, max_size=3).map(lambda terms: ParamPoly(PARAMS, terms))
+
+
+@st.composite
+def sparse_systems(draw):
+    """A system of up to 12 x 10 with about 20 % nonzero entries over Q or
+    Q(i), a right-hand side over Q, Q(i) or parameter polynomials, either
+    consistent by construction or drawn at random."""
+    one = draw(st.sampled_from((F(1), GaussianRational.of(1))))
+    entry = _sparse(NONZERO_Q if isinstance(one, F) else NONZERO_QI, one * 0)
+    rationals, gaussians = st.sampled_from(SMALL), st.sampled_from(NONZERO_QI)
+    rhs_entries = draw(st.sampled_from((rationals, gaussians, _params(st.sampled_from(NONZERO_Q)))))
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 10))
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    matrix = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        x = draw(st.lists(rhs_entries, min_size=ncols, max_size=ncols))
+        rhs = [sum((a * v for a, v in zip(r, x)), one * 0) for r in matrix]
+    else:
+        rhs = draw(st.lists(rhs_entries, min_size=nrows, max_size=nrows))
+    return matrix, rhs, one
+
+
+@given(sparse_systems())
+@settings(max_examples=200)
+def test_sparse_solve_matches_dense_reference(system):
+    matrix, rhs, one = system
+    got = solve_affine(matrix, rhs, one)
+    want = dense_solve_affine(matrix, rhs, one)
+    assert got == want
+
+    def types(result):
+        vectors = [result.particular or [], result.residuals] + (result.nullspace or [])
+        return [[type(x) for x in vec] for vec in vectors]
+
+    assert types(got) == types(want)

@@ -20,6 +20,8 @@ from tpalg.errors import (
 )
 from tpalg.scalars import (
     GAUSS_I,
+    MAX_EXPONENT,
+    MAX_NESTING,
     QI,
     QQ,
     GaussianRational,
@@ -92,8 +94,11 @@ def test_gaussian_matches_sympy(x, y):
     def to_sympy(g):
         return sympy.Rational(g.re) + sympy.I * sympy.Rational(g.im)
 
+    # expand puts a Gaussian rational in the canonical form p + q*I, so
+    # equal expansions mean equal numbers; simplify's first call costs more
+    # than the deadline
     got = to_sympy(x * y)
-    assert sympy.simplify(got - to_sympy(x) * to_sympy(y)) == 0
+    assert sympy.expand(got) == sympy.expand(to_sympy(x) * to_sympy(y))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +266,41 @@ def test_series_invert_roundtrip(s):
         assert s * series_invert(s) == TruncSeries.constant(s.order, F(1))
 
 
+def _repeated_product(one, x, k):
+    out = one
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+@given(_series_strategy(), _poly_strategy(), st.integers(0, 9))
+@settings(max_examples=60)
+def test_powers_match_repeated_products(s, p, k):
+    assert s**k == _repeated_product(TruncSeries.constant(s.order, F(1)), s, k)
+    assert p**k == _repeated_product(ParamPoly.constant(p.variables, F(1)), p, k)
+
+
+def test_huge_series_power_is_cheap():
+    # h^k vanishes mod h^2 for k >= 2; squaring gets there in 27 products
+    assert (TruncSeries.h(2) ** 99999999).is_zero()
+    assert (1 + TruncSeries.h(3)) ** 99999999 == TruncSeries(3, (F(1), F(99999999), F(99999999 * 99999998, 2)))
+
+
 # ---------------------------------------------------------------------------
 # Parsing / formatting
 # ---------------------------------------------------------------------------
+
+
+def test_parser_limits():
+    deep = "(" * MAX_NESTING + "h" + ")" * MAX_NESTING
+    assert parse_series(deep, order=3) == TruncSeries.h(3)
+    with pytest.raises(BadScalar, match="nest"):
+        parse_series("(" + deep + ")", order=3)
+    assert parse_series(f"h^{MAX_EXPONENT}", order=2).is_zero()
+    with pytest.raises(BadScalar, match="exponent"):
+        parse_series(f"h^{MAX_EXPONENT + 1}", order=2)
+    with pytest.raises(BadScalar, match="exponent"):
+        QQ.parse(f"(2)^{MAX_EXPONENT + 1}")
 
 
 @pytest.mark.parametrize(
