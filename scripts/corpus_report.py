@@ -10,11 +10,9 @@ brackets.
 
 import argparse
 import time
-from fractions import Fraction
 
 from tpalg import (
     AlgebraPresentation,
-    BilinearOp,
     QQ,
     check_identity,
     check_novikov_deformation,
@@ -23,34 +21,7 @@ from tpalg import (
     default_labels,
     euler_gelfand,
 )
-
-F = Fraction
-
-AB_POINTS = [
-    (F(0), F(0)),
-    (F(1), F(2)),
-    (F(-1), F(1, 2)),
-    (F(2), F(-3)),
-    (F(1, 3), F(0)),
-]
-
-
-def circ_family(a, b):
-    return BilinearOp.from_entries(
-        2, QQ, {(0, 0, 0): a, (0, 0, 1): b, (0, 1, 1): a + 1, (1, 0, 1): a}
-    )
-
-
-def catalog_dots():
-    dots = {
-        "A00": BilinearOp.zero(2, QQ),
-        "A01": BilinearOp.from_entries(2, QQ, {(0, 0, 1): F(1)}),
-    }
-    for lam in (F(1), F(2)):
-        dots[f"Alam{lam}"] = BilinearOp.from_entries(
-            2, QQ, {(0, 0, 0): lam, (0, 1, 1): lam, (1, 0, 1): lam}
-        )
-    return dots
+from tpalg.corpus import AB_POINTS, catalog_dots, circ_family
 
 
 def quantization_sweep(order):

@@ -1,17 +1,22 @@
 """Structure-constant algebras and the multilinear identity engine.
 
 An algebra is a tensor c[i][j][k] (product of basis vectors i, j expanded in
-the basis) over one of the scalar rings.  Identities are checked by
-exhaustive enumeration of basis tuples, which is complete because every
-identity in the catalog is multilinear.  When the entries are ParamPoly
-values, "zero residual" means the identically-zero polynomial, so one check
-certifies a whole parametric family.
+the basis) over one of the scalar rings.  The identity catalog is data:
+each clause is a signed sum of operation trees over its variables, and the
+degree-5 identity is one alternating clause.  One evaluator computes a
+clause at given vectors (``identity_residual``) and scans it over all basis
+tuples in lexicographic order (``check_identity``), memoizing proper
+subtrees; an alternating clause is read off a table of alternating products
+over index subsets.  The scan is complete because every clause is
+multilinear.  When the entries are ParamPoly values, "zero residual" means
+the identically-zero polynomial, so one check certifies a whole parametric
+family.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,7 +27,7 @@ from .errors import (
     OutOfRange,
     UnknownIdentity,
 )
-from .linalg import rank, solve_affine
+from .linalg import matmul, rank, solve_affine
 from .scalars import QQ, SeriesRing
 
 # ---------------------------------------------------------------------------
@@ -40,10 +45,6 @@ def vsub(u, v):
 
 def vneg(u):
     return [-a for a in u]
-
-
-def vscale(c, u):
-    return [c * a for a in u]
 
 
 def is_zero_vector(u):
@@ -126,29 +127,20 @@ class BilinearOp:
             ),
         )
 
-    def __add__(self, other):
+    def _entrywise(self, other, fn):
         return BilinearOp(
             self.ring,
             tuple(
-                tuple(
-                    tuple(x + y for x, y in zip(ca, cb))
-                    for ca, cb in zip(ra, rb)
-                )
+                tuple(tuple(map(fn, ca, cb)) for ca, cb in zip(ra, rb))
                 for ra, rb in zip(self.c, other.c)
             ),
         )
 
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
+
     def __sub__(self, other):
-        return BilinearOp(
-            self.ring,
-            tuple(
-                tuple(
-                    tuple(x - y for x, y in zip(ca, cb))
-                    for ca, cb in zip(ra, rb)
-                )
-                for ra, rb in zip(self.c, other.c)
-            ),
-        )
+        return self._entrywise(other, operator.sub)
 
     def is_zero(self):
         return all(x == 0 for row in self.c for col in row for x in col)
@@ -259,138 +251,133 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 # Identity catalog
 # ---------------------------------------------------------------------------
-#
-# Each identity is a list of clauses (clause_name, arity, ops_used,
-# residual_fn); residual_fn takes the op map and a tuple of coordinate
-# vectors and returns the residual vector (zero everywhere iff the clause
-# holds at those arguments).
+
+OPS = ("dot", "circ", "bracket")  # the catalog's operations, in checking order
 
 
-def _comm(ops, xs):
-    dot = ops["dot"]
-    x, y = xs
-    return vsub(dot.apply(x, y), dot.apply(y, x))
+def _nodes(tree):
+    """The operation nodes of a tree, root first."""
+    return [] if isinstance(tree, int) else [tree, *_nodes(tree[1]), *_nodes(tree[2])]
 
 
-def _assoc(ops, xs):
-    dot = ops["dot"]
-    x, y, z = xs
-    return vsub(dot.apply(dot.apply(x, y), z), dot.apply(x, dot.apply(y, z)))
+def _leaves(tree):
+    return [tree] if isinstance(tree, int) else _leaves(tree[1]) + _leaves(tree[2])
 
 
-def _antisym(ops, xs):
-    br = ops["bracket"]
-    x, y = xs
-    return vadd(br.apply(x, y), br.apply(y, x))
+def _chain(op, variables):
+    """The right-nested chain op(v0, op(v1, ... op(v[k-2], v[k-1])))."""
+    tree = variables[-1]
+    for v in reversed(variables[:-1]):
+        tree = (op, v, tree)
+    return tree
 
 
-def _jacobi(ops, xs):
-    br = ops["bracket"]
-    x, y, z = xs
-    t1 = br.apply(x, br.apply(y, z))
-    t2 = br.apply(y, br.apply(z, x))
-    t3 = br.apply(z, br.apply(x, y))
-    return vadd(vadd(t1, t2), t3)
+def _sign(seq):
+    """Sign of the permutation that sorts a sequence of distinct values."""
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
-def _nov_leftsym(ops, xs):
-    circ = ops["circ"]
-    x, y, z = xs
-    lhs = vsub(circ.apply(circ.apply(x, y), z), circ.apply(circ.apply(y, x), z))
-    rhs = vsub(circ.apply(x, circ.apply(y, z)), circ.apply(y, circ.apply(x, z)))
-    return vsub(lhs, rhs)
+@dataclass(frozen=True)
+class Clause:
+    """A signed sum of operation trees, held in ``terms`` as (coefficient,
+    tree) pairs; a tree is a variable index (0-based) or (op, left, right).
+    The residual at given arguments is zero iff the clause holds there.  An
+    alternating clause has the one term op(x0, op(x1, ... op(x[k-1], xk)))
+    with coefficient 1 and stands for its alternating sum over the
+    orderings of x0..x[k-1]."""
+
+    name: str
+    arity: int
+    terms: tuple
+    alternating: bool = False
+
+    def __post_init__(self):
+        for _, tree in self.terms:
+            if any(node[0] not in OPS for node in _nodes(tree)):
+                raise ValueError(f"clause {self.name!r}: unknown operation in {tree!r}")
+            if sorted(_leaves(tree)) != list(range(self.arity)):
+                raise ValueError(f"clause {self.name!r}: a term is not multilinear")
+        if self.alternating and not (
+            self.arity > 1
+            and len(self.terms) == 1
+            and self.terms[0][0] == 1
+            and self.terms[0][1] == _chain(self.terms[0][1][0], tuple(range(self.arity)))
+        ):
+            raise ValueError(
+                f"alternating clause {self.name!r} must be one right-nested chain "
+                "of a single operation, with coefficient 1"
+            )
+
+    def signed_terms(self):
+        """The clause as a plain signed sum of trees."""
+        if not self.alternating:
+            return self.terms
+        op, last = self.terms[0][1][0], self.arity - 1
+        return tuple(
+            (_sign(perm), _chain(op, perm + (last,)))
+            for perm in itertools.permutations(range(last))
+        )
 
 
-def _nov_rightcomm(ops, xs):
-    circ = ops["circ"]
-    x, y, z = xs
-    return vsub(circ.apply(circ.apply(x, y), z), circ.apply(circ.apply(x, z), y))
+def _op(name):
+    return lambda a, b: (name, a, b)
 
 
-def _circ_comm(circ, x, y):
-    return vsub(circ.apply(x, y), circ.apply(y, x))
-
-
-def _nctpa(ops, xs):
-    circ = ops["circ"]
-    x, y, z = xs
-    lhs = vscale(2, circ.apply(_circ_comm(circ, x, y), z))
-    rhs = vadd(
-        _circ_comm(circ, circ.apply(x, z), y), _circ_comm(circ, x, circ.apply(y, z))
-    )
-    return vsub(lhs, rhs)
-
-
-def _tpa(ops, xs):
-    dot, br = ops["dot"], ops["bracket"]
-    x, y, z = xs
-    lhs = vscale(2, dot.apply(br.apply(x, y), z))
-    rhs = vadd(br.apply(x, dot.apply(y, z)), br.apply(dot.apply(x, z), y))
-    return vsub(lhs, rhs)
-
-
-def _np1(ops, xs):
-    dot, circ = ops["dot"], ops["circ"]
-    x, y, z = xs
-    return vsub(circ.apply(dot.apply(x, y), z), dot.apply(x, circ.apply(y, z)))
-
-
-def _np2(ops, xs):
-    dot, circ = ops["dot"], ops["circ"]
-    x, y, z = xs
-    lhs = vsub(dot.apply(circ.apply(x, y), z), dot.apply(circ.apply(y, x), z))
-    rhs = vsub(circ.apply(x, dot.apply(y, z)), circ.apply(y, dot.apply(x, z)))
-    return vsub(lhs, rhs)
-
-
-def _perm_sign(perm):
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
-_S4 = [(p, _perm_sign(p)) for p in itertools.permutations(range(4))]
-
-
-def _s5_residual(ops, xs):
-    """Alternating 24-term sum of nested brackets [x_s1,[x_s2,[x_s3,[x_s4,x5]]]]."""
-    br = ops["bracket"]
-    x5 = xs[4]
-    acc = None
-    for perm, sign in _S4:
-        inner = x5
-        for idx in reversed(perm):
-            inner = br.apply(xs[idx], inner)
-        term = inner if sign > 0 else vneg(inner)
-        acc = term if acc is None else vadd(acc, term)
-    return acc
+_dot, _circ, _br = map(_op, OPS)
+X, Y, Z = 0, 1, 2
 
 
 IDENTITIES = {
-    "COMM_ASSOC": (("commutativity", 2, _comm), ("associativity", 3, _assoc)),
-    "LIE": (("antisymmetry", 2, _antisym), ("jacobi", 3, _jacobi)),
-    "NOV_LEFTSYM": (("left-symmetry", 3, _nov_leftsym),),
-    "NOV_RIGHTCOMM": (("right-commutativity", 3, _nov_rightcomm),),
-    "NCTPA": (("bracket-compatibility", 3, _nctpa),),
-    "TPA": (("transposed-leibniz", 3, _tpa),),
-    "NP1": (("left-mixed-assoc", 3, _np1),),
-    "NP2": (("mixed-left-symmetry", 3, _np2),),
-    "S5": (("alternating-quintuple", 5, _s5_residual),),
-}
-
-_OPS_NEEDED = {
-    "COMM_ASSOC": ("dot",),
-    "LIE": ("bracket",),
-    "NOV_LEFTSYM": ("circ",),
-    "NOV_RIGHTCOMM": ("circ",),
-    "NCTPA": ("circ",),
-    "TPA": ("dot", "bracket"),
-    "NP1": ("dot", "circ"),
-    "NP2": ("dot", "circ"),
-    "S5": ("bracket",),
+    "COMM_ASSOC": (
+        Clause("commutativity", 2, ((1, _dot(X, Y)), (-1, _dot(Y, X)))),
+        Clause("associativity", 3, ((1, _dot(_dot(X, Y), Z)), (-1, _dot(X, _dot(Y, Z))))),
+    ),
+    "LIE": (
+        Clause("antisymmetry", 2, ((1, _br(X, Y)), (1, _br(Y, X)))),
+        Clause("jacobi", 3, (
+            (1, _br(X, _br(Y, Z))), (1, _br(Y, _br(Z, X))), (1, _br(Z, _br(X, Y))),
+        )),
+    ),
+    "NOV_LEFTSYM": (
+        Clause("left-symmetry", 3, (
+            (1, _circ(_circ(X, Y), Z)), (-1, _circ(_circ(Y, X), Z)),
+            (-1, _circ(X, _circ(Y, Z))), (1, _circ(Y, _circ(X, Z))),
+        )),
+    ),
+    "NOV_RIGHTCOMM": (
+        Clause("right-commutativity", 3, (
+            (1, _circ(_circ(X, Y), Z)), (-1, _circ(_circ(X, Z), Y)),
+        )),
+    ),
+    # 2 [x, y] o z = [x o z, y] + [x, y o z], where [u, v] = u o v - v o u
+    "NCTPA": (
+        Clause("bracket-compatibility", 3, (
+            (2, _circ(_circ(X, Y), Z)), (-2, _circ(_circ(Y, X), Z)),
+            (-1, _circ(_circ(X, Z), Y)), (1, _circ(Y, _circ(X, Z))),
+            (-1, _circ(X, _circ(Y, Z))), (1, _circ(_circ(Y, Z), X)),
+        )),
+    ),
+    "TPA": (
+        Clause("transposed-leibniz", 3, (
+            (2, _dot(_br(X, Y), Z)), (-1, _br(X, _dot(Y, Z))), (-1, _br(_dot(X, Z), Y)),
+        )),
+    ),
+    "NP1": (
+        Clause("left-mixed-assoc", 3, ((1, _circ(_dot(X, Y), Z)), (-1, _dot(X, _circ(Y, Z))))),
+    ),
+    "NP2": (
+        Clause("mixed-left-symmetry", 3, (
+            (1, _dot(_circ(X, Y), Z)), (-1, _dot(_circ(Y, X), Z)),
+            (-1, _circ(X, _dot(Y, Z))), (1, _circ(Y, _dot(X, Z))),
+        )),
+    ),
+    # sum over the orderings s of x1..x4 of sign(s) [x_s1, [x_s2, [x_s3, [x_s4, x5]]]]
+    "S5": (
+        Clause(
+            "alternating-quintuple", 5, ((1, _br(0, _br(1, _br(2, _br(3, 4))))),), alternating=True
+        ),
+    ),
 }
 
 
@@ -404,153 +391,149 @@ def _basis_vector(dim, i, ring):
     return v
 
 
-def identity_residual(alg, identity, vectors):
-    """Residuals of every clause of ``identity`` at the given concrete
-    argument vectors (one list per clause, in clause order).  Used to
-    spot-check multilinearity against the basis-tuple verdicts."""
-    name = _canonical_identity(identity)
-    _require_ops(alg, name)
-    out = []
-    for clause, arity, fn in IDENTITIES[name]:
-        out.append((clause, fn(alg.ops, tuple(vectors[:arity]))))
-    return out
-
-
-def _canonical_identity(identity):
+def _canonical_identity(alg, identity):
+    """The catalog name of ``identity``, once ``alg`` is known to carry the
+    operations it uses."""
     name = str(identity).upper().replace("-", "_")
     if name not in IDENTITIES:
         raise UnknownIdentity(
             f"unknown identity {identity!r}; expected one of {', '.join(identity_names())}"
         )
+    clauses = IDENTITIES[name]
+    used = {node[0] for clause in clauses for _, tree in clause.terms for node in _nodes(tree)}
+    for label in OPS:
+        if label in used:
+            alg.op(label)
     return name
 
 
-def _require_ops(alg, name):
-    for label in _OPS_NEEDED[name]:
-        alg.op(label)
+# -- the evaluator ------------------------------------------------------------
 
 
-def _thread_count():
-    raw = os.environ.get("TPA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def _evaluate(ops, tree, args, memo=None, t=None):
+    """Value of an operation tree with variable v bound to the vector args[v].
 
-
-def _scan_tuples(dim, arity, residual_at):
-    """First lexicographic tuple with nonzero residual, or None.
-
-    Honors TPA_THREADS by partitioning the tuple list into contiguous
-    blocks; verdicts combine by AND and the earliest violation wins, so the
-    result does not depend on the thread count.
+    On a basis tuple t (args[v] is e_t[v]) the memo maps each proper subtree
+    to its variables, in leaf order, and a dict from their indices in t to
+    its value.
     """
-    tuples = list(itertools.product(range(dim), repeat=arity))
-    threads = _thread_count()
-    if threads == 1 or len(tuples) < 2 * threads:
-        for t in tuples:
+    if isinstance(tree, int):
+        return args[tree]
+    values = []
+    for sub in tree[1:]:
+        if memo is None or isinstance(sub, int):
+            values.append(_evaluate(ops, sub, args))
+            continue
+        variables, cache = memo[sub]
+        key = tuple(t[v] for v in variables)
+        if key not in cache:
+            cache[key] = _evaluate(ops, sub, args, memo, t)
+        values.append(cache[key])
+    return ops[tree[0]].apply(*values)
+
+
+def _signed_sum(pairs):
+    """Sum of coefficient * vector over (coefficient, vector) pairs; zero
+    entries are skipped, which leaves every value and type unchanged."""
+    acc = None
+    for coeff, vec in pairs:
+        if coeff != 1:
+            vec = [coeff * x if x else x for x in vec]
+        acc = vec if acc is None else [a + b if b else a for a, b in zip(acc, vec)]
+    return acc
+
+
+def identity_residual(alg, identity, vectors):
+    """Residuals of every clause of ``identity`` at the given concrete
+    argument vectors (one list per clause, in clause order).  Used to
+    spot-check multilinearity against the basis-tuple verdicts."""
+    out = []
+    for clause in IDENTITIES[_canonical_identity(alg, identity)]:
+        args = tuple(vectors[: clause.arity])
+        pairs = ((c, _evaluate(alg.ops, tree, args)) for c, tree in clause.signed_terms())
+        out.append((clause.name, _signed_sum(pairs)))
+    return out
+
+
+def _shape(tree):
+    """The tree with its variables erased."""
+    return None if isinstance(tree, int) else (tree[0], _shape(tree[1]), _shape(tree[2]))
+
+
+def _tree_reader(ops, clause, basis):
+    """Residual at a basis tuple; proper subtrees are memoized per scan, and
+    subtrees of one shape (such as x o y and y o x) share their values."""
+    shared = {}
+    memo = {
+        sub: (_leaves(sub), shared.setdefault(_shape(sub), {}))
+        for _, tree in clause.terms
+        for sub in _nodes(tree)[1:]
+    }
+
+    def residual_at(t):
+        args = [basis[i] for i in t]
+        return _signed_sum((c, _evaluate(ops, tree, args, memo, t)) for c, tree in clause.terms)
+
+    return residual_at
+
+
+def _subset_matrix(table, s):
+    """A(s) = sum_i (-1)^i ad(s_i) A(s - s_i) for a sorted index tuple s,
+    memoized in ``table``, which starts with ad(a) under (a,)."""
+    if s not in table:
+        products = [
+            matmul(table[(a,)], _subset_matrix(table, s[:i] + s[i + 1 :])) for i, a in enumerate(s)
+        ]
+        mat = products[0]
+        for i, prod in enumerate(products[1:], 1):
+            mat = [(vsub if i % 2 else vadd)(ra, rb) for ra, rb in zip(mat, prod)]
+        table[s] = mat
+    return table[s]
+
+
+def _alternating_reader(ops, clause, basis):
+    """Residual at a basis tuple, read off the subset table A(S) over sorted
+    index subsets S, where ad(a) is the matrix of op(e_a, -).  A(S) e_last
+    is the clause at the sorted tuple; a repeated index gives zero, a
+    permuted tuple the permutation's sign."""
+    op = ops[clause.terms[0][1][0]]
+    n = op.dim
+    table = {(a,): [[op.c[a][j][k] for j in range(n)] for k in range(n)] for a in range(n)}
+
+    def residual_at(t):
+        head = t[:-1]
+        if len(set(head)) < len(head):
+            return ()  # the zero vector
+        col = [row[t[-1]] for row in _subset_matrix(table, tuple(sorted(head)))]
+        return col if _sign(head) > 0 else vneg(col)
+
+    return residual_at
+
+
+def identity_failures(alg, identity):
+    """Every basis tuple at which a clause of ``identity`` fails, as
+    (clause name, 0-based tuple, residual): clause by clause, tuples in
+    lexicographic order.  A generator, so taking the first one ends the
+    scan (and an unknown identity or missing op raises on the first one)."""
+    clauses = IDENTITIES[_canonical_identity(alg, identity)]
+    basis = [_basis_vector(alg.dim, i, alg.ring) for i in range(alg.dim)]
+    for clause in clauses:
+        reader = _alternating_reader if clause.alternating else _tree_reader
+        residual_at = reader(alg.ops, clause, basis)
+        for t in itertools.product(range(alg.dim), repeat=clause.arity):
             res = residual_at(t)
             if not is_zero_vector(res):
-                return t, res
-        return None
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunk = (len(tuples) + threads - 1) // threads
-    blocks = [tuples[i : i + chunk] for i in range(0, len(tuples), chunk)]
-
-    def scan_block(block):
-        for t in block:
-            res = residual_at(t)
-            if not is_zero_vector(res):
-                return t, res
-        return None
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for hit in pool.map(scan_block, blocks):
-            if hit is not None:
-                return hit
-    return None
+                yield clause.name, t, res
 
 
 def check_identity(alg: AlgebraPresentation, identity) -> IdentityReport:
     """Exhaustively verify a multilinear identity on all basis tuples."""
-    name = _canonical_identity(identity)
-    _require_ops(alg, name)
-    dim, ring = alg.dim, alg.ring
-    basis = [_basis_vector(dim, i, ring) for i in range(dim)]
-    for clause, arity, fn in IDENTITIES[name]:
-        if name == "S5":
-            hit = _scan_s5(alg.op("bracket"))
-        else:
-            def residual_at(t, fn=fn):
-                return fn(alg.ops, tuple(basis[i] for i in t))
-
-            hit = _scan_tuples(dim, arity, residual_at)
-        if hit is not None:
-            t, res = hit
-            return IdentityReport(
-                name,
-                False,
-                Counterexample(tuple(i + 1 for i in t), tuple(res), clause),
-            )
-    return IdentityReport(name, True, None)
-
-
-# -- S5 fast path -----------------------------------------------------------
-#
-# Writing ad(a) for the matrix of [e_a, -], the nested bracket term is a
-# column of ad(a1)ad(a2)ad(a3)ad(a4).  The signed sum over S4 is alternating
-# in (a1..a4): it vanishes whenever two indices repeat, and permuting the
-# indices only flips the sign.  So we precompute it per sorted 4-subset
-# (C(n,4) matrix sums instead of n^4) and read every quintuple's residual
-# off a stored matrix.  Enumeration order of counterexamples is still plain
-# lexicographic over all n^5 quintuples.
-
-
-def _ad_matrix(br, a):
-    n = br.dim
-    return [[br.c[a][j][k] for j in range(n)] for k in range(n)]
-
-
-def _sorted_perm_sign(quad):
-    order = sorted(range(4), key=lambda t: quad[t])
-    return _perm_sign(tuple(order))
-
-
-def _scan_s5(br):
-    from .linalg import matmul
-
-    n = br.dim
-    ad = [_ad_matrix(br, a) for a in range(n)]
-    memo = {}
-    for subset in itertools.combinations(range(n), 4):
-        acc = None
-        for perm, sign in _S4:
-            prod = ad[subset[perm[0]]]
-            for idx in perm[1:]:
-                prod = matmul(prod, ad[subset[idx]])
-            signed = prod if sign > 0 else [[-x for x in row] for row in prod]
-            acc = (
-                signed
-                if acc is None
-                else [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, signed)]
-            )
-        memo[subset] = acc
-
-    for quad in itertools.product(range(n), repeat=4):
-        if len(set(quad)) < 4:
-            continue  # alternating sum vanishes on repeated indices
-        mat = memo[tuple(sorted(quad))]
-        sign = _sorted_perm_sign(quad)
-        for i5 in range(n):
-            col = [mat[k][i5] for k in range(n)]
-            if sign < 0:
-                col = [-x for x in col]
-            if not is_zero_vector(col):
-                return quad + (i5,), col
-    return None
+    name = _canonical_identity(alg, identity)
+    hit = next(identity_failures(alg, name), None)
+    if hit is None:
+        return IdentityReport(name, True, None)
+    clause, t, res = hit
+    return IdentityReport(name, False, Counterexample(tuple(i + 1 for i in t), tuple(res), clause))
 
 
 # ---------------------------------------------------------------------------
@@ -582,43 +565,25 @@ def is_derivation(dot: BilinearOp, deriv: LinearMap) -> IdentityReport:
     return IdentityReport("DERIVATION", True, None)
 
 
-def _check_comm_assoc(dot: BilinearOp) -> IdentityReport:
-    alg = AlgebraPresentation(dot.dim, dot.ring, default_labels(dot.dim), {"dot": dot})
-    return check_identity(alg, "COMM_ASSOC")
-
-
 def gelfand_construct(dot: BilinearOp, deriv: LinearMap) -> BilinearOp:
     """The product x o y = x . D(y) built from a commutative associative
     product and one of its derivations; the result satisfies both Novikov
     identities."""
-    ca = _check_comm_assoc(dot)
+    alg = AlgebraPresentation(dot.dim, dot.ring, default_labels(dot.dim), {"dot": dot})
+    ca = check_identity(alg, "COMM_ASSOC")
     if not ca.passed:
         raise NotCommAssoc("dot is not commutative associative", ca)
     der = is_derivation(dot, deriv)
     if not der.passed:
         raise NotDerivation("the map is not a derivation of dot", der)
-    n = dot.dim
-    c = [
-        [
-            [None for _ in range(n)]
-            for _ in range(n)
-        ]
-        for _ in range(n)
-    ]
-    zero = dot.ring.zero()
-    for i in range(n):
-        for j in range(n):
-            acc = [zero] * n
-            for m in range(n):
-                w = deriv.m[m][j]
-                if w == 0:
-                    continue
-                for k in range(n):
-                    if dot.c[i][m][k] != 0:
-                        acc[k] = acc[k] + w * dot.c[i][m][k]
-            for k in range(n):
-                c[i][j][k] = acc[k]
-    return BilinearOp(dot.ring, tuple(tuple(tuple(col) for col in row) for row in c))
+    n, ring = dot.dim, dot.ring
+    return BilinearOp(
+        ring,
+        tuple(
+            tuple(tuple(dot.apply(_basis_vector(n, i, ring), deriv.col(j))) for j in range(n))
+            for i in range(n)
+        ),
+    )
 
 
 def derivation_bracket(dot: BilinearOp, deriv: LinearMap) -> BilinearOp:

@@ -16,12 +16,10 @@ from .algebra import (
     BilinearOp,
     IdentityReport,
     LinearMap,
-    _basis_vector,
-    _nov_rightcomm,
     check_identity,
     commutator,
     default_labels,
-    is_zero_vector,
+    identity_failures,
 )
 from .deform import (
     TruncatedDeformation,
@@ -204,16 +202,13 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
 
     fam_pres = AlgebraPresentation(n, pring, default_labels(n), {"circ": op})
     report = check_identity(fam_pres, "NOV_RIGHTCOMM")
-    obstructions = []
+    obstructions = ()
     if not report.passed:
-        basis = [_basis_vector(n, i, pring) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    res = _nov_rightcomm(fam_pres.ops, (basis[i], basis[j], basis[k]))
-                    if not is_zero_vector(res):
-                        obstructions.append(((i + 1, j + 1, k + 1), tuple(res)))
-    return NovikovCompatibleFamily(True, names, op, report, tuple(obstructions))
+        obstructions = tuple(
+            (tuple(i + 1 for i in t), tuple(res))
+            for _, t, res in identity_failures(fam_pres, "NOV_RIGHTCOMM")
+        )
+    return NovikovCompatibleFamily(True, names, op, report, obstructions)
 
 
 def _join_rings(r1, r2):

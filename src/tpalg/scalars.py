@@ -676,7 +676,7 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise BadScalar(f"unexpected character {text[pos]!r} in {text!r}")
+            raise BadScalar(f"unexpected character {text[pos]!r} in {_quoted(text)}")
         if m.lastgroup == "int":
             tokens.append(("int", int(m.group("int"))))
         elif m.lastgroup == "name":
@@ -693,6 +693,12 @@ def _tokenize(text):
 # scalar string can neither hang the arithmetic nor exhaust the stack.
 MAX_EXPONENT = 1000
 MAX_NESTING = 100
+MAX_QUOTED = 60  # characters of outside input quoted in a BadScalar message
+
+
+def _quoted(value):
+    text = repr(value)
+    return text if len(text) <= MAX_QUOTED else text[:MAX_QUOTED] + "..."
 
 
 class _Parser:
@@ -719,12 +725,12 @@ class _Parser:
         return tok
 
     def fail(self, why):
-        raise BadScalar(f"{why} in scalar {self.text!r}")
+        raise BadScalar(f"{why} in scalar {_quoted(self.text)}")
 
     def parse(self):
         value = self.expr()
         if self.peek()[0] != "end":
-            self.fail(f"trailing input at token {self.peek()[1]!r}")
+            self.fail(f"trailing input at token {_quoted(self.peek()[1])}")
         return value
 
     def expr(self):
@@ -770,7 +776,7 @@ class _Parser:
             return self.env["__const__"](num)
         if kind == "name":
             if tok not in self.env:
-                self.fail(f"unknown symbol {tok!r}")
+                self.fail(f"unknown symbol {_quoted(tok)}")
             value = self.env[tok]
             return self._maybe_power(value)
         if kind == "op" and tok == "(":
@@ -782,7 +788,7 @@ class _Parser:
                 self.fail("expected ')'")
             self.depth -= 1
             return self._maybe_power(value)
-        self.fail(f"unexpected token {tok!r}")
+        self.fail(f"unexpected token {_quoted(tok)}")
 
     def _maybe_power(self, value):
         if self.peek() == ("op", "^"):
@@ -791,8 +797,8 @@ class _Parser:
             if kind != "int":
                 self.fail("expected an integer exponent")
             if tok > MAX_EXPONENT:
-                self.fail(f"exponent {tok} is above {MAX_EXPONENT}")
-            return value**tok
+                self.fail(f"exponent {_quoted(tok)} is above {MAX_EXPONENT}")
+            return _power(self.env["__const__"](Fraction(1)), value, tok)
         return value
 
 
@@ -803,7 +809,7 @@ def _split_order_suffix(text):
         return text, None
     tail = text[marker + len("@order=") :].strip()
     if not tail.isdigit():
-        raise BadScalar(f"malformed order suffix in {text!r}")
+        raise BadScalar(f"malformed order suffix in {_quoted(text)}")
     return text[:marker], int(tail)
 
 
@@ -1028,5 +1034,5 @@ def parse_series(text, base=QQ, order=None):
             f"series literal declares order {declared}, expected {order}"
         )
     if order is None:
-        raise BadScalar(f"series literal needs an '@order=N' suffix: {text!r}")
+        raise BadScalar(f"series literal needs an '@order=N' suffix: {_quoted(text)}")
     return SeriesRing(base, order).parse(f"{body}@order={order}")

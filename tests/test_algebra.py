@@ -1,7 +1,10 @@
 """Identity checking on structure constants, the derivation-product
-construction, subalgebras, and the fast path for the degree-5 identity."""
+construction, subalgebras, and the subset table for the degree-5 identity.
 
-import os
+The hand-written residual functions below are the independent reference
+for the engine's data catalog."""
+
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpalg.algebra import (
+    IDENTITIES,
     AlgebraPresentation,
     BilinearOp,
+    Clause,
     LinearMap,
     bounded_ddt_bracket,
     check_identity,
@@ -25,6 +30,9 @@ from tpalg.algebra import (
     is_derivation,
     subalgebra_check,
     truncated_poly_dot,
+    vadd,
+    vneg,
+    vsub,
 )
 from tpalg.errors import (
     DependentSpan,
@@ -34,11 +42,136 @@ from tpalg.errors import (
     OutOfRange,
     UnknownIdentity,
 )
-from tpalg.scalars import QQ, PolynomialRing
+from tpalg.scalars import QI, QQ, GaussianRational, PolynomialRing
 
 from conftest import catalog_dots, circ_family, np_pair, rightcomm_only_op
 
 F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# Reference residuals, written out by hand for every clause of the catalog
+# ---------------------------------------------------------------------------
+
+
+def vscale(c, u):
+    return [c * a for a in u]
+
+
+def _comm(ops, xs):
+    dot = ops["dot"]
+    x, y = xs
+    return vsub(dot.apply(x, y), dot.apply(y, x))
+
+
+def _assoc(ops, xs):
+    dot = ops["dot"]
+    x, y, z = xs
+    return vsub(dot.apply(dot.apply(x, y), z), dot.apply(x, dot.apply(y, z)))
+
+
+def _antisym(ops, xs):
+    br = ops["bracket"]
+    x, y = xs
+    return vadd(br.apply(x, y), br.apply(y, x))
+
+
+def _jacobi(ops, xs):
+    br = ops["bracket"]
+    x, y, z = xs
+    t1 = br.apply(x, br.apply(y, z))
+    t2 = br.apply(y, br.apply(z, x))
+    t3 = br.apply(z, br.apply(x, y))
+    return vadd(vadd(t1, t2), t3)
+
+
+def _nov_leftsym(ops, xs):
+    circ = ops["circ"]
+    x, y, z = xs
+    lhs = vsub(circ.apply(circ.apply(x, y), z), circ.apply(circ.apply(y, x), z))
+    rhs = vsub(circ.apply(x, circ.apply(y, z)), circ.apply(y, circ.apply(x, z)))
+    return vsub(lhs, rhs)
+
+
+def _nov_rightcomm(ops, xs):
+    circ = ops["circ"]
+    x, y, z = xs
+    return vsub(circ.apply(circ.apply(x, y), z), circ.apply(circ.apply(x, z), y))
+
+
+def _circ_comm(circ, x, y):
+    return vsub(circ.apply(x, y), circ.apply(y, x))
+
+
+def _nctpa(ops, xs):
+    circ = ops["circ"]
+    x, y, z = xs
+    lhs = vscale(2, circ.apply(_circ_comm(circ, x, y), z))
+    rhs = vadd(
+        _circ_comm(circ, circ.apply(x, z), y), _circ_comm(circ, x, circ.apply(y, z))
+    )
+    return vsub(lhs, rhs)
+
+
+def _tpa(ops, xs):
+    dot, br = ops["dot"], ops["bracket"]
+    x, y, z = xs
+    lhs = vscale(2, dot.apply(br.apply(x, y), z))
+    rhs = vadd(br.apply(x, dot.apply(y, z)), br.apply(dot.apply(x, z), y))
+    return vsub(lhs, rhs)
+
+
+def _np1(ops, xs):
+    dot, circ = ops["dot"], ops["circ"]
+    x, y, z = xs
+    return vsub(circ.apply(dot.apply(x, y), z), dot.apply(x, circ.apply(y, z)))
+
+
+def _np2(ops, xs):
+    dot, circ = ops["dot"], ops["circ"]
+    x, y, z = xs
+    lhs = vsub(dot.apply(circ.apply(x, y), z), dot.apply(circ.apply(y, x), z))
+    rhs = vsub(circ.apply(x, dot.apply(y, z)), circ.apply(y, dot.apply(x, z)))
+    return vsub(lhs, rhs)
+
+
+def _perm_sign(perm):
+    sign = 1
+    for a in range(len(perm)):
+        for b in range(a + 1, len(perm)):
+            if perm[a] > perm[b]:
+                sign = -sign
+    return sign
+
+
+_S4 = [(p, _perm_sign(p)) for p in itertools.permutations(range(4))]
+
+
+def _s5_residual(ops, xs):
+    """Alternating 24-term sum of nested brackets [x_s1,[x_s2,[x_s3,[x_s4,x5]]]]."""
+    br = ops["bracket"]
+    x5 = xs[4]
+    acc = None
+    for perm, sign in _S4:
+        inner = x5
+        for idx in reversed(perm):
+            inner = br.apply(xs[idx], inner)
+        term = inner if sign > 0 else vneg(inner)
+        acc = term if acc is None else vadd(acc, term)
+    return acc
+
+
+REFERENCE = {
+    "COMM_ASSOC": (("commutativity", 2, _comm), ("associativity", 3, _assoc)),
+    "LIE": (("antisymmetry", 2, _antisym), ("jacobi", 3, _jacobi)),
+    "NOV_LEFTSYM": (("left-symmetry", 3, _nov_leftsym),),
+    "NOV_RIGHTCOMM": (("right-commutativity", 3, _nov_rightcomm),),
+    "NCTPA": (("bracket-compatibility", 3, _nctpa),),
+    "TPA": (("transposed-leibniz", 3, _tpa),),
+    "NP1": (("left-mixed-assoc", 3, _np1),),
+    "NP2": (("mixed-left-symmetry", 3, _np2),),
+    "S5": (("alternating-quintuple", 5, _s5_residual),),
+}
 
 
 def _pres(ops, dim=2, ring=QQ):
@@ -139,6 +272,80 @@ def test_multilinearity_spot_check(x, y, z):
         assert all(c == 0 for c in res), clause
     for clause, res in identity_residual(alg, "NCTPA", [x, y, z]):
         assert all(c == 0 for c in res), clause
+
+
+@st.composite
+def algebra_and_vectors(draw):
+    """Random dot, circ and bracket over Q or Q(i), dims 2-4, and five
+    random argument vectors."""
+    dim = draw(st.integers(2, 4))
+    ring = draw(st.sampled_from([QQ, QI]))
+    rnd = draw(st.randoms(use_true_random=False))
+
+    def rational(sparse):
+        if sparse and rnd.random() < 0.5:
+            return F(0)
+        return F(rnd.randint(-3, 3), rnd.randint(1, 2))
+
+    def scalar(sparse=False):
+        re = rational(sparse)
+        return re if ring is QQ else GaussianRational(re, rational(True))
+
+    def op():
+        return BilinearOp(
+            ring,
+            tuple(
+                tuple(tuple(scalar(sparse=True) for _ in range(dim)) for _ in range(dim))
+                for _ in range(dim)
+            ),
+        )
+
+    alg = _pres({"dot": op(), "circ": op(), "bracket": op()}, dim, ring)
+    return alg, [[scalar() for _ in range(dim)] for _ in range(5)]
+
+
+@given(algebra_and_vectors())
+@settings(max_examples=30, deadline=None)
+def test_identity_residual_matches_reference(case):
+    from tpalg.algebra import _basis_vector
+
+    alg, vectors = case
+    assert sorted(REFERENCE) == identity_names()
+    for name, reference in REFERENCE.items():
+        got = identity_residual(alg, name, vectors)
+        assert [clause for clause, _ in got] == [clause for clause, _, _ in reference]
+        for (clause, res), (_, arity, fn) in zip(got, reference):
+            expected = fn(alg.ops, tuple(vectors[:arity]))
+            assert res == expected, (name, clause)
+            assert [type(x) for x in res] == [type(x) for x in expected], (name, clause)
+        report = check_identity(alg, name)
+        if not report.passed:  # the basis-tuple scan agrees at its counterexample
+            ce = report.counterexample
+            fn = next(fn for clause, _, fn in reference if clause == ce.clause)
+            args = tuple(_basis_vector(alg.dim, i - 1, alg.ring) for i in ce.indices)
+            assert tuple(fn(alg.ops, args)) == ce.residual, name
+
+
+def test_catalog_refuses_malformed_clauses():
+    for clauses in IDENTITIES.values():
+        for clause in clauses:
+            Clause(clause.name, clause.arity, clause.terms, clause.alternating)
+    with pytest.raises(ValueError, match="multilinear"):  # x twice, z never
+        Clause("bad", 3, ((1, ("dot", ("dot", 0, 0), 1)),))
+    with pytest.raises(ValueError, match="multilinear"):  # arity 3, two variables
+        Clause("bad", 3, ((1, ("dot", 0, 1)),))
+    with pytest.raises(ValueError, match="unknown operation"):
+        Clause("bad", 2, ((1, ("cup", 0, 1)),))
+    with pytest.raises(ValueError, match="right-nested"):  # left-nested chain
+        Clause("bad", 3, ((1, ("bracket", ("bracket", 0, 1), 2)),), alternating=True)
+    with pytest.raises(ValueError, match="right-nested"):  # two operations
+        Clause("bad", 3, ((1, ("bracket", 0, ("dot", 1, 2))),), alternating=True)
+    with pytest.raises(ValueError, match="right-nested"):  # variables out of order
+        Clause("bad", 3, ((1, ("bracket", 1, ("bracket", 0, 2))),), alternating=True)
+    with pytest.raises(ValueError, match="right-nested"):  # two terms
+        chain = ("bracket", 0, ("bracket", 1, 2))
+        Clause("bad", 3, ((1, chain), (1, chain)), alternating=True)
+    Clause("ok", 3, ((1, ("circ", 0, ("circ", 1, 2))),), alternating=True)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +458,7 @@ def test_subalgebra_not_closed():
 
 
 # ---------------------------------------------------------------------------
-# S5 fast path
+# S5: the subset table against a direct 24-term evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -316,9 +523,7 @@ def test_s5_catches_sl2_semidirect_v2():
 def test_s5_agrees_with_direct_scan():
     """The memoized path and a direct 24-term evaluation agree, residual and
     first counterexample included."""
-    import itertools
-
-    from tpalg.algebra import _basis_vector, _s5_residual
+    from tpalg.algebra import _basis_vector
 
     for alg in (
         AlgebraPresentation(
@@ -341,17 +546,3 @@ def test_s5_agrees_with_direct_scan():
             assert not report.passed
             assert report.counterexample.indices == direct_fail[0]
             assert tuple(report.counterexample.residual) == direct_fail[1]
-
-
-def test_thread_env_does_not_change_verdict():
-    alg = euler_gelfand(4, QQ)
-    before = os.environ.get("TPA_THREADS")
-    try:
-        os.environ["TPA_THREADS"] = "3"
-        threaded = check_identity(alg, "NOV_LEFTSYM")
-    finally:
-        if before is None:
-            os.environ.pop("TPA_THREADS", None)
-        else:
-            os.environ["TPA_THREADS"] = before
-    assert threaded.passed == check_identity(alg, "NOV_LEFTSYM").passed

@@ -229,6 +229,15 @@ def test_check_stdin(capsys, monkeypatch):
     assert "identity: LIE" in out
 
 
+def test_check_gaussian_power_scalar(capsys, tmp_path):
+    doc = '{"dim": 1, "field": "Qi", "ops": {"dot": [[1, 1, 1, "i^2"]]}}'
+    code = main(["check", write(tmp_path, "qi.json", doc), "--identity", "comm_assoc"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "result: PASS" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_check_json_format(capsys, a01_file):
     code, out = run_cli(
         capsys, "check", a01_file, "--identity", "tpa", "--format", "json"
@@ -509,6 +518,7 @@ def test_cli_refuses_oversized_scalars(capsys, argv):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("tpalg: error: ") and err.count("\n") == 1
+    assert len(err) < 200
 
 
 def test_reports_are_deterministic(capsys, a01_file):

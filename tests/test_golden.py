@@ -1,0 +1,101 @@
+"""Golden outputs of the README command lines.
+
+Every command in the README's *Command line* section runs through
+``cli.main`` in text and, where the subcommand has ``--format``, in JSON.
+Exit code and stdout must match the recorded file under ``tests/golden/``
+byte for byte, so a refactor that changes any printed report fails here.
+
+Re-record (only on a commit whose outputs are trusted) with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from tpalg.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (case name, argv, stdin source): the stdin source names an earlier case
+# whose stdout is piped in, as in `tpalg gelfand --dim 4 | tpalg check -`.
+# fam.json and fam2.json are the stdout of the two family2d cases;
+# bracket.json is the golden input [e1, e2] = e2.
+COMMANDS = [
+    ("family2d_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3"], None),
+    ("family2d_h_h2", ["family2d", "--params", "a=h,b=h^2", "--order", "3"], None),
+    ("check_nov_leftsym", ["check", "fam.json", "--identity", "nov_leftsym"], None),
+    ("limit", ["limit", "fam.json"], None),
+    ("equiv", ["equiv", "fam.json", "fam2.json"], None),
+    ("normalize", ["normalize", "--params", "a=-h,b=3h^2+5h^3", "--order", "6"], None),
+    ("solve_compatible", ["solve-compatible", "bracket.json"], None),
+    ("catalog", ["catalog", "--lam", "2"], None),
+    ("gelfand", ["gelfand", "--dim", "4"], None),
+    ("gelfand_check_s5", ["check", "-", "--identity", "s5"], "gelfand"),
+    ("operad_dims", ["operad-dims", "5"], None),
+]
+WITH_FORMAT = {
+    "check_nov_leftsym",
+    "limit",
+    "equiv",
+    "normalize",
+    "solve_compatible",
+    "catalog",
+    "gelfand_check_s5",
+    "operad_dims",
+}
+FILES = {"fam.json": "family2d_h_0", "fam2.json": "family2d_h_h2"}
+
+
+def run_all(workdir):
+    """Run every README command in ``workdir``; {case: (exit code, stdout)}."""
+    workdir = Path(workdir)
+    (workdir / "bracket.json").write_text(
+        (GOLDEN / "bracket.json").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    results = {}
+    for name, argv, stdin_from in COMMANDS:
+        formats = ("text", "json") if name in WITH_FORMAT else ("text",)
+        for fmt in formats:
+            case = name if fmt == "text" else f"{name}.json"
+            extra = ["--format", "json"] if fmt == "json" else []
+            stdin = io.StringIO(results[stdin_from][1] if stdin_from else "")
+            stdout = io.StringIO()
+            saved = sys.stdin, sys.stdout
+            sys.stdin, sys.stdout = stdin, stdout
+            try:
+                code = main(argv + extra)
+            finally:
+                sys.stdin, sys.stdout = saved
+            results[case] = (code, stdout.getvalue())
+        for path, source in FILES.items():
+            if source == name:
+                (workdir / path).write_text(results[name][1], encoding="utf-8")
+    return results
+
+
+def golden_text(code, out):
+    return f"exit {code}\n{out}"
+
+
+def test_readme_commands_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    results = run_all(tmp_path)
+    recorded = sorted(p.stem for p in GOLDEN.glob("*.out"))
+    assert sorted(results) == recorded
+    for case, (code, out) in results.items():
+        expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+        assert golden_text(code, out) == expected, case
+
+
+if __name__ == "__main__":
+    import os
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for case, (code, out) in run_all(tmp).items():
+            (GOLDEN / f"{case}.out").write_text(golden_text(code, out), encoding="utf-8")

@@ -337,6 +337,12 @@ def test_gaussian_series_format():
     assert ring.parse(format_scalar(s)) == s
 
 
+def test_parse_gaussian_powers():
+    assert QI.parse("i^2") == -1
+    assert QI.parse("(1+i)^3") == GaussianRational.of(-2, 2)
+    assert QI.parse("(1+i)^0") == 1
+
+
 def test_format_gaussian_scalars():
     assert format_scalar(GAUSS_I) == "i"
     assert format_scalar(GaussianRational.of(0, 2)) == "2i"
