@@ -8,16 +8,21 @@ clause at given vectors (``identity_residual``) and scans it over all basis
 tuples in lexicographic order (``check_identity``), memoizing proper
 subtrees; an alternating clause is read off a table of alternating products
 over index subsets.  The scan is complete because every clause is
-multilinear.  When the entries are ParamPoly values, "zero residual" means
-the identically-zero polynomial, so one check certifies a whole parametric
+multilinear.  Every term of a clause also uses each operation equally
+often, so over Q the scan runs on integer structure constants (each op
+scaled by the lcm of its denominators) and scales a residual back exactly.
+When the entries are ParamPoly values, "zero residual" means the
+identically-zero polynomial, so one check certifies a whole parametric
 family.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DependentSpan,
@@ -272,6 +277,12 @@ def _chain(op, variables):
     return tree
 
 
+def _degrees(tree):
+    """How often each operation of ``OPS`` occurs in a tree."""
+    names = [node[0] for node in _nodes(tree)]
+    return tuple(names.count(op) for op in OPS)
+
+
 def _sign(seq):
     """Sign of the permutation that sorts a sequence of distinct values."""
     inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1 :])
@@ -282,10 +293,12 @@ def _sign(seq):
 class Clause:
     """A signed sum of operation trees, held in ``terms`` as (coefficient,
     tree) pairs; a tree is a variable index (0-based) or (op, left, right).
-    The residual at given arguments is zero iff the clause holds there.  An
-    alternating clause has the one term op(x0, op(x1, ... op(x[k-1], xk)))
-    with coefficient 1 and stands for its alternating sum over the
-    orderings of x0..x[k-1]."""
+    The residual at given arguments is zero iff the clause holds there.
+    Every term is multilinear in the variables and uses each operation
+    equally often (``degrees``), so scaling an operation by a constant
+    scales the whole residual by a power of it.  An alternating clause has
+    the one term op(x0, op(x1, ... op(x[k-1], xk))) with coefficient 1 and
+    stands for its alternating sum over the orderings of x0..x[k-1]."""
 
     name: str
     arity: int
@@ -298,6 +311,10 @@ class Clause:
                 raise ValueError(f"clause {self.name!r}: unknown operation in {tree!r}")
             if sorted(_leaves(tree)) != list(range(self.arity)):
                 raise ValueError(f"clause {self.name!r}: a term is not multilinear")
+        if len({_degrees(tree) for _, tree in self.terms}) > 1:
+            raise ValueError(
+                f"clause {self.name!r}: the terms differ in how often an operation occurs"
+            )
         if self.alternating and not (
             self.arity > 1
             and len(self.terms) == 1
@@ -308,6 +325,11 @@ class Clause:
                 f"alternating clause {self.name!r} must be one right-nested chain "
                 "of a single operation, with coefficient 1"
             )
+
+    @property
+    def degrees(self):
+        """How often each operation of ``OPS`` occurs in every term."""
+        return _degrees(self.terms[0][1])
 
     def signed_terms(self):
         """The clause as a plain signed sum of trees."""
@@ -510,30 +532,90 @@ def _alternating_reader(ops, clause, basis):
     return residual_at
 
 
+class _Integers:
+    """Z as a scalar ring, as far as ``BilinearOp.apply`` and
+    ``_basis_vector`` use one."""
+
+    @staticmethod
+    def zero():
+        return 0
+
+    @staticmethod
+    def one():
+        return 1
+
+
+def _integer_ops(alg, clause):
+    """The ops ``clause`` uses, each scaled by the lcm L of its entries'
+    denominators to integer constants, and D = prod L^degree, the factor by
+    which that scales the clause's residual.  None unless the ring's zero
+    and one and every entry of these ops are Fractions."""
+    if {type(alg.ring.zero()), type(alg.ring.one())} != {Fraction}:
+        return None
+    ops, scale = {}, 1
+    for label, degree in zip(OPS, clause.degrees):
+        if not degree:
+            continue
+        c = alg.ops[label].c
+        if any(type(x) is not Fraction for row in c for col in row for x in col):
+            return None
+        lcm = math.lcm(*(x.denominator for row in c for col in row for x in col))
+        # lists, not tuples: CPython keeps up to 2000 freed tuples of each
+        # small size for reuse, and building these as tuples for every scan
+        # kept about 1 MB more resident over repeated checks
+        ops[label] = BilinearOp(
+            _Integers,
+            [[[x.numerator * (lcm // x.denominator) for x in col] for col in row] for row in c],
+        )
+        scale *= lcm**degree
+    return ops, scale
+
+
+def clause_failures(alg, clause):
+    """Every basis tuple at which ``clause`` fails on ``alg``, as (clause
+    name, 0-based tuple, residual), tuples in lexicographic order.
+
+    Over Q the scan runs on the integer constants of ``_integer_ops``: a
+    residual is zero exactly when its scaled copy is, and a reported one is
+    scaled back to the same Fractions.  Other rings are scanned as they are.
+    """
+    ops, ring, scale = alg.ops, alg.ring, None
+    integral = _integer_ops(alg, clause)
+    if integral is not None:
+        (ops, scale), ring = integral, _Integers
+    basis = [_basis_vector(alg.dim, i, ring) for i in range(alg.dim)]
+    reader = _alternating_reader if clause.alternating else _tree_reader
+    residual_at = reader(ops, clause, basis)
+    for t in itertools.product(range(alg.dim), repeat=clause.arity):
+        res = residual_at(t)
+        if not is_zero_vector(res):
+            if scale is not None:
+                res = [Fraction(r, scale) for r in res]
+            yield clause.name, t, res
+
+
 def identity_failures(alg, identity):
     """Every basis tuple at which a clause of ``identity`` fails, as
     (clause name, 0-based tuple, residual): clause by clause, tuples in
     lexicographic order.  A generator, so taking the first one ends the
     scan (and an unknown identity or missing op raises on the first one)."""
-    clauses = IDENTITIES[_canonical_identity(alg, identity)]
-    basis = [_basis_vector(alg.dim, i, alg.ring) for i in range(alg.dim)]
-    for clause in clauses:
-        reader = _alternating_reader if clause.alternating else _tree_reader
-        residual_at = reader(alg.ops, clause, basis)
-        for t in itertools.product(range(alg.dim), repeat=clause.arity):
-            res = residual_at(t)
-            if not is_zero_vector(res):
-                yield clause.name, t, res
+    for clause in IDENTITIES[_canonical_identity(alg, identity)]:
+        yield from clause_failures(alg, clause)
+
+
+def failure_report(name, hit):
+    """The report named ``name`` on the first failure ``hit`` of a scan, or
+    a pass when ``hit`` is None."""
+    if hit is None:
+        return IdentityReport(name, True, None)
+    clause, t, res = hit
+    return IdentityReport(name, False, Counterexample(tuple(i + 1 for i in t), tuple(res), clause))
 
 
 def check_identity(alg: AlgebraPresentation, identity) -> IdentityReport:
     """Exhaustively verify a multilinear identity on all basis tuples."""
     name = _canonical_identity(alg, identity)
-    hit = next(identity_failures(alg, name), None)
-    if hit is None:
-        return IdentityReport(name, True, None)
-    clause, t, res = hit
-    return IdentityReport(name, False, Counterexample(tuple(i + 1 for i in t), tuple(res), clause))
+    return failure_report(name, next(identity_failures(alg, name), None))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import (
+    IDENTITIES,
     AlgebraPresentation,
     BilinearOp,
-    Counterexample,
     IdentityReport,
     check_identity,
+    clause_failures,
     commutator,
     default_labels,
+    failure_report,
     is_zero_vector,
     vsub,
 )
@@ -119,17 +121,9 @@ def check_novikov_deformation(d: TruncatedDeformation) -> IdentityReport:
 
 
 def _commutativity_report(dot: BilinearOp) -> IdentityReport:
-    n = dot.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            res = vsub(dot.col(i, j), dot.col(j, i))
-            if not is_zero_vector(res):
-                return IdentityReport(
-                    "COMMUTATIVITY",
-                    False,
-                    Counterexample((i + 1, j + 1), tuple(res), "commutativity"),
-                )
-    return IdentityReport("COMMUTATIVITY", True, None)
+    alg = AlgebraPresentation(dot.dim, dot.ring, default_labels(dot.dim), {"dot": dot})
+    commutativity = IDENTITIES["COMM_ASSOC"][0]
+    return failure_report("COMMUTATIVITY", next(clause_failures(alg, commutativity), None))
 
 
 @dataclass(frozen=True)

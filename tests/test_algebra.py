@@ -174,6 +174,31 @@ REFERENCE = {
 }
 
 
+def _first_failure(alg, reference):
+    """The first failure of a direct lexicographic scan of the reference
+    clauses over basis tuples, as (clause, 1-based tuple, residual)."""
+    from tpalg.algebra import _basis_vector
+
+    basis = [_basis_vector(alg.dim, i, alg.ring) for i in range(alg.dim)]
+    for clause, arity, fn in reference:
+        for t in itertools.product(range(alg.dim), repeat=arity):
+            res = tuple(fn(alg.ops, tuple(basis[i] for i in t)))
+            if any(x != 0 for x in res):
+                return clause, tuple(i + 1 for i in t), res
+    return None
+
+
+def _assert_same_first_failure(report, first):
+    """``report`` fails exactly where the direct scan does, with the same
+    residual, entry types included (or passes when the scan finds none)."""
+    if first is None:
+        assert report.passed
+        return
+    ce = report.counterexample
+    assert (ce.clause, ce.indices, ce.residual) == first
+    assert [type(x) for x in ce.residual] == [type(x) for x in first[2]]
+
+
 def _pres(ops, dim=2, ring=QQ):
     return AlgebraPresentation(dim, ring, default_labels(dim), ops)
 
@@ -277,7 +302,8 @@ def test_multilinearity_spot_check(x, y, z):
 @st.composite
 def algebra_and_vectors(draw):
     """Random dot, circ and bracket over Q or Q(i), dims 2-4, and five
-    random argument vectors."""
+    random argument vectors.  Denominators run over 1-6, so the ops have
+    different lcms of their denominators."""
     dim = draw(st.integers(2, 4))
     ring = draw(st.sampled_from([QQ, QI]))
     rnd = draw(st.randoms(use_true_random=False))
@@ -285,7 +311,7 @@ def algebra_and_vectors(draw):
     def rational(sparse):
         if sparse and rnd.random() < 0.5:
             return F(0)
-        return F(rnd.randint(-3, 3), rnd.randint(1, 2))
+        return F(rnd.randint(-3, 3), rnd.randint(1, 6))
 
     def scalar(sparse=False):
         re = rational(sparse)
@@ -319,7 +345,9 @@ def test_identity_residual_matches_reference(case):
             assert res == expected, (name, clause)
             assert [type(x) for x in res] == [type(x) for x in expected], (name, clause)
         report = check_identity(alg, name)
-        if not report.passed:  # the basis-tuple scan agrees at its counterexample
+        if all(arity <= 3 for _, arity, _ in reference):
+            _assert_same_first_failure(report, _first_failure(alg, reference))
+        elif not report.passed:  # the basis-tuple scan agrees at its counterexample
             ce = report.counterexample
             fn = next(fn for clause, _, fn in reference if clause == ce.clause)
             args = tuple(_basis_vector(alg.dim, i - 1, alg.ring) for i in ce.indices)
@@ -336,6 +364,8 @@ def test_catalog_refuses_malformed_clauses():
         Clause("bad", 3, ((1, ("dot", 0, 1)),))
     with pytest.raises(ValueError, match="unknown operation"):
         Clause("bad", 2, ((1, ("cup", 0, 1)),))
+    with pytest.raises(ValueError, match="how often"):  # not multi-homogeneous
+        Clause("bad", 2, ((1, ("dot", 0, 1)), (-1, ("bracket", 0, 1))))
     with pytest.raises(ValueError, match="right-nested"):  # left-nested chain
         Clause("bad", 3, ((1, ("bracket", ("bracket", 0, 1), 2)),), alternating=True)
     with pytest.raises(ValueError, match="right-nested"):  # two operations
@@ -521,28 +551,16 @@ def test_s5_catches_sl2_semidirect_v2():
 
 
 def test_s5_agrees_with_direct_scan():
-    """The memoized path and a direct 24-term evaluation agree, residual and
-    first counterexample included."""
-    from tpalg.algebra import _basis_vector
-
+    """The memoized path and a direct 24-term evaluation agree, residual,
+    its entry types and first counterexample included.  Scaling the sl2
+    bracket by 2/3 makes the integer scan scale its residual back by 3^4."""
+    sl2_v2 = _sl2_semidirect_v2()
+    scaled = sl2_v2.ops["bracket"].map_entries(lambda x: x * F(2, 3))
     for alg in (
         AlgebraPresentation(
             3, QQ, ("1", "t", "t2"), {"bracket": bounded_ddt_bracket(2, QQ)}
         ),
-        _sl2_semidirect_v2(),
+        sl2_v2,
+        AlgebraPresentation(5, QQ, sl2_v2.basis_labels, {"bracket": scaled}),
     ):
-        report = check_identity(alg, "S5")
-        n = alg.dim
-        basis = [_basis_vector(n, i, QQ) for i in range(n)]
-        direct_fail = None
-        for quint in itertools.product(range(n), repeat=5):
-            res = _s5_residual(alg.ops, tuple(basis[i] for i in quint))
-            if any(c != 0 for c in res):
-                direct_fail = (tuple(i + 1 for i in quint), tuple(res))
-                break
-        if direct_fail is None:
-            assert report.passed
-        else:
-            assert not report.passed
-            assert report.counterexample.indices == direct_fail[0]
-            assert tuple(report.counterexample.residual) == direct_fail[1]
+        _assert_same_first_failure(check_identity(alg, "S5"), _first_failure(alg, REFERENCE["S5"]))
