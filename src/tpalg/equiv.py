@@ -158,11 +158,18 @@ def unknown(reason):
 #
 #     delta(f)(x,y) = f(x.y) - f(x).y - x.f(y)      (dot = the shared mu[0])
 #
-# and R_k collects only layers below k.  So each order is an affine-linear
-# solve against the same coefficient matrix.  Free coordinates of earlier
-# layers are carried as fresh polynomial parameters rather than being fixed
-# eagerly: a later order may constrain them.  Stranded residuals (zero rows
-# of the reduced system with nonzero right-hand side) are then classified:
+# and R_k collects only layers below k:
+#
+#     R_k(x,y) = sum_{a<k} f_a(mu1_{k-a}(x,y))
+#                - sum_{a,b<k, a+b<=k} mu2_{k-a-b}(f_a(x), f_b(y))
+#
+# The solver reads R_k straight from the layer ops of both deformations and
+# the committed layers f_0 = id, f_1, ..., f_{k-1}, skipping zero factors; no
+# series is formed.  So each order is an affine-linear solve against the
+# same coefficient matrix.  Free coordinates of earlier layers are carried
+# as fresh polynomial parameters rather than being fixed eagerly: a later
+# order may constrain them.  Stranded residuals (zero rows of the reduced
+# system with nonzero right-hand side) are then classified:
 #
 #   * parameter-free nonzero      -> genuine obstruction, NotEquivalent(k)
 #   * affine-linear in parameters -> absorbed as a constraint binding the
@@ -171,7 +178,8 @@ def unknown(reason):
 #                                    quadratic-system reasoning)
 #
 # A returned witness substitutes the accumulated constraint solution with
-# every remaining free coordinate at zero, and must pass verify_witness.
+# every remaining free coordinate at zero.  verify_witness then re-checks it
+# independently, on the full series products through every order.
 
 
 class _ParamConstraints:
@@ -258,41 +266,50 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
 
     names = tuple(f"s{k}_{t}" for k in range(1, order) for t in range(n * n))
     pring = PolynomialRing(field, names)
-    sring = SeriesRing(pring, order)
-    op1 = d1.series_op().coerce_to(sring)
-    op2 = d2.series_op().coerce_to(sring)
     amat = _delta_matrix(d1.mu[0])
+    mu1 = [op.c for op in d1.mu]
+    mu2 = [op.c for op in d2.mu]
+    one = pring.one()
 
     committed = []  # committed[k-1][i][j]: ParamPoly entry of f_k
+    # cols[a][j]: the nonzero entries (i, (f_a)_ij) of column j of f_a
+    cols = [[[(j, one)] for j in range(n)]]
 
-    def f_series():
-        layers = [
-            [[pring.one() if i == j else pring.zero() for j in range(n)] for i in range(n)]
-        ] + committed
-        return [
-            [
-                TruncSeries(
-                    order,
-                    tuple(layers[k][i][j] for k in range(len(layers))),
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
+    def add_scaled(acc, x, c):
+        """acc += x * c, on a dict of polynomial terms."""
+        for expo, coeff in x.terms.items():
+            acc[expo] = acc.get(expo, 0) + coeff * c
 
     constraints = _ParamConstraints(pring, field)
 
     for k in range(1, order):
-        fmat = f_series()
-        fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
         rhs = []
         for p in range(n):
             for q in range(n):
-                lhs = matvec(fmat, op1.col(p, q))
-                rhsv = op2.apply(fcols[p], fcols[q])
-                residual = vsub(lhs, rhsv)
+                acc = [{} for _ in range(n)]  # the terms of R_k(e_p, e_q)_l
+                # F(e_p *_h e_q): f_a applied to mu1_{k-a}(e_p, e_q), a < k
+                for a in range(k):
+                    v = mu1[k - a][p][q]
+                    for j in range(n):
+                        if v[j]:
+                            for l, x in cols[a][j]:
+                                add_scaled(acc[l], x, v[j])
+                # F(e_p) *'_h F(e_q): mu2_{k-a-b}(f_a e_p, f_b e_q), a, b < k
+                for a in range(k):
+                    for b in range(min(k - 1, k - a) + 1):
+                        op = mu2[k - a - b]
+                        for i, x in cols[a][p]:
+                            for j, y in cols[b][q]:
+                                w = op[i][j]
+                                if not any(w):
+                                    continue
+                                xy = y if x is one else x if y is one else x * y
+                                for l in range(n):
+                                    if w[l]:
+                                        add_scaled(acc[l], xy, -w[l])
                 for l in range(n):
-                    rhs.append(constraints.reduce(pring.coerce(-residual[l].coeffs[k])))
+                    residual = ParamPoly(names, acc[l])
+                    rhs.append(constraints.reduce(pring.coerce(-residual)))
         sol = solve_affine(amat, rhs, field.one())
         if not sol.feasible:
             for stranded in sol.residuals:
@@ -322,6 +339,9 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
                     entry = entry + pring.var(name) * pring.coerce(sol.nullspace[t][u])
                 layer[i][j] = pring.coerce(entry)
         committed.append(layer)
+        cols.append(
+            [[(i, layer[i][j]) for i in range(n) if layer[i][j]] for j in range(n)]
+        )
 
     zero_assignment = constraints.final_assignment()
     maps = [LinearMap.identity(n, field)]

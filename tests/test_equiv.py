@@ -7,17 +7,38 @@ from fractions import Fraction
 
 import pytest
 
-from tpalg.algebra import LinearMap, euler_gelfand
-from tpalg.deform import commutator_deform, family2d_construct
+from tpalg.algebra import BilinearOp, LinearMap, euler_gelfand, vsub
+from tpalg.deform import (
+    TruncatedDeformation,
+    commutator_deform,
+    deform_from_np,
+    family2d_construct,
+)
 from tpalg.equiv import (
     EquivalenceWitness,
     EquivVerdict,
+    _common_frame,
+    _delta_matrix,
+    _ParamConstraints,
+    equivalent,
     family2d_equiv,
+    not_equivalent,
     solve_equivalence,
+    unknown,
     verify_witness,
 )
 from tpalg.errors import DimMismatch, OrderMismatch
-from tpalg.scalars import QQ, SeriesRing, TruncSeries, parse_series
+from tpalg.linalg import matvec, solve_affine
+from tpalg.scalars import (
+    GAUSS_I,
+    QI,
+    QQ,
+    PolynomialRing,
+    SeriesRing,
+    TruncSeries,
+    parse_series,
+    substitute_params,
+)
 
 F = Fraction
 
@@ -287,3 +308,190 @@ def test_routes_agree_on_constructed_equivalences():
                 family2d_construct(a, b2),
                 gen.witness,
             ).passed
+
+
+# ---------------------------------------------------------------------------
+# Q(i) deformations
+# ---------------------------------------------------------------------------
+
+
+def perturbed(d, k, idx, delta):
+    """d with delta added to the entry idx = (i, j, l) of the layer op mu[k]."""
+    n = d.dim
+    entries = {
+        (i, j, l): d.mu[k].c[i][j][l]
+        for i in range(n)
+        for j in range(n)
+        for l in range(n)
+    }
+    entries[idx] = entries[idx] + delta
+    mu = list(d.mu)
+    mu[k] = BilinearOp.from_entries(n, d.ring, entries)
+    return TruncatedDeformation(d.base, d.order, tuple(mu))
+
+
+def test_solver_gaussian_gelfand_self_pair():
+    d = deform_from_np(euler_gelfand(3, QI), 4)
+    v = solve_equivalence(d, d)
+    assert v.is_equivalent
+    assert verify_witness(d, d, v.witness).passed
+
+
+def test_solver_gaussian_perturbed_pair():
+    # adding i to the e2-coordinate of e1 * e1 in the h^1 layer is undone
+    # by f_h(e1) = e1 + i(-h + h^2 - h^3) e2 (verdict recorded on the
+    # series-based solver)
+    d = deform_from_np(euler_gelfand(2, QI), 4)
+    e = perturbed(d, 1, (0, 0, 1), GAUSS_I)
+    v = solve_equivalence(d, e)
+    assert v.is_equivalent
+    zero = QI.zero()
+    assert [layer.m for layer in v.witness.f[1:]] == [
+        ((zero, zero), (-GAUSS_I, zero)),
+        ((zero, zero), (GAUSS_I, zero)),
+        ((zero, zero), (-GAUSS_I, zero)),
+    ]
+    assert verify_witness(d, e, v.witness).passed
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the series-based solver
+# ---------------------------------------------------------------------------
+#
+# The reference below builds F = id + f_1 h + ... as a matrix of truncated
+# series at every order and reads the h^k coefficient of the full
+# intertwining residual.  solve_equivalence reads that coefficient from the
+# layer ops directly; both must reach the same verdict, failure order,
+# reason and witness.
+
+
+def series_solve_equivalence(d1, d2) -> EquivVerdict:
+    """Search for an intertwining witness, one power of h at a time."""
+    _common_frame(d1, d2)
+    n, order = d1.dim, d1.order
+    field = d1.ring
+    if not d1.mu[0].entries_equal(d2.mu[0]):
+        return not_equivalent(0, "base products differ at h^0")
+
+    names = tuple(f"s{k}_{t}" for k in range(1, order) for t in range(n * n))
+    pring = PolynomialRing(field, names)
+    sring = SeriesRing(pring, order)
+    op1 = d1.series_op().coerce_to(sring)
+    op2 = d2.series_op().coerce_to(sring)
+    amat = _delta_matrix(d1.mu[0])
+
+    committed = []  # committed[k-1][i][j]: ParamPoly entry of f_k
+
+    def f_series():
+        layers = [
+            [[pring.one() if i == j else pring.zero() for j in range(n)] for i in range(n)]
+        ] + committed
+        return [
+            [
+                TruncSeries(
+                    order,
+                    tuple(layers[k][i][j] for k in range(len(layers))),
+                )
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+
+    constraints = _ParamConstraints(pring, field)
+
+    for k in range(1, order):
+        fmat = f_series()
+        fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
+        rhs = []
+        for p in range(n):
+            for q in range(n):
+                lhs = matvec(fmat, op1.col(p, q))
+                rhsv = op2.apply(fcols[p], fcols[q])
+                residual = vsub(lhs, rhsv)
+                for l in range(n):
+                    rhs.append(constraints.reduce(pring.coerce(-residual[l].coeffs[k])))
+        sol = solve_affine(amat, rhs, field.one())
+        if not sol.feasible:
+            for stranded in sol.residuals:
+                status = constraints.absorb(stranded)
+                if status == constraints.CONTRADICTION:
+                    return not_equivalent(
+                        k, f"linear obstruction at h^{k} has no solution"
+                    )
+                if status == constraints.NONLINEAR:
+                    return unknown(
+                        f"obstruction at h^{k} is quadratic in free parameters "
+                        "from lower orders"
+                    )
+            sol = solve_affine(amat, [constraints.reduce(r) for r in rhs], field.one())
+            if not sol.feasible:
+                raise AssertionError(
+                    "internal error: system stayed infeasible after absorbing "
+                    "its stranded residuals"
+                )
+        layer = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                u = i * n + j
+                entry = sol.particular[u]
+                for t, col in enumerate(sol.free_cols):
+                    name = f"s{k}_{col}"
+                    entry = entry + pring.var(name) * pring.coerce(sol.nullspace[t][u])
+                layer[i][j] = pring.coerce(entry)
+        committed.append(layer)
+
+    zero_assignment = constraints.final_assignment()
+    maps = [LinearMap.identity(n, field)]
+    for layer in committed:
+        rows = tuple(
+            tuple(field.coerce(substitute_params(layer[i][j], zero_assignment)) for j in range(n))
+            for i in range(n)
+        )
+        maps.append(LinearMap(field, rows))
+    witness = EquivalenceWitness(order, tuple(maps))
+    report = verify_witness(d1, d2, witness)
+    if not report.passed:
+        raise AssertionError(
+            "internal error: solved witness failed verification "
+            f"at {report.counterexample.indices}"
+        )
+    return equivalent(witness)
+
+
+def _differential_pairs():
+    for ring in (QQ, QI):
+        for label, make in (
+            ("np", deform_from_np),
+            ("comm", lambda pres, order: commutator_deform(pres.op("circ"), order)),
+        ):
+            for n in (2, 3, 4):
+                for order in range(2, 8 - n):
+                    d = make(euler_gelfand(n, ring), order)
+                    yield f"{ring.tag}/{label}/{n}/{order}/self", d, d
+                    rng = random.Random(f"{ring.tag}/{label}/{n}/{order}")
+                    for side in (0, 1):
+                        k = rng.randrange(1, order)
+                        idx = tuple(rng.randrange(n) for _ in range(3))
+                        delta = rng.choice((F(1), F(-1), F(2), F(1, 2)))
+                        if ring is QI and rng.random() < 0.5:
+                            delta = delta * GAUSS_I
+                        e = perturbed(d, k, idx, delta)
+                        pair = (d, e) if side == 0 else (e, d)
+                        yield f"{ring.tag}/{label}/{n}/{order}/{k}{idx}/{side}", *pair
+
+
+def test_solver_matches_series_reference():
+    tags = set()
+    for case, d1, d2 in _differential_pairs():
+        got = solve_equivalence(d1, d2)
+        want = series_solve_equivalence(d1, d2)
+        assert (got.tag, got.failure_order, got.reason) == (
+            want.tag,
+            want.failure_order,
+            want.reason,
+        ), case
+        if want.witness is not None:
+            layers = [repr(m.m) for m in got.witness.f]
+            assert layers == [repr(m.m) for m in want.witness.f], case
+        tags.add(got.tag)
+    assert tags == {"equivalent", "not_equivalent", "unknown"}

@@ -1,7 +1,8 @@
 """Golden outputs of the README command lines.
 
-Every command in the README's *Command line* section runs through
-``cli.main`` in text and, where the subcommand has ``--format``, in JSON.
+Every command in the README's *Command line* section, and its ``equiv``
+command once more through ``--method solver``, runs through ``cli.main`` in
+text and, where the subcommand has ``--format``, in JSON.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -30,6 +31,7 @@ COMMANDS = [
     ("check_nov_leftsym", ["check", "fam.json", "--identity", "nov_leftsym"], None),
     ("limit", ["limit", "fam.json"], None),
     ("equiv", ["equiv", "fam.json", "fam2.json"], None),
+    ("equiv_solver", ["equiv", "fam.json", "fam2.json", "--method", "solver"], None),
     ("normalize", ["normalize", "--params", "a=-h,b=3h^2+5h^3", "--order", "6"], None),
     ("solve_compatible", ["solve-compatible", "bracket.json"], None),
     ("catalog", ["catalog", "--lam", "2"], None),
@@ -41,6 +43,7 @@ WITH_FORMAT = {
     "check_nov_leftsym",
     "limit",
     "equiv",
+    "equiv_solver",
     "normalize",
     "solve_compatible",
     "catalog",
