@@ -10,25 +10,17 @@ the kinds seen.
 
 import argparse
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from tpalg import TruncSeries, family2d_equiv, format_scalar, normalize_family
 
 F = Fraction
+MAX_ABS = 3  # largest |coefficient| drawn
 
 
-@dataclass
-class SamplerConfig:
-    count: int = 30
-    order: int = 6
-    seed: int = 0
-    max_abs: int = 3
-
-
-def sample_pair(rng, cfg, shape):
+def sample_pair(rng, order, shape):
     def coeff():
-        return F(rng.randint(-2 * cfg.max_abs, 2 * cfg.max_abs), 2)
+        return F(rng.randint(-2 * MAX_ABS, 2 * MAX_ABS), 2)
 
     def nonzero():
         c = coeff()
@@ -36,15 +28,15 @@ def sample_pair(rng, cfg, shape):
             c = coeff()
         return c
 
-    acs = [coeff() for _ in range(cfg.order)]
-    bcs = [coeff() for _ in range(cfg.order)]
+    acs = [coeff() for _ in range(order)]
+    bcs = [coeff() for _ in range(order)]
     if shape == "zero":
         acs[0], bcs[0] = F(0), F(0)
     elif shape == "unital":
         acs[0], bcs[0] = F(0), nonzero()
     else:
         acs[0], bcs[0] = nonzero(), F(0)
-    return TruncSeries(cfg.order, tuple(acs)), TruncSeries(cfg.order, tuple(bcs))
+    return TruncSeries(order, tuple(acs)), TruncSeries(order, tuple(bcs))
 
 
 def main():
@@ -53,17 +45,16 @@ def main():
     parser.add_argument("--order", type=int, default=6)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    cfg = SamplerConfig(count=args.count, order=args.order, seed=args.seed)
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     shapes = ("zero", "unital", "lambda")
     kinds = {}
     widths = (28, 28, 8, 34)
     header = ("a_h", "b_h", "kind", "canonical (a, b)")
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
     print("  ".join("-" * w for w in widths))
-    for trial in range(cfg.count):
-        a, b = sample_pair(rng, cfg, shapes[trial % 3])
+    for trial in range(args.count):
+        a, b = sample_pair(rng, args.order, shapes[trial % 3])
         nf = normalize_family(a, b)
         verdict = family2d_equiv(a, b, *nf.as_pair())
         assert verdict.is_equivalent, "canonical form must stay in the class"

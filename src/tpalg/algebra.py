@@ -32,8 +32,8 @@ from .errors import (
     OutOfRange,
     UnknownIdentity,
 )
-from .linalg import matmul, rank, solve_affine
-from .scalars import QQ, SeriesRing
+from .linalg import is_identity_matrix, matmul, rank, solve_affine
+from .scalars import QQ
 
 # ---------------------------------------------------------------------------
 # Vectors
@@ -147,9 +147,6 @@ class BilinearOp:
     def __sub__(self, other):
         return self._entrywise(other, operator.sub)
 
-    def is_zero(self):
-        return all(x == 0 for row in self.c for col in row for x in col)
-
     def entries_equal(self, other):
         return self.dim == other.dim and all(
             x == y
@@ -175,10 +172,6 @@ class LinearMap:
         one, zero = ring.one(), ring.zero()
         return cls(ring, tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim)))
 
-    @classmethod
-    def from_rows(cls, rows, ring=QQ):
-        return cls(ring, tuple(tuple(ring.coerce(x) for x in row) for row in rows))
-
     def col(self, j):
         return [self.m[i][j] for i in range(self.dim)]
 
@@ -194,11 +187,7 @@ class LinearMap:
         return out
 
     def is_identity(self):
-        return all(
-            (x == 1 if i == j else x == 0)
-            for i, row in enumerate(self.m)
-            for j, x in enumerate(row)
-        )
+        return is_identity_matrix(self.m)
 
 
 @dataclass(eq=False)
@@ -778,8 +767,3 @@ def bounded_ddt_bracket(max_deg, ring=QQ, strict=True):
                 )
     return BilinearOp.from_entries(n, ring, entries)
 
-
-def op_to_series(op: BilinearOp, order) -> BilinearOp:
-    """View a plain op as an op over the series ring at the given order."""
-    ring = SeriesRing(op.ring, order)
-    return op.coerce_to(ring)

@@ -56,12 +56,15 @@ from .errors import (
 from .fileio import (
     detect_kind,
     dumps,
+    op_table,
     parse_algebra_file,
     parse_deformation_file,
     serialize_algebra,
     serialize_deformation,
 )
 from .scalars import field_by_tag, format_scalar, parse_series
+
+_EQUIV_EXIT = {"equivalent": 0, "not_equivalent": 1, "unknown": 2}
 
 _USAGE_ERRORS = (
     ParseError,
@@ -122,17 +125,6 @@ def _op_lines(op, labels, name):
     if not lines:
         lines.append(f"{name}: (zero)")
     return lines
-
-
-def _op_table(op):
-    ring = op.ring
-    rows = []
-    for i in range(op.dim):
-        for j in range(op.dim):
-            for k in range(op.dim):
-                if op.c[i][j][k] != 0:
-                    rows.append([i + 1, j + 1, k + 1, ring.format(op.c[i][j][k])])
-    return rows
 
 
 def _report_dict(report, ring, labels):
@@ -279,8 +271,8 @@ def _cmd_limit(args):
     lines.append(f"TPA: {'PASS' if lim.tpa_report.passed else 'FAIL'}")
     lines.append(f"LIE: {'PASS' if lim.lie_report.passed else 'FAIL'}")
     doc = {
-        "dot": _op_table(lim.algebra.op("dot")),
-        "bracket": _op_table(lim.algebra.op("bracket")),
+        "dot": op_table(lim.algebra.op("dot")),
+        "bracket": op_table(lim.algebra.op("bracket")),
         "tpa": _report_dict(lim.tpa_report, ring, labels),
         "lie": _report_dict(lim.lie_report, ring, labels),
     }
@@ -321,35 +313,19 @@ def _cmd_equiv(args):
     else:
         verdict = solve_equivalence(d1, d2)
 
-    lines = []
-    doc = {"method": method}
+    lines = [f"verdict: {verdict.tag.upper().replace('_', '-')}", f"method: {method}"]
+    doc = {"method": method, "verdict": verdict.tag}
     if verdict.is_equivalent:
-        lines.append("verdict: EQUIVALENT")
-        lines.append(f"method: {method}")
         lines += _witness_lines(verdict.witness)
-        doc.update({"verdict": "equivalent", "witness": _witness_doc(verdict.witness)})
-        code = 0
-    elif verdict.is_not_equivalent:
-        lines.append("verdict: NOT-EQUIVALENT")
-        lines.append(f"method: {method}")
-        lines.append(f"failure-order: h^{verdict.failure_order}")
-        lines.append(f"reason: {verdict.reason}")
-        doc.update(
-            {
-                "verdict": "not_equivalent",
-                "failure_order": verdict.failure_order,
-                "reason": verdict.reason,
-            }
-        )
-        code = 1
+        doc["witness"] = _witness_doc(verdict.witness)
     else:
-        lines.append("verdict: UNKNOWN")
-        lines.append(f"method: {method}")
+        if verdict.is_not_equivalent:
+            lines.append(f"failure-order: h^{verdict.failure_order}")
+            doc["failure_order"] = verdict.failure_order
         lines.append(f"reason: {verdict.reason}")
-        doc.update({"verdict": "unknown", "reason": verdict.reason})
-        code = 2
+        doc["reason"] = verdict.reason
     _emit(args, lines, doc)
-    return code
+    return _EQUIV_EXIT[verdict.tag]
 
 
 def _cmd_family2d(args):
@@ -438,7 +414,7 @@ def _cmd_solve_compatible(args):
     doc = {
         "feasible": True,
         "parameters": list(fam.param_names),
-        "circ": _op_table(fam.op),
+        "circ": op_table(fam.op),
         "right_commutativity": _report_dict(fam.rightcomm_report, ring, labels),
         "obstructions": [
             {
@@ -496,6 +472,8 @@ def _cmd_operad_dims(args):
 def _cmd_gelfand(args):
     from .algebra import euler_gelfand
 
+    if args.dim < 1:
+        raise ParseError(f"must be at least 1, got {args.dim}", "--dim")
     field = field_by_tag(args.field)
     pres = euler_gelfand(args.dim, field)
     sys.stdout.write(dumps(serialize_algebra(pres)))

@@ -240,12 +240,12 @@ def family2d_construct(a_h: TruncSeries, b_h: TruncSeries, field=None) -> Trunca
 def family2d_parameters(d: TruncatedDeformation):
     """(a_h, b_h) if d is exactly a family2d_construct deformation (same
     basis, entry for entry), else None."""
-    if d.dim != 2:
+    if d.dim != 2 or d.order < 2:
         return None
-    entry = d.series_op().entry
-    a_h, b_h = entry(0, 0, 0), entry(0, 0, 1)
+    a_h = TruncSeries(d.order, tuple(op.c[0][0][0] for op in d.mu))
+    b_h = TruncSeries(d.order, tuple(op.c[0][0][1] for op in d.mu))
     candidate = family2d_construct(a_h, b_h, d.ring)
-    if d.series_op().entries_equal(candidate.series_op()):
+    if all(x.entries_equal(y) for x, y in zip(d.mu, candidate.mu)):
         return a_h, b_h
     return None
 

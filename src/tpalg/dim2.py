@@ -19,6 +19,7 @@ from .algebra import (
     check_identity,
     commutator,
     default_labels,
+    failure_report,
     identity_failures,
 )
 from .deform import (
@@ -35,7 +36,7 @@ from .errors import (
     OutOfRange,
     PreconditionViolated,
 )
-from .linalg import invert_series_matrix, matvec, solve_affine
+from .linalg import general_solution, matvec, solve_affine
 from .scalars import (
     QQ,
     PolynomialRing,
@@ -57,36 +58,17 @@ class CatalogEntry:
     algebra: AlgebraPresentation
 
 
-def _bracket_e2(ring):
-    one = ring.one()
-    return BilinearOp.from_entries(2, ring, {(0, 1, 1): one, (1, 0, 1): -one})
+def _with_bracket_e2(dot):
+    """The dim-2 presentation of ``dot`` with the bracket [e1,e2]=e2."""
+    one = dot.ring.one()
+    bracket = BilinearOp.from_entries(2, dot.ring, {(0, 1, 1): one, (1, 0, 1): -one})
+    return AlgebraPresentation(2, dot.ring, default_labels(2), {"dot": dot, "bracket": bracket})
 
 
 def catalog(lam=None, field=QQ):
     """The three 2-dim transposed Poisson algebras with bracket [e1,e2]=e2:
     zero product, e1.e1=e2, and e1.e1=lam e1 with e1.e2=e2.e1=lam e2.
     ``lam`` defaults to a symbolic parameter."""
-    entries = []
-    dot00 = BilinearOp.zero(2, field)
-    entries.append(
-        CatalogEntry(
-            "A00",
-            None,
-            AlgebraPresentation(
-                2, field, default_labels(2), {"dot": dot00, "bracket": _bracket_e2(field)}
-            ),
-        )
-    )
-    dot01 = BilinearOp.from_entries(2, field, {(0, 0, 1): field.one()})
-    entries.append(
-        CatalogEntry(
-            "A01",
-            None,
-            AlgebraPresentation(
-                2, field, default_labels(2), {"dot": dot01, "bracket": _bracket_e2(field)}
-            ),
-        )
-    )
     if lam is None:
         ring = PolynomialRing(field, ("lam",))
         lam_value = ring.var("lam")
@@ -95,19 +77,15 @@ def catalog(lam=None, field=QQ):
         lam_value = field.coerce(lam)
         if lam_value == 0:
             raise ValueError("lam must be nonzero")
-    dot_lam = BilinearOp.from_entries(
+    lam_dot = BilinearOp.from_entries(
         2, ring, {(0, 0, 0): lam_value, (0, 1, 1): lam_value, (1, 0, 1): lam_value}
     )
-    entries.append(
-        CatalogEntry(
-            "Alam",
-            lam_value,
-            AlgebraPresentation(
-                2, ring, default_labels(2), {"dot": dot_lam, "bracket": _bracket_e2(ring)}
-            ),
-        )
+    dots = (
+        ("A00", None, BilinearOp.zero(2, field)),
+        ("A01", None, BilinearOp.from_entries(2, field, {(0, 0, 1): field.one()})),
+        ("Alam", lam_value, lam_dot),
     )
-    return entries
+    return [CatalogEntry(name, value, _with_bracket_e2(dot)) for name, value, dot in dots]
 
 
 # ---------------------------------------------------------------------------
@@ -183,31 +161,17 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
 
     names = tuple(f"p{t + 1}" for t in range(len(sol.free_cols)))
     pring = PolynomialRing(field, names)
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                u = idx(i, j, k)
-                value = pring.coerce(sol.particular[u])
-                for t, col in enumerate(sol.free_cols):
-                    if sol.nullspace[t][u] != 0:
-                        value = value + pring.var(names[t]) * pring.coerce(
-                            sol.nullspace[t][u]
-                        )
-                entries[(i, j, k)] = value
-    op = BilinearOp.from_entries(n, pring, entries)
+    flat = general_solution(sol, pring, names)
+    cells = ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+    op = BilinearOp.from_entries(n, pring, {cell: flat[idx(*cell)] for cell in cells})
 
     if not commutator(op).entries_equal(bracket.coerce_to(pring)):
         raise AssertionError("internal error: solved family has wrong commutator")
 
     fam_pres = AlgebraPresentation(n, pring, default_labels(n), {"circ": op})
-    report = check_identity(fam_pres, "NOV_RIGHTCOMM")
-    obstructions = ()
-    if not report.passed:
-        obstructions = tuple(
-            (tuple(i + 1 for i in t), tuple(res))
-            for _, t, res in identity_failures(fam_pres, "NOV_RIGHTCOMM")
-        )
+    failures = tuple(identity_failures(fam_pres, "NOV_RIGHTCOMM"))
+    report = failure_report("NOV_RIGHTCOMM", failures[0] if failures else None)
+    obstructions = tuple((tuple(i + 1 for i in t), tuple(res)) for _, t, res in failures)
     return NovikovCompatibleFamily(True, names, op, report, obstructions)
 
 
@@ -294,18 +258,7 @@ def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
     e1_new = [nu_inv, sring.zero()]
     e2_new = [nu_inv * mu, sring.one()]
     tmat = [[e1_new[0], e2_new[0]], [e1_new[1], e2_new[1]]]
-    layers = [
-        [[tmat[i][j].coeffs[k] for j in range(2)] for i in range(2)]
-        for k in range(d.order)
-    ]
-    inv_layers = invert_series_matrix(layers)
-    tinv = [
-        [
-            TruncSeries(d.order, tuple(inv_layers[k][i][j] for k in range(d.order)))
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
+    tinv = [[nu, -mu], [sring.zero(), sring.one()]]
 
     def in_new_basis(u, v):
         return matvec(tinv, op.apply(u, v))

@@ -26,7 +26,7 @@ from .algebra import (
     vsub,
 )
 from .errors import DimMismatch, OrderMismatch
-from .linalg import invert_series_matrix, matvec, solve_affine
+from .linalg import general_solution, invert_series_matrix, matvec, solve_affine
 from .scalars import (
     ParamPoly,
     PolynomialRing,
@@ -62,7 +62,7 @@ class EquivalenceWitness:
         zero = LinearMap(ring, tuple(tuple(ring.zero() for _ in range(dim)) for _ in range(dim)))
         return cls(order, (ident,) + (zero,) * (order - 1))
 
-    def series_matrix(self, base_ring):
+    def series_matrix(self):
         n = self.dim
         return [
             [
@@ -100,7 +100,7 @@ def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
         raise OrderMismatch(f"witness order {w.order} does not match deformation order {d1.order}")
     op1 = d1.series_op()
     op2 = d2.series_op()
-    fmat = w.series_matrix(d1.ring)
+    fmat = w.series_matrix()
     n = d1.dim
     fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
     for i in range(n):
@@ -329,15 +329,8 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
                     "internal error: system stayed infeasible after absorbing "
                     "its stranded residuals"
                 )
-        layer = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                u = i * n + j
-                entry = sol.particular[u]
-                for t, col in enumerate(sol.free_cols):
-                    name = f"s{k}_{col}"
-                    entry = entry + pring.var(name) * pring.coerce(sol.nullspace[t][u])
-                layer[i][j] = pring.coerce(entry)
+        flat = general_solution(sol, pring, [f"s{k}_{col}" for col in sol.free_cols])
+        layer = [flat[i * n : (i + 1) * n] for i in range(n)]
         committed.append(layer)
         cols.append(
             [[(i, layer[i][j]) for i in range(n) if layer[i][j]] for j in range(n)]

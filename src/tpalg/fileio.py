@@ -147,7 +147,8 @@ def detect_kind(data, path="<data>"):
     return "deformation" if ("order" in doc or "mu" in doc) else "algebra"
 
 
-def _serialize_table(op: BilinearOp):
+def op_table(op: BilinearOp):
+    """The sparse [i, j, k, scalar] rows (1-based) of an op's nonzero entries."""
     rows = []
     ring = op.ring
     for i in range(op.dim):
@@ -165,14 +166,14 @@ def serialize_algebra(pres: AlgebraPresentation) -> dict:
     if isinstance(ring, PolynomialRing):
         doc["params"] = list(ring.variables)
     for label in sorted(pres.ops):
-        doc["ops"][label] = _serialize_table(pres.op(label))
+        doc["ops"][label] = op_table(pres.op(label))
     return doc
 
 
 def serialize_deformation(d: TruncatedDeformation) -> dict:
     doc = serialize_algebra(d.base)
     doc["order"] = d.order
-    doc["mu"] = [_serialize_table(layer) for layer in d.mu]
+    doc["mu"] = [op_table(layer) for layer in d.mu]
     return doc
 
 

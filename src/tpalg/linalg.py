@@ -4,7 +4,9 @@ The solver does Gauss-Jordan elimination on sparse rows, with the
 coefficient matrix over a field (rationals or Gaussian rationals).
 Right-hand sides only need module operations (+, -, scaling by field
 elements), so the same routine solves systems whose right-hand side
-carries symbolic parameters.
+carries symbolic parameters.  ``general_solution`` turns a feasible
+solve into particular + sum of named parameters times nullspace vectors,
+the form both parametric solvers hand on.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ from fractions import Fraction
 
 
 def matvec(rows, vec):
-    out = []
-    for row in rows:
-        acc = None
-        for a, v in zip(row, vec):
-            piece = a * v
-            acc = piece if acc is None else acc + piece
-        out.append(acc)
-    return out
+    return [_dot(row, vec) for row in rows]
 
 
 def matmul(a, b):
@@ -147,6 +142,20 @@ def solve_affine(matrix, rhs, one=Fraction(1)):
             vec[c] = -a[pivot_row_of[c]].get(f, zero)
         basis.append(vec)
     return LinearSolveResult(True, particular, basis, free_cols, pivot_cols, [])
+
+
+def general_solution(sol, ring, names):
+    """Per coordinate u of a feasible solve, the polynomial
+    particular[u] + sum_t names[t] * nullspace[t][u] in ``ring``, one
+    name per free column; zero nullspace entries add no term."""
+    out = []
+    for u, value in enumerate(sol.particular):
+        value = ring.coerce(value)
+        for name, vec in zip(names, sol.nullspace):
+            if vec[u] != 0:
+                value = value + ring.var(name) * ring.coerce(vec[u])
+        out.append(value)
+    return out
 
 
 def rank(matrix, one=Fraction(1)):

@@ -607,7 +607,10 @@ def _format_poly(p: ParamPoly) -> str:
 
 def _series_coeff_str(c, k):
     """Render one series term coeff*h^k; non-numeric coefficients are
-    parenthesized so the h factor cannot be misread as part of a name."""
+    parenthesized so the h factor cannot be misread as part of a name.
+    A Gaussian rational with zero imaginary part prints as its real part."""
+    if isinstance(c, GaussianRational) and not c.im:
+        c = c.re
     if k == 0:
         if isinstance(c, (ParamPoly, GaussianRational)) and _needs_parens(c):
             return f"({format_scalar(c)})"
@@ -859,9 +862,6 @@ class RationalField:
     def format(self, x):
         return format_scalar(x)
 
-    def invert(self, x):
-        return _invert_base(self.coerce(x))
-
 
 @dataclass(frozen=True)
 class GaussianField:
@@ -892,9 +892,6 @@ class GaussianField:
 
     def format(self, x):
         return format_scalar(x)
-
-    def invert(self, x):
-        return self.coerce(x).inverse()
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,25 @@ def test_equiv_solver_route_and_unknown(capsys, tmp_path):
     assert "quadratic in free parameters" in out
 
 
+def order1_doc(dot_entries):
+    return json.dumps(
+        {"dim": 2, "field": "Q", "ops": {"dot": dot_entries}, "order": 1, "mu": [dot_entries]}
+    )
+
+
+@pytest.mark.parametrize("method", ["auto", "solver"])
+def test_equiv_order_one_documents(capsys, tmp_path, method):
+    a = write(tmp_path, "a.json", order1_doc([[1, 1, 2, "1"]]))
+    b = write(tmp_path, "b.json", order1_doc([[1, 1, 1, "1"]]))
+    code, out = run_cli(capsys, "equiv", a, a, "--method", method)
+    assert code == 0
+    assert out.startswith("verdict: EQUIVALENT\nmethod: solver\n")
+    code, out = run_cli(capsys, "equiv", a, b, "--method", method)
+    assert code == 1
+    assert "verdict: NOT-EQUIVALENT" in out
+    assert "failure-order: h^0" in out
+
+
 def test_equiv_forced_methods(capsys, tmp_path):
     f1 = write(
         tmp_path, "f1.json", dumps(serialize_deformation(family2d_construct(S("h"), S("0"))))
@@ -497,6 +516,15 @@ def test_gelfand_pipeline(capsys, monkeypatch):
     code, out2 = run_cli(capsys, "check", "-", "--identity", "nov_rightcomm")
     assert code == 0
     assert "result: PASS" in out2
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_gelfand_refuses_dimension_below_one(capsys, dim):
+    code = main(["gelfand", "--dim", dim])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"tpalg: error: --dim: must be at least 1, got {dim}\n"
 
 
 def test_cli_usage_errors(capsys):

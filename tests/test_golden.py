@@ -2,7 +2,10 @@
 
 Every command in the README's *Command line* section, and its ``equiv``
 command once more through ``--method solver``, runs through ``cli.main`` in
-text and, where the subcommand has ``--format``, in JSON.
+text and, where the subcommand has ``--format``, in JSON.  Three more cases
+pin routes the README does not show: a NOT-EQUIVALENT verdict, the file
+route of ``normalize`` on a deformation seen through a basis change, and
+``solve-compatible`` on a family with obstructions.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -12,6 +15,9 @@ Re-record (only on a commit whose outputs are trusted) with
 """
 
 import io
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,11 +26,14 @@ import pytest
 from tpalg.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 
 # (case name, argv, stdin source): the stdin source names an earlier case
 # whose stdout is piped in, as in `tpalg gelfand --dim 4 | tpalg check -`.
-# fam.json and fam2.json are the stdout of the two family2d cases;
-# bracket.json is the golden input [e1, e2] = e2.
+# fam.json, fam2.json and fam3.json are the stdout of the family2d cases.
+# The golden inputs: bracket.json is [e1, e2] = e2; sheared.json is the
+# family at (a, b) = (h, 3h), order 4, seen through f(e1) = (1+h) e1 and
+# f(e2) = e2 + 2h e1.
 COMMANDS = [
     ("family2d_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3"], None),
     ("family2d_h_h2", ["family2d", "--params", "a=h,b=h^2", "--order", "3"], None),
@@ -32,11 +41,16 @@ COMMANDS = [
     ("limit", ["limit", "fam.json"], None),
     ("equiv", ["equiv", "fam.json", "fam2.json"], None),
     ("equiv_solver", ["equiv", "fam.json", "fam2.json", "--method", "solver"], None),
+    ("family2d_2h_h", ["family2d", "--params", "a=2h,b=h", "--order", "3"], None),
+    ("equiv_not", ["equiv", "fam.json", "fam3.json"], None),
     ("normalize", ["normalize", "--params", "a=-h,b=3h^2+5h^3", "--order", "6"], None),
+    ("normalize_sheared", ["normalize", "sheared.json"], None),
     ("solve_compatible", ["solve-compatible", "bracket.json"], None),
     ("catalog", ["catalog", "--lam", "2"], None),
     ("gelfand", ["gelfand", "--dim", "4"], None),
     ("gelfand_check_s5", ["check", "-", "--identity", "s5"], "gelfand"),
+    ("gelfand_3", ["gelfand", "--dim", "3"], None),
+    ("gelfand_3_solve_compatible", ["solve-compatible", "-"], "gelfand_3"),
     ("operad_dims", ["operad-dims", "5"], None),
 ]
 WITH_FORMAT = {
@@ -44,21 +58,30 @@ WITH_FORMAT = {
     "limit",
     "equiv",
     "equiv_solver",
+    "equiv_not",
     "normalize",
+    "normalize_sheared",
     "solve_compatible",
+    "gelfand_3_solve_compatible",
     "catalog",
     "gelfand_check_s5",
     "operad_dims",
 }
-FILES = {"fam.json": "family2d_h_0", "fam2.json": "family2d_h_h2"}
+FILES = {
+    "fam.json": "family2d_h_0",
+    "fam2.json": "family2d_h_h2",
+    "fam3.json": "family2d_2h_h",
+}
+INPUTS = ("bracket.json", "sheared.json")
 
 
 def run_all(workdir):
     """Run every README command in ``workdir``; {case: (exit code, stdout)}."""
     workdir = Path(workdir)
-    (workdir / "bracket.json").write_text(
-        (GOLDEN / "bracket.json").read_text(encoding="utf-8"), encoding="utf-8"
-    )
+    for path in INPUTS:
+        (workdir / path).write_text(
+            (GOLDEN / path).read_text(encoding="utf-8"), encoding="utf-8"
+        )
     results = {}
     for name, argv, stdin_from in COMMANDS:
         formats = ("text", "json") if name in WITH_FORMAT else ("text",)
@@ -84,6 +107,23 @@ def golden_text(code, out):
     return f"exit {code}\n{out}"
 
 
+# (golden name, script argv): exit code and stdout of the two scripts, kept
+# under golden/scripts/, with the corpus report's timings masked as (N.NNs).
+SCRIPTS = [
+    ("classify_random_family", ["scripts/classify_random_family.py", "--count", "30", "--seed", "0"]),
+    ("corpus_report", ["scripts/corpus_report.py", "--order", "3", "--max-dim", "7"]),
+]
+
+
+def run_script(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    out = re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", proc.stdout)
+    return golden_text(proc.returncode, out)
+
+
 def test_readme_commands_match_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     results = run_all(tmp_path)
@@ -94,11 +134,18 @@ def test_readme_commands_match_golden(tmp_path, monkeypatch):
         assert golden_text(code, out) == expected, case
 
 
+@pytest.mark.parametrize("name, argv", SCRIPTS, ids=[name for name, _ in SCRIPTS])
+def test_scripts_match_golden(name, argv):
+    expected = (GOLDEN / "scripts" / f"{name}.out").read_text(encoding="utf-8")
+    assert run_script(argv) == expected
+
+
 if __name__ == "__main__":
-    import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for case, (code, out) in run_all(tmp).items():
             (GOLDEN / f"{case}.out").write_text(golden_text(code, out), encoding="utf-8")
+    for name, argv in SCRIPTS:
+        (GOLDEN / "scripts" / f"{name}.out").write_text(run_script(argv), encoding="utf-8")

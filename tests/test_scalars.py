@@ -337,6 +337,19 @@ def test_gaussian_series_format():
     assert ring.parse(format_scalar(s)) == s
 
 
+@pytest.mark.parametrize("text", ["1+h", "h", "-h+1/2h^2", "2-3h^2"])
+def test_real_gaussian_series_print_as_rational(text):
+    q = parse_series(text, QQ, 3)
+    qi = parse_series(text, QI, 3)
+    assert format_scalar(qi) == format_scalar(q)
+
+
+@pytest.mark.parametrize("text", ["1+h+i*h^2", "(1+i)h", "-h+1/2h^2"])
+def test_gaussian_series_roundtrip(text):
+    s = parse_series(text, QI, 3)
+    assert parse_series(format_scalar(s), QI) == s
+
+
 def test_parse_gaussian_powers():
     assert QI.parse("i^2") == -1
     assert QI.parse("(1+i)^3") == GaussianRational.of(-2, 2)
