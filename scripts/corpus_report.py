@@ -18,23 +18,13 @@ from tpalg import (
     check_novikov_deformation,
     classical_limit,
     deform_from_np,
-    default_labels,
     euler_gelfand,
 )
-from tpalg.corpus import AB_POINTS, catalog_dots, circ_family
+from tpalg.corpus import np_structures
 
 
 def quantization_sweep(order):
-    structures = []
-    for name, dot in sorted(catalog_dots().items()):
-        for a, b in AB_POINTS:
-            pres = AlgebraPresentation(
-                2, QQ, default_labels(2), {"dot": dot, "circ": circ_family(a, b)}
-            )
-            structures.append((f"{name} @ (a,b)=({a},{b})", pres))
-    for n in range(3, 7):
-        structures.append((f"euler dim {n}", euler_gelfand(n, QQ)))
-
+    structures = np_structures()
     failures = 0
     for name, pres in structures:
         d = deform_from_np(pres, order)

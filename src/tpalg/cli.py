@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .algebra import check_identity, commutator, identity_names
+from .algebra import check_identity, commutator, euler_gelfand, identity_names
 from .deform import (
     classical_limit,
     commutator_deform,
@@ -470,8 +471,6 @@ def _cmd_operad_dims(args):
 
 
 def _cmd_gelfand(args):
-    from .algebra import euler_gelfand
-
     if args.dim < 1:
         raise ParseError(f"must be at least 1, got {args.dim}", "--dim")
     field = field_by_tag(args.field)
@@ -612,7 +611,15 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("tpalg: error: output pipe closed by the reader", file=sys.stderr)
+        return 1
     except _USAGE_ERRORS as exc:
         print(f"tpalg: error: {exc}", file=sys.stderr)
         return 3

@@ -1,9 +1,11 @@
 """The standing corpus shared by the tests and the scripts: the 2-dim
-catalog dots and the two-parameter circ family at sample points."""
+catalog dots, the two-parameter circ family at sample points, and the
+Novikov-Poisson structures built from them."""
 
 from fractions import Fraction
 
-from .algebra import BilinearOp
+from .algebra import AlgebraPresentation, BilinearOp, default_labels, euler_gelfand
+from .dim2 import catalog
 from .scalars import QQ
 
 F = Fraction
@@ -21,13 +23,24 @@ def circ_family(a, b, ring=QQ):
 
 def catalog_dots(ring=QQ):
     """The dots of the 2-dim catalog: A00, A01 and A_lambda at lambda = 1, 2."""
-    dots = {
-        "A00": BilinearOp.zero(2, ring),
-        "A01": BilinearOp.from_entries(2, ring, {(0, 0, 1): ring.one()}),
-    }
-    for lam in (F(1), F(2)):
-        lam = ring.coerce(lam)
-        dots[f"Alam{lam}"] = BilinearOp.from_entries(
-            2, ring, {(0, 0, 0): lam, (0, 1, 1): lam, (1, 0, 1): lam}
-        )
+    dots = {}
+    for lam in (1, 2):
+        for entry in catalog(lam, ring):
+            suffix = "" if entry.lam is None else str(entry.lam)
+            dots[entry.name + suffix] = entry.algebra.op("dot")
     return dots
+
+
+def np_structures():
+    """The 24 Novikov-Poisson structures as (label, presentation): each
+    catalog dot against the circ family at every AB_POINTS point, then the
+    Euler-derivation algebras of dims 3..6."""
+    structures = []
+    for name, dot in sorted(catalog_dots().items()):
+        for a, b in AB_POINTS:
+            ops = {"dot": dot, "circ": circ_family(a, b)}
+            pres = AlgebraPresentation(2, QQ, default_labels(2), ops)
+            structures.append((f"{name} @ (a,b)=({a},{b})", pres))
+    for n in range(3, 7):
+        structures.append((f"euler dim {n}", euler_gelfand(n, QQ)))
+    return structures

@@ -15,6 +15,8 @@ from .algebra import (
     AlgebraPresentation,
     BilinearOp,
     IdentityReport,
+    LinearMap,
+    _basis_vector,
     check_identity,
     clause_failures,
     commutator,
@@ -198,12 +200,23 @@ def commutator_deform(nov: BilinearOp, order: int) -> TruncatedDeformation:
     return TruncatedDeformation(base, order, (zero, nov) + (zero,) * (order - 2))
 
 
-def _infer_field(*series):
-    for s in series:
-        for c in s.coeffs:
-            if isinstance(c, GaussianRational):
-                return QI
-    return QQ
+def _family_frame(series, field=None):
+    """(order, field, coerced series) for family coefficients: TruncSeries of
+    one order, at least 2.  The field defaults to Q(i) when any coefficient
+    is Gaussian, else Q."""
+    if not all(isinstance(s, TruncSeries) for s in series):
+        raise TypeError("family coefficients must be TruncSeries")
+    orders = {s.order for s in series}
+    if len(orders) != 1:
+        raise OrderMismatch(f"family coefficients have mixed orders {sorted(orders)}")
+    order = orders.pop()
+    if order < 2:
+        raise ValueError("family needs order at least 2")
+    if field is None:
+        gaussian = any(isinstance(c, GaussianRational) for s in series for c in s.coeffs)
+        field = QI if gaussian else QQ
+    sring = SeriesRing(field, order)
+    return order, field, tuple(sring.coerce(s) for s in series)
 
 
 def family2d_construct(a_h: TruncSeries, b_h: TruncSeries, field=None) -> TruncatedDeformation:
@@ -212,20 +225,10 @@ def family2d_construct(a_h: TruncSeries, b_h: TruncSeries, field=None) -> Trunca
         e1 *_h e1 = a_h e1 + b_h e2,   e1 *_h e2 = (a_h + h) e2,
         e2 *_h e1 = a_h e2,            e2 *_h e2 = 0.
     """
-    if not isinstance(a_h, TruncSeries) or not isinstance(b_h, TruncSeries):
-        raise TypeError("family coefficients must be TruncSeries")
-    if a_h.order != b_h.order:
-        raise OrderMismatch(
-            f"a_h has order {a_h.order}, b_h has order {b_h.order}"
-        )
-    order = a_h.order
-    if order < 2:
-        raise ValueError("family needs order at least 2")
-    field = field if field is not None else _infer_field(a_h, b_h)
+    order, field, (a_h, b_h) = _family_frame((a_h, b_h), field)
     layers = []
     for k in range(order):
-        a_k = field.coerce(a_h.coeffs[k])
-        b_k = field.coerce(b_h.coeffs[k])
+        a_k, b_k = a_h.coeffs[k], b_h.coeffs[k]
         entries = {
             (0, 0, 0): a_k,
             (0, 0, 1): b_k,
@@ -250,11 +253,9 @@ def family2d_parameters(d: TruncatedDeformation):
     return None
 
 
-def unital_derivation(tpa: AlgebraPresentation, unit) -> "LinearMap":
+def unital_derivation(tpa: AlgebraPresentation, unit) -> LinearMap:
     """D(x) = [unit, x], a derivation of dot whenever (dot, bracket) is a
     transposed Poisson algebra with two-sided unit ``unit``."""
-    from .algebra import LinearMap, _basis_vector
-
     dot, bracket = tpa.op("dot"), tpa.op("bracket")
     unit = [tpa.ring.coerce(x) for x in unit]
     n = tpa.dim

@@ -24,7 +24,7 @@ from .algebra import (
 )
 from .deform import (
     TruncatedDeformation,
-    _infer_field,
+    _family_frame,
     check_novikov_deformation,
     family2d_construct,
 )
@@ -32,7 +32,6 @@ from .equiv import EquivalenceWitness, family2d_equiv, verify_witness
 from .errors import (
     NotAQuantization,
     NotLie,
-    OrderMismatch,
     OutOfRange,
     PreconditionViolated,
 )
@@ -238,8 +237,7 @@ def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
         )
     op = d.series_op()
     sring = d.series_ring()
-    comm = [x - y for x, y in zip(op.col(0, 1), op.col(1, 0))]
-    s1, s2 = comm
+    s1, s2 = (x - y for x, y in zip(op.col(0, 1), op.col(1, 0)))  # the commutator
     for coeff, where in (
         (s1.coeffs[0], "e1-component of the commutator at h^0"),
         (s1.coeffs[1], "e1-component of the commutator at h^1"),
@@ -259,45 +257,23 @@ def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
     e2_new = [nu_inv * mu, sring.one()]
     tmat = [[e1_new[0], e2_new[0]], [e1_new[1], e2_new[1]]]
     tinv = [[nu, -mu], [sring.zero(), sring.one()]]
+    # the e2-coordinates of e2'.e1' and e1'.e1' in the new basis
+    a_h = matvec(tinv, op.apply(e2_new, e1_new))[1]
+    b_h = matvec(tinv, op.apply(e1_new, e1_new))[1]
 
-    def in_new_basis(u, v):
-        return matvec(tinv, op.apply(u, v))
-
-    m11 = in_new_basis(e1_new, e1_new)
-    m12 = in_new_basis(e1_new, e2_new)
-    m21 = in_new_basis(e2_new, e1_new)
-    m22 = in_new_basis(e2_new, e2_new)
-    a_h = m21[1]
-    b_h = m11[1]
-    h = sring.h()
-    checks = (
-        (m11[0], a_h, "e1-coefficient of (e1)h.(e1)h"),
-        (m12[0], sring.zero(), "e1-coefficient of (e1)h.(e2)h"),
-        (m12[1], a_h + h, "e2-coefficient of (e1)h.(e2)h"),
-        (m21[0], sring.zero(), "e1-coefficient of (e2)h.(e1)h"),
-        (m22[0], sring.zero(), "e1-coefficient of (e2)h.(e2)h"),
-        (m22[1], sring.zero(), "e2-coefficient of (e2)h.(e2)h"),
+    maps = (
+        LinearMap(d.ring, tuple(tuple(t.coeffs[k] for t in row) for row in tmat))
+        for k in range(d.order)
     )
-    for got, want, where in checks:
-        if got != want:
-            raise PreconditionViolated(
-                f"normalized products do not take the family shape at {where}", got
-            )
-
-    maps = []
-    for k in range(d.order):
-        maps.append(
-            LinearMap(
-                d.ring,
-                tuple(tuple(tmat[i][j].coeffs[k] for j in range(2)) for i in range(2)),
-            )
-        )
     witness = EquivalenceWitness(d.order, tuple(maps))
-    family = family2d_construct(a_h, b_h, d.ring)
-    rep = verify_witness(family, d, witness)
+    # T intertwines the family with d exactly when T^-1 d(T e_i, T e_j) is
+    # the family product for every pair, which is the family shape
+    rep = verify_witness(family2d_construct(a_h, b_h, d.ring), d, witness)
     if not rep.passed:
-        raise AssertionError(
-            "internal error: normalization witness failed verification"
+        i, j = rep.counterexample.indices
+        raise PreconditionViolated(
+            f"normalized products do not take the family shape at (e{i}, e{j})",
+            rep.counterexample,
         )
     return NormalizedBasis((tuple(e1_new), tuple(e2_new)), a_h, b_h, witness)
 
@@ -334,55 +310,37 @@ def normalize_family(a_h: TruncSeries, b_h: TruncSeries, field=None) -> NormalFo
     class.  The constant terms must match one of the catalog limits:
     a0 = 0 with b0 = 0 (zero product), a0 = 0 with b0 != 0 (unital square),
     or a0 != 0 with b0 = 0 (lambda family)."""
-    if a_h.order != b_h.order:
-        raise OrderMismatch(f"orders differ: {a_h.order} vs {b_h.order}")
-    field = field if field is not None else _infer_field(a_h, b_h)
-    order = a_h.order
+    order, field, (a_h, b_h) = _family_frame((a_h, b_h), field)
     sring = SeriesRing(field, order)
-    a_h = sring.coerce(a_h)
-    b_h = sring.coerce(b_h)
     a0, b0 = a_h.coeffs[0], b_h.coeffs[0]
-    h = sring.h()
-
     if a0 != 0 and b0 != 0:
         raise NotAQuantization(
             "constant terms (a0, b0) both nonzero match no catalog limit"
         )
 
-    if a0 == 0 and b0 == 0:
-        if a_h == -h:
-            w = h_valuation(b_h)
-            if w == math.inf:
-                kind, m, leading = "case2", None, None
-                ca, cb = a_h, sring.zero()
-            else:
-                kind, m, leading = "case1", w, b_h.coeffs[w]
-                ca = a_h
-                cb = TruncSeries(order, (field.zero(),) * w + (b_h.coeffs[w],))
-        else:
-            v = h_valuation(a_h + h)
-            w = h_valuation(b_h)
-            if w > v:
-                kind, m, leading = "case2", None, None
-                ca, cb = a_h, sring.zero()
-            else:
-                kind, m, leading = "case3", w, b_h.coeffs[w]
-                ca = a_h
-                cb = TruncSeries(order, (field.zero(),) * w + (b_h.coeffs[w],))
-    elif a0 == 0:
-        kind, m, leading = "unital", 0, b0
-        ca, cb = a_h, TruncSeries.constant(order, b0)
+    h = sring.h()
+    m = h_valuation(b_h)
+    if a0 != 0:
+        kind = "lambda"
+    elif b0 != 0:
+        kind = "unital"
+    elif m == math.inf or m > h_valuation(a_h + h):
+        kind = "case2"
     else:
-        kind, m, leading = "lambda", None, None
-        ca, cb = a_h, sring.zero()
+        kind = "case1" if a_h == -h else "case3"
+    if kind in ("lambda", "case2"):
+        m, leading, cb = None, None, sring.zero()
+    else:
+        leading = b_h.coeffs[m]
+        cb = TruncSeries(order, (field.zero(),) * m + (leading,))
 
-    verdict = family2d_equiv(a_h, b_h, ca, cb, field)
+    verdict = family2d_equiv(a_h, b_h, a_h, cb, field)
     if not verdict.is_equivalent:
         raise AssertionError(
             f"internal error: {kind} canonical form is not equivalent to its input "
             f"({verdict.tag} at order {verdict.failure_order})"
         )
-    return NormalForm(kind, m, leading, ca, cb, verdict.witness)
+    return NormalForm(kind, m, leading, a_h, cb, verdict.witness)
 
 
 # ---------------------------------------------------------------------------

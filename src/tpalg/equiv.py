@@ -25,15 +25,10 @@ from .algebra import (
     is_zero_vector,
     vsub,
 )
+from .deform import _family_frame, family2d_construct
 from .errors import DimMismatch, OrderMismatch
 from .linalg import general_solution, invert_series_matrix, matvec, solve_affine
-from .scalars import (
-    ParamPoly,
-    PolynomialRing,
-    SeriesRing,
-    TruncSeries,
-    substitute_params,
-)
+from .scalars import ParamPoly, PolynomialRing, TruncSeries, substitute_params
 
 
 @dataclass(frozen=True)
@@ -147,6 +142,18 @@ def not_equivalent(order, reason):
 
 def unknown(reason):
     return EquivVerdict("unknown", reason=reason)
+
+
+def _verified(d1, d2, witness, what):
+    """equivalent(witness) once verify_witness accepts it; a rejected
+    witness is a defect of the ``what`` decider, not a verdict."""
+    report = verify_witness(d1, d2, witness)
+    if not report.passed:
+        raise AssertionError(
+            f"internal error: {what} witness failed verification "
+            f"at {report.counterexample.indices}"
+        )
+    return equivalent(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +351,7 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
             for i in range(n)
         )
         maps.append(LinearMap(field, rows))
-    witness = EquivalenceWitness(order, tuple(maps))
-    report = verify_witness(d1, d2, witness)
-    if not report.passed:
-        raise AssertionError(
-            "internal error: solved witness failed verification "
-            f"at {report.counterexample.indices}"
-        )
-    return equivalent(witness)
+    return _verified(d1, d2, EquivalenceWitness(order, tuple(maps)), "solved")
 
 
 # ---------------------------------------------------------------------------
@@ -369,32 +369,10 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
 # witness is f(e2) = eps_h e2, f(e1) = e1 + mu_h h e2.
 
 
-def _family_witness(eps: TruncSeries, mu: TruncSeries, field) -> EquivalenceWitness:
-    order = eps.order
-    maps = [LinearMap.identity(2, field)]
-    zero = field.zero()
-    for k in range(1, order):
-        mu_coeff = mu.coeffs[k - 1]
-        maps.append(LinearMap(field, ((zero, zero), (mu_coeff, eps.coeffs[k]))))
-    return EquivalenceWitness(order, tuple(maps))
-
-
 def family2d_equiv(a_h, b_h, a2_h, b2_h, field=None) -> EquivVerdict:
     """Decide equivalence of the family deformations (a_h, b_h) and
     (a2_h, b2_h); Equivalent verdicts carry a verified witness."""
-    from .deform import _infer_field, family2d_construct
-
-    series = (a_h, b_h, a2_h, b2_h)
-    orders = {s.order for s in series}
-    if len(orders) != 1:
-        raise OrderMismatch(f"family coefficients have mixed orders {sorted(orders)}")
-    order = orders.pop()
-    if order < 2:
-        raise ValueError("family needs order at least 2")
-    field = field if field is not None else _infer_field(*series)
-    a_h, b_h, a2_h, b2_h = (
-        SeriesRing(field, order).coerce(s) for s in series
-    )
+    order, field, (a_h, b_h, a2_h, b2_h) = _family_frame((a_h, b_h, a2_h, b2_h), field)
 
     for k in range(order):
         if a_h.coeffs[k] != a2_h.coeffs[k]:
@@ -428,15 +406,10 @@ def family2d_equiv(a_h, b_h, a2_h, b2_h, field=None) -> EquivVerdict:
                     f"no admissible ε_h: the b-coefficient constraint at h^{k} is infeasible",
                 )
 
-    eps = TruncSeries(order, (field.one(),) + tuple(sol.particular[:n_eps]))
-    mu = TruncSeries(order, tuple(sol.particular[n_eps:]))
-    witness = _family_witness(eps, mu, field)
+    eps, mu = sol.particular[:n_eps], sol.particular[n_eps:]  # eps_1.., mu_0..
+    maps = [LinearMap.identity(2, field)]
+    for k in range(1, order):
+        maps.append(LinearMap(field, ((field.zero(),) * 2, (mu[k - 1], eps[k - 1]))))
     d1 = family2d_construct(a_h, b_h, field)
     d2 = family2d_construct(a2_h, b2_h, field)
-    report = verify_witness(d1, d2, witness)
-    if not report.passed:
-        raise AssertionError(
-            "internal error: family witness failed verification "
-            f"at {report.counterexample.indices}"
-        )
-    return equivalent(witness)
+    return _verified(d1, d2, EquivalenceWitness(order, tuple(maps)), "family")

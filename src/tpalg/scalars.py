@@ -244,13 +244,8 @@ class ParamPoly:
             if not other.is_constant():
                 raise NotInvertible("cannot divide by a non-constant polynomial")
             other = other.constant_value()
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if not other:
-                raise NotInvertible("division by zero")
-            return self * (Fraction(1) / other)
-        if isinstance(other, GaussianRational):
-            return self * other.inverse()
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self * _invert_base(other)
         return NotImplemented
 
     def __eq__(self, other):
@@ -830,8 +825,19 @@ def parse_in_env(text, env):
 _RESERVED_NAMES = {"h", "i"}
 
 
+class _Ring:
+    """Parsing and printing shared by the ring descriptors; each one
+    supplies ``coerce`` and the parser environment ``_env``."""
+
+    def parse(self, text):
+        return self.coerce(parse_in_env(text, self._env()))
+
+    def format(self, x):
+        return format_scalar(x)
+
+
 @dataclass(frozen=True)
-class RationalField:
+class RationalField(_Ring):
     tag: str = "Q"
 
     def zero(self):
@@ -856,15 +862,9 @@ class RationalField:
     def _env(self):
         return {"__const__": lambda q: q}
 
-    def parse(self, text):
-        return self.coerce(parse_in_env(text, self._env()))
-
-    def format(self, x):
-        return format_scalar(x)
-
 
 @dataclass(frozen=True)
-class GaussianField:
+class GaussianField(_Ring):
     tag: str = "Qi"
 
     def zero(self):
@@ -887,15 +887,9 @@ class GaussianField:
     def _env(self):
         return {"__const__": lambda q: GaussianRational(q, Fraction(0)), "i": GAUSS_I}
 
-    def parse(self, text):
-        return self.coerce(parse_in_env(text, self._env()))
-
-    def format(self, x):
-        return format_scalar(x)
-
 
 @dataclass(frozen=True)
-class PolynomialRing:
+class PolynomialRing(_Ring):
     base: object
     variables: tuple
 
@@ -948,15 +942,9 @@ class PolynomialRing:
             env[name] = ParamPoly.var(self.variables, name)
         return env
 
-    def parse(self, text):
-        return self.coerce(parse_in_env(text, self._env()))
-
-    def format(self, x):
-        return format_scalar(x)
-
 
 @dataclass(frozen=True)
-class SeriesRing:
+class SeriesRing(_Ring):
     base: object
     order: int
 
@@ -1023,13 +1011,9 @@ def field_by_tag(tag):
 def parse_series(text, base=QQ, order=None):
     """Parse a standalone series string; the truncation order comes from the
     '@order=N' suffix unless supplied explicitly."""
-    body, declared = _split_order_suffix(text)
+    declared = _split_order_suffix(text)[1]
     if order is None:
         order = declared
-    elif declared is not None and declared != order:
-        raise OrderMismatch(
-            f"series literal declares order {declared}, expected {order}"
-        )
     if order is None:
         raise BadScalar(f"series literal needs an '@order=N' suffix: {_quoted(text)}")
-    return SeriesRing(base, order).parse(f"{body}@order={order}")
+    return SeriesRing(base, order).parse(text)

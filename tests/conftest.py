@@ -1,22 +1,17 @@
 """Shared fixtures: the algebra corpus used across the suite.
 
-The corpus (dots and circ family from ``tpalg.corpus``) pairs each 2-dim
-catalog dot with the two-parameter circ family at a handful of rational
-points, plus the Euler-derivation algebras on Q[t]/(t^n).  Tests that need
-"many Novikov-Poisson structures" iterate over ``np_corpus``.
+The corpus (``tpalg.corpus.np_structures``) pairs each 2-dim catalog dot
+with the two-parameter circ family at a handful of rational points, plus the
+Euler-derivation algebras on Q[t]/(t^n).  Tests that need "many
+Novikov-Poisson structures" iterate over ``np_corpus``.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from tpalg.algebra import (
-    AlgebraPresentation,
-    BilinearOp,
-    default_labels,
-    euler_gelfand,
-)
-from tpalg.corpus import AB_POINTS, catalog_dots, circ_family  # noqa: F401 (tests import them from here)
+from tpalg.algebra import AlgebraPresentation, BilinearOp, default_labels
+from tpalg.corpus import AB_POINTS, catalog_dots, circ_family, np_structures  # noqa: F401 (tests import them from here)
 from tpalg.scalars import QQ
 
 F = Fraction
@@ -32,13 +27,7 @@ def np_pair(dot, circ, ring=QQ):
 def np_corpus():
     """24 Novikov-Poisson structures: 4 dots x 5 (a,b) points + 4 Euler
     algebras (whose dot/circ pair is Novikov-Poisson by construction)."""
-    corpus = []
-    for name, dot in sorted(catalog_dots().items()):
-        for a, b in AB_POINTS:
-            corpus.append((f"{name}@a={a},b={b}", np_pair(dot, circ_family(a, b))))
-    for n in range(3, 7):
-        corpus.append((f"euler{n}", euler_gelfand(n, QQ)))
-    return corpus
+    return np_structures()
 
 
 # An operation that passes right-commutativity but fails left-symmetry:

@@ -19,7 +19,7 @@ from tpalg.algebra import (
     commutator,
     default_labels,
 )
-from tpalg.deform import TruncatedDeformation, family2d_construct
+from tpalg.deform import TruncatedDeformation, deformation_from_series, family2d_construct
 from tpalg.dim2 import (
     NormalForm,
     catalog,
@@ -36,6 +36,7 @@ from tpalg.errors import (
     OutOfRange,
     PreconditionViolated,
 )
+from tpalg.linalg import matvec
 from tpalg.scalars import (
     QQ,
     PolynomialRing,
@@ -288,6 +289,31 @@ def test_normalize_basis_rejects_sheared_commutator():
     moved = TruncatedDeformation(base, 3, tuple(layers))
     with pytest.raises(PreconditionViolated, match="e1-component"):
         normalize_basis(moved)
+
+
+def test_normalize_basis_refuses_top_order_shear():
+    # the family at (a, b) = (1, 0), order 2, seen through f(e2) = e2 + h e1:
+    # the shear's h^1 coefficient sits at the top order, where the commutator
+    # divided by h cannot see it, so the products do not take the family
+    # shape.  solve_equivalence finds this pair equivalent; normalizing it
+    # instead would flip this test.
+    order = 2
+    op = family2d_construct(S("1", order), S("0", order)).series_op()
+    sring = op.ring
+    h = sring.h()
+    fmat = [[sring.one(), h], [sring.zero(), sring.one()]]
+    finv = [[sring.one(), -h], [sring.zero(), sring.one()]]
+    cols = [[fmat[r][j] for r in range(2)] for j in range(2)]
+    c = tuple(
+        tuple(
+            tuple(matvec(finv, op.apply(cols[i], cols[j])))
+            for j in range(2)
+        )
+        for i in range(2)
+    )
+    seen = deformation_from_series(BilinearOp(sring, c))
+    with pytest.raises(PreconditionViolated, match="family shape"):
+        normalize_basis(seen)
 
 
 def test_normalize_basis_needs_dim2_and_order2():

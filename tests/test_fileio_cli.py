@@ -7,8 +7,11 @@ exit-code contract: 0 pass/equivalent, 1 fail/not-equivalent, 2 unknown,
 
 import io
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -556,3 +559,25 @@ def test_reports_are_deterministic(capsys, a01_file):
     _, third = run_cli(capsys, "catalog", "--format", "json")
     _, fourth = run_cli(capsys, "catalog", "--format", "json")
     assert third == fourth
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_cli_closed_pipe_exits_with_one_line(unbuffered):
+    # stdout is a pipe whose read end is already closed, so the first write
+    # or the final flush fails with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tpalg.cli", "normalize", "--params", "a=h,b=h^2",
+             "--order", "3", "--field", "Qi"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "tpalg: error: output pipe closed by the reader\n"
