@@ -284,8 +284,8 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
 
     def add_scaled(acc, x, c):
         """acc += x * c, on a dict of polynomial terms."""
-        for expo, coeff in x.terms.items():
-            acc[expo] = acc.get(expo, 0) + coeff * c
+        for mono, coeff in x.sparse.items():
+            acc[mono] = acc.get(mono, 0) + coeff * c
 
     constraints = _ParamConstraints(pring, field)
 
@@ -315,7 +315,7 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
                                     if w[l]:
                                         add_scaled(acc[l], xy, -w[l])
                 for l in range(n):
-                    residual = ParamPoly(names, acc[l])
+                    residual = ParamPoly.from_sparse(names, acc[l])
                     rhs.append(constraints.reduce(pring.coerce(-residual)))
         sol = solve_affine(amat, rhs, field.one())
         if not sol.feasible:

@@ -5,7 +5,9 @@ Four layers, each closed under +, -, *:
 * ``Fraction`` (stdlib) -- rationals, printed ``p/q`` or ``p``.
 * ``GaussianRational`` -- pairs of rationals re + im*i.
 * ``ParamPoly`` -- sparse polynomials in a fixed tuple of named parameters
-  with rational or Gaussian coefficients.
+  with rational or Gaussian coefficients.  A monomial is a sorted tuple of
+  ``(index, power)`` pairs, so a product costs the variables its terms
+  use; ``.terms`` is the dense view, one exponent slot per parameter.
 * ``TruncSeries`` -- truncated power series in ``h`` over any of the above;
   all arithmetic is modulo h^order and mixing orders is an error.
 
@@ -128,61 +130,71 @@ GAUSS_I = GaussianRational.of(0, 1)
 class ParamPoly:
     """Polynomial in a fixed ordered tuple of parameter names.
 
-    ``terms`` maps exponent tuples (one slot per variable) to nonzero
-    coefficients.  Two polynomials combine only when their variable tuples
+    ``sparse`` maps monomials to nonzero coefficients.  A monomial is a
+    tuple of ``(index, power)`` pairs sorted by variable index, with ``()``
+    for the constant monomial, so every operation costs the variables a
+    term uses, not every declared name.  ``terms`` is the dense view (one
+    exponent slot per variable), built on demand; the constructor takes
+    dense terms.  Two polynomials combine only when their variable tuples
     agree; plain numbers are lifted to constants.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "sparse")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
-        clean = {}
+        self.sparse = {}
         for expo, coeff in terms.items():
-            expo = tuple(expo)
             if len(expo) != len(self.variables):
                 raise ValueError("exponent tuple has wrong length")
-            if coeff == 0:
-                continue
-            clean[expo] = coeff
-        self.terms = clean
+            if coeff != 0:
+                self.sparse[tuple((i, e) for i, e in enumerate(expo) if e)] = coeff
+
+    @classmethod
+    def from_sparse(cls, variables, sparse):
+        """From ``{monomial: coefficient}``; zero coefficients are dropped."""
+        poly = cls.__new__(cls)
+        poly.variables = tuple(variables)
+        poly.sparse = {m: c for m, c in sparse.items() if c != 0}
+        return poly
+
+    @property
+    def terms(self):
+        """The dense view: {exponent tuple: coefficient}."""
+        out = {}
+        for mono, coeff in self.sparse.items():
+            expo = [0] * len(self.variables)
+            for i, e in mono:
+                expo[i] = e
+            out[tuple(expo)] = coeff
+        return out
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, variables, value):
-        variables = tuple(variables)
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: value})
+        return cls.from_sparse(variables, {(): value})
 
     @classmethod
     def var(cls, variables, name):
         variables = tuple(variables)
         if name not in variables:
             raise MissingSymbol(f"unknown parameter {name!r}")
-        expo = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {expo: Fraction(1)})
+        return cls.from_sparse(variables, {((variables.index(name), 1),): Fraction(1)})
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.sparse
 
     def is_constant(self):
-        zero = (0,) * len(self.variables)
-        return all(e == zero for e in self.terms)
+        return all(not m for m in self.sparse)
 
     def constant_value(self):
-        zero = (0,) * len(self.variables)
-        return self.terms.get(zero, Fraction(0))
+        return self.sparse.get((), Fraction(0))
 
     def used_variables(self):
-        used = set()
-        for expo in self.terms:
-            for name, e in zip(self.variables, expo):
-                if e:
-                    used.add(name)
-        return used
+        return {self.variables[i] for mono in self.sparse for i, _ in mono}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -199,15 +211,15 @@ class ParamPoly:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for expo, coeff in o.terms.items():
-            terms[expo] = terms.get(expo, 0) + coeff
-        return ParamPoly(self.variables, terms)
+        terms = dict(self.sparse)
+        for mono, coeff in o.sparse.items():
+            terms[mono] = terms.get(mono, 0) + coeff
+        return ParamPoly.from_sparse(self.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return ParamPoly.from_sparse(self.variables, {m: -c for m, c in self.sparse.items()})
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -222,15 +234,20 @@ class ParamPoly:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            # a number scales the coefficients
+            return ParamPoly.from_sparse(
+                self.variables, {m: c * other for m, c in self.sparse.items()}
+            )
         o = self._lift(other)
         if o is None:
             return NotImplemented
         terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, 0) + c1 * c2
-        return ParamPoly(self.variables, terms)
+        for m1, c1 in self.sparse.items():
+            for m2, c2 in o.sparse.items():
+                mono = _mono_mul(m1, m2)
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return ParamPoly.from_sparse(self.variables, terms)
 
     __rmul__ = __mul__
 
@@ -250,9 +267,9 @@ class ParamPoly:
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
-            return self.variables == other.variables and self.terms == other.terms
+            return self.variables == other.variables and self.sparse == other.sparse
         if isinstance(other, (int, Fraction, GaussianRational)):
-            if not self.terms:
+            if not self.sparse:
                 return other == 0
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -260,13 +277,13 @@ class ParamPoly:
     def __hash__(self):
         if self.is_constant():
             return hash(self.constant_value())
-        return hash((self.variables, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.variables, frozenset(self.sparse.items())))
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_affine(self):
-        return all(sum(expo) <= 1 for expo in self.terms)
+        return all(sum(e for _, e in mono) <= 1 for mono in self.sparse)
 
     def affine_parts(self):
         """(constant, {name: coefficient}) for an affine polynomial."""
@@ -274,29 +291,30 @@ class ParamPoly:
             raise ValueError("polynomial is not affine")
         const = Fraction(0)
         linear = {}
-        for expo, coeff in self.terms.items():
-            deg = sum(expo)
-            if deg == 0:
-                const = coeff
+        for mono, coeff in self.sparse.items():
+            if mono:
+                linear[self.variables[mono[0][0]]] = coeff
             else:
-                name = self.variables[expo.index(1)]
-                linear[name] = coeff
+                const = coeff
         return const, linear
 
     def subs(self, mapping):
         """Replace some variables by polynomials (same variable tuple);
         variables absent from the mapping stay symbolic."""
-        out = ParamPoly(self.variables, {})
-        for expo, coeff in self.terms.items():
-            term = ParamPoly.constant(self.variables, coeff)
-            for name, e in zip(self.variables, expo):
-                if e == 0:
-                    continue
-                rep = mapping.get(name)
-                base = rep if rep is not None else ParamPoly.var(self.variables, name)
-                term = term * base**e
-            out = out + term
-        return out
+        terms = {}
+        for mono, coeff in self.sparse.items():
+            kept, image = [], ParamPoly.constant(self.variables, coeff)
+            for i, e in mono:
+                rep = mapping.get(self.variables[i])
+                if rep is None:
+                    kept.append((i, e))
+                else:
+                    image = image * rep**e
+            kept = tuple(kept)
+            for m, c in image.sparse.items():
+                m = _mono_mul(kept, m)
+                terms[m] = terms.get(m, 0) + c
+        return ParamPoly.from_sparse(self.variables, terms)
 
     def substitute(self, assignment):
         """Evaluate with every variable bound; see ``substitute_params``."""
@@ -304,11 +322,12 @@ class ParamPoly:
         if missing:
             raise MissingSymbol(f"no value for parameter(s) {sorted(missing)}")
         total = None
-        for expo, coeff in self.terms.items():
+        for mono, coeff in self.sparse.items():
             term = coeff
-            for name, e in zip(self.variables, expo):
+            for i, e in mono:
+                value = assignment[self.variables[i]]
                 for _ in range(e):
-                    term = term * assignment[name]
+                    term = term * value
             total = term if total is None else total + term
         return Fraction(0) if total is None else total
 
@@ -317,6 +336,16 @@ class ParamPoly:
 
     def __repr__(self):
         return f"ParamPoly({format_scalar(self)!r})"
+
+
+def _mono_mul(m1, m2):
+    """Product of two sparse monomials."""
+    if not (m1 and m2):
+        return m1 or m2
+    powers = dict(m1)
+    for i, e in m2:
+        powers[i] = powers.get(i, 0) + e
+    return tuple(sorted(powers.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +369,7 @@ class TruncSeries:
         if len(coeffs) > order:
             raise ValueError("more coefficients than the truncation order allows")
         if len(coeffs) < order:
-            coeffs = coeffs + (Fraction(0),) * (order - len(coeffs))
+            coeffs = coeffs + (_zero_like(coeffs),) * (order - len(coeffs))
         self.order = order
         self.coeffs = coeffs
 
@@ -392,7 +421,7 @@ class TruncSeries:
         if o is None:
             return NotImplemented
         n = self.order
-        out = [Fraction(0)] * n
+        out = [_zero_like(self.coeffs)] * n
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -439,13 +468,14 @@ class TruncSeries:
         vanish) and padding the top with zeros."""
         if any(c != 0 for c in self.coeffs[:k]):
             raise NotInvertible(f"series is not divisible by h^{k}")
-        return TruncSeries(self.order, self.coeffs[k:] + (Fraction(0),) * k)
+        return TruncSeries(self.order, self.coeffs[k:] + (_zero_like(self.coeffs),) * k)
 
     def shift_up(self, k):
         """Multiply by h^k (truncating)."""
         if k == 0:
             return self
-        return TruncSeries(self.order, (Fraction(0),) * k + self.coeffs[: self.order - k])
+        pad = (_zero_like(self.coeffs),) * k
+        return TruncSeries(self.order, pad + self.coeffs[: self.order - k])
 
     def __str__(self):
         return format_scalar(self)
@@ -457,6 +487,13 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 # Free functions on the tower
 # ---------------------------------------------------------------------------
+
+
+def _zero_like(coeffs):
+    """The zero of the coefficients' ring; ``Fraction(0)`` for none."""
+    if not coeffs or type(coeffs[0]) is Fraction:
+        return Fraction(0)
+    return coeffs[0] * 0
 
 
 def _power(one, base, n):
@@ -564,21 +601,18 @@ def _format_gaussian(z: GaussianRational) -> str:
 
 
 def _poly_term_key(item):
-    expo, _ = item
-    return (-sum(expo), tuple(-e for e in expo))
+    """Total degree, then reverse lex on the dense exponents; on monomials
+    of equal degree the sparse pairs order the same way."""
+    mono, _ = item
+    return (-sum(e for _, e in mono), tuple((i, -e) for i, e in mono))
 
 
 def _format_poly(p: ParamPoly) -> str:
-    if not p.terms:
+    if not p.sparse:
         return "0"
     pieces = []
-    for expo, coeff in sorted(p.terms.items(), key=_poly_term_key):
-        factors = []
-        for name, e in zip(p.variables, expo):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+    for mono, coeff in sorted(p.sparse.items(), key=_poly_term_key):
+        factors = [p.variables[i] if e == 1 else f"{p.variables[i]}^{e}" for i, e in mono]
         if isinstance(coeff, GaussianRational) and coeff.re != 0 and coeff.im != 0:
             coeff_str = f"({_format_gaussian(coeff)})"
             sign = "+"
@@ -905,7 +939,7 @@ class PolynomialRing(_Ring):
         return self.base.tag
 
     def zero(self):
-        return ParamPoly(self.variables, {})
+        return ParamPoly.from_sparse(self.variables, {})
 
     def one(self):
         return ParamPoly.constant(self.variables, self.base.one())
@@ -920,15 +954,13 @@ class PolynomialRing(_Ring):
             if x.is_constant():
                 return ParamPoly.constant(self.variables, x.constant_value())
             if set(x.variables) <= set(self.variables):
-                # remap exponents into the larger variable tuple
+                # remap variable indices into the larger variable tuple
                 slots = [self.variables.index(v) for v in x.variables]
-                terms = {}
-                for expo, coeff in x.terms.items():
-                    new = [0] * len(self.variables)
-                    for slot, e in zip(slots, expo):
-                        new[slot] = e
-                    terms[tuple(new)] = coeff
-                return ParamPoly(self.variables, terms)
+                terms = {
+                    tuple(sorted((slots[i], e) for i, e in mono)): coeff
+                    for mono, coeff in x.sparse.items()
+                }
+                return ParamPoly.from_sparse(self.variables, terms)
             raise BadScalar("polynomial over a different parameter tuple")
         if isinstance(x, (int, Fraction, GaussianRational)):
             return ParamPoly.constant(self.variables, self.base.coerce(x))

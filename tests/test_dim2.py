@@ -38,7 +38,9 @@ from tpalg.errors import (
 )
 from tpalg.linalg import matvec
 from tpalg.scalars import (
+    QI,
     QQ,
+    GaussianRational,
     PolynomialRing,
     SeriesRing,
     TruncSeries,
@@ -234,6 +236,15 @@ def test_normalize_basis_rescaled_e2():
     assert norm.b_h == nu_inv * nu_inv * b
     fam = family2d_construct(norm.a_h, norm.b_h)
     assert verify_witness(fam, d, norm.witness).passed
+
+
+def test_normalize_basis_over_gaussians_keeps_gaussian_coefficients():
+    a_h = parse_series("(-3/2-i)h", QI, 2)
+    b_h = parse_series("i", QI, 2)
+    norm = normalize_basis(family2d_construct(a_h, b_h, QI))
+    assert norm.a_h == a_h and norm.b_h == b_h
+    for s in (norm.a_h, norm.b_h):
+        assert all(isinstance(c, GaussianRational) for c in s.coeffs), repr(s.coeffs)
 
 
 def test_normalize_basis_requires_novikov():

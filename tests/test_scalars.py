@@ -29,6 +29,8 @@ from tpalg.scalars import (
     PolynomialRing,
     SeriesRing,
     TruncSeries,
+    _invert_base,
+    _power,
     format_scalar,
     h_valuation,
     parse_series,
@@ -191,6 +193,364 @@ def test_poly_mul_matches_sympy(p, q):
 
 
 # ---------------------------------------------------------------------------
+# Sparse monomials against the dense reference
+# ---------------------------------------------------------------------------
+
+
+class DenseParamPoly:
+    """Reference: the dense ``ParamPoly``, one exponent slot per declared
+    parameter, kept verbatim apart from its name and printer."""
+
+    __slots__ = ("variables", "terms")
+
+    def __init__(self, variables, terms):
+        self.variables = tuple(variables)
+        clean = {}
+        for expo, coeff in terms.items():
+            expo = tuple(expo)
+            if len(expo) != len(self.variables):
+                raise ValueError("exponent tuple has wrong length")
+            if coeff == 0:
+                continue
+            clean[expo] = coeff
+        self.terms = clean
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def constant(cls, variables, value):
+        variables = tuple(variables)
+        zero = (0,) * len(variables)
+        return cls(variables, {zero: value})
+
+    @classmethod
+    def var(cls, variables, name):
+        variables = tuple(variables)
+        if name not in variables:
+            raise MissingSymbol(f"unknown parameter {name!r}")
+        expo = tuple(1 if v == name else 0 for v in variables)
+        return cls(variables, {expo: Fraction(1)})
+
+    # -- queries -----------------------------------------------------------
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_constant(self):
+        zero = (0,) * len(self.variables)
+        return all(e == zero for e in self.terms)
+
+    def constant_value(self):
+        zero = (0,) * len(self.variables)
+        return self.terms.get(zero, Fraction(0))
+
+    def used_variables(self):
+        used = set()
+        for expo in self.terms:
+            for name, e in zip(self.variables, expo):
+                if e:
+                    used.add(name)
+        return used
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _lift(self, other):
+        if isinstance(other, DenseParamPoly):
+            if other.variables != self.variables:
+                raise ValueError("parameter polynomials over different variables")
+            return other
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return DenseParamPoly.constant(self.variables, other)
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        terms = dict(self.terms)
+        for expo, coeff in o.terms.items():
+            terms[expo] = terms.get(expo, 0) + coeff
+        return DenseParamPoly(self.variables, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseParamPoly(self.variables, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in o.terms.items():
+                expo = tuple(a + b for a, b in zip(e1, e2))
+                terms[expo] = terms.get(expo, 0) + c1 * c2
+        return DenseParamPoly(self.variables, terms)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("polynomial powers must be nonnegative integers")
+        return _power(DenseParamPoly.constant(self.variables, Fraction(1)), self, n)
+
+    def __truediv__(self, other):
+        if isinstance(other, DenseParamPoly):
+            if not other.is_constant():
+                raise NotInvertible("cannot divide by a non-constant polynomial")
+            other = other.constant_value()
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return self * _invert_base(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if isinstance(other, DenseParamPoly):
+            return self.variables == other.variables and self.terms == other.terms
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            if not self.terms:
+                return other == 0
+            return self.is_constant() and self.constant_value() == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.is_constant():
+            return hash(self.constant_value())
+        return hash((self.variables, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def is_affine(self):
+        return all(sum(expo) <= 1 for expo in self.terms)
+
+    def affine_parts(self):
+        """(constant, {name: coefficient}) for an affine polynomial."""
+        if not self.is_affine():
+            raise ValueError("polynomial is not affine")
+        const = Fraction(0)
+        linear = {}
+        for expo, coeff in self.terms.items():
+            deg = sum(expo)
+            if deg == 0:
+                const = coeff
+            else:
+                name = self.variables[expo.index(1)]
+                linear[name] = coeff
+        return const, linear
+
+    def subs(self, mapping):
+        """Replace some variables by polynomials (same variable tuple);
+        variables absent from the mapping stay symbolic."""
+        out = DenseParamPoly(self.variables, {})
+        for expo, coeff in self.terms.items():
+            term = DenseParamPoly.constant(self.variables, coeff)
+            for name, e in zip(self.variables, expo):
+                if e == 0:
+                    continue
+                rep = mapping.get(name)
+                base = rep if rep is not None else DenseParamPoly.var(self.variables, name)
+                term = term * base**e
+            out = out + term
+        return out
+
+    def substitute(self, assignment):
+        """Evaluate with every variable bound; see ``substitute_params``."""
+        missing = self.used_variables() - set(assignment)
+        if missing:
+            raise MissingSymbol(f"no value for parameter(s) {sorted(missing)}")
+        total = None
+        for expo, coeff in self.terms.items():
+            term = coeff
+            for name, e in zip(self.variables, expo):
+                for _ in range(e):
+                    term = term * assignment[name]
+            total = term if total is None else total + term
+        return Fraction(0) if total is None else total
+
+    def __str__(self):
+        return _format_dense_poly(self)
+
+
+def _dense_term_key(item):
+    expo, _ = item
+    return (-sum(expo), tuple(-e for e in expo))
+
+
+def _format_dense_poly(p):
+    """The dense printer: terms by total degree, then reverse lex."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for expo, coeff in sorted(p.terms.items(), key=_dense_term_key):
+        factors = []
+        for name, e in zip(p.variables, expo):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        if isinstance(coeff, GaussianRational) and coeff.re != 0 and coeff.im != 0:
+            coeff_str = f"({format_scalar(coeff)})"
+            sign = "+"
+        else:
+            coeff_str = format_scalar(coeff)
+            sign = "+"
+            if coeff_str.startswith("-"):
+                sign = "-"
+                coeff_str = coeff_str[1:]
+        if factors:
+            body = "*".join(factors) if coeff_str == "1" else "*".join([coeff_str] + factors)
+        else:
+            body = coeff_str
+        pieces.append((sign, body))
+    first_sign, first_body = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        out += sign + body
+    return out
+
+
+small_gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
+
+
+@st.composite
+def _sparse_cases(draw):
+    """Dense term dicts over a ring of up to 130 names, each polynomial in
+    1-8 symbols set far apart, with rational or Gaussian coefficients."""
+    size = draw(st.integers(1, 130))
+    names = tuple(f"s{i}" for i in range(size))
+    coeffs = draw(st.sampled_from([small_rationals, small_gaussians]))
+    # a number the polynomials meet in the ring: an int, a Fraction or a Gaussian
+    number = draw(st.one_of(st.integers(-3, 3), small_rationals, small_gaussians))
+
+    def poly():
+        slots = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8, unique=True))
+        terms = {}
+        exponents = st.lists(st.integers(0, 2), min_size=len(slots), max_size=len(slots))
+        for powers, c in draw(st.lists(st.tuples(exponents, coeffs), max_size=4)):
+            expo = [0] * size
+            for slot, e in zip(slots, powers):
+                expo[slot] = e
+            terms[tuple(expo)] = c
+        return terms
+
+    return names, poly(), poly(), poly(), number
+
+
+def _same(sparse, dense):
+    assert str(sparse) == str(dense)
+    assert sparse.terms == dense.terms
+    assert sparse.used_variables() == dense.used_variables()
+    assert sparse.is_zero() == dense.is_zero()
+    assert sparse.is_constant() == dense.is_constant()
+    assert sparse.constant_value() == dense.constant_value()
+    assert sparse.is_affine() == dense.is_affine()
+    if dense.is_affine():
+        assert sparse.affine_parts() == dense.affine_parts()
+    values = {name: F(i % 7 - 3, i % 3 + 1) for i, name in enumerate(dense.variables)}
+    assert sparse.substitute(values) == dense.substitute(values)
+
+
+@given(_sparse_cases(), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_sparse_poly_matches_dense_reference(case, k):
+    names, tp, tq, tr, c = case
+    p, q, r = (ParamPoly(names, t) for t in (tp, tq, tr))
+    dp, dq, dr = (DenseParamPoly(names, t) for t in (tp, tq, tr))
+    pairs = [
+        (p, dp),
+        (p + q, dp + dq),
+        (p - q, dp - dq),
+        (-p, -dp),
+        (p * q, dp * dq),
+        (p * c, dp * c),
+        (c * p, c * dp),
+        (p + c, dp + c),
+        (c - p, c - dp),
+        (p**k, dp**k),
+    ]
+    if c:
+        pairs.append((p / c, dp / c))
+        pairs.append((p / ParamPoly.constant(names, c), dp / DenseParamPoly.constant(names, c)))
+    # partial substitution: two of p's symbols go to polynomial images
+    used = sorted(dp.used_variables())
+    pairs.append((
+        p.subs(dict(zip(used[::2], (q, r + c)))),
+        dp.subs(dict(zip(used[::2], (dq, dr + c)))),
+    ))
+    for sparse, dense in pairs:
+        _same(sparse, dense)
+    for name in used[:2]:
+        _same(ParamPoly.var(names, name), DenseParamPoly.var(names, name))
+    _same(ParamPoly.constant(names, c), DenseParamPoly.constant(names, c))
+
+
+@given(_sparse_cases())
+@settings(max_examples=60, deadline=None)
+def test_equal_polys_hash_equal(case):
+    names, tp, tq, _, c = case
+    p, q = ParamPoly(names, tp), ParamPoly(names, tq)
+    rebuilt = (p + q) - q
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    # the same terms inserted in another order
+    backwards = ParamPoly(names, dict(reversed(list(tp.items()))))
+    assert backwards == p and hash(backwards) == hash(p)
+    assert p + q == q + p and hash(p + q) == hash(q + p)
+    assert (p * q) * 2 == p * (q * 2) and hash((p * q) * 2) == hash(p * (q * 2))
+    const = ParamPoly.constant(names, c)
+    assert const == c and hash(const) == hash(c)
+    half = ParamPoly.constant(names, GaussianRational.of(F(1, 2)))
+    assert half == F(1, 2) and hash(half) == hash(F(1, 2))
+    assert ParamPoly(names, {}) == 0 and hash(ParamPoly(names, {})) == hash(F(0))
+
+
+def test_sparse_print_order_pinned():
+    # recorded with the dense printer on a 125-name ring, the size of the
+    # equivalence solver's ring at dim 5, order 6
+    names = tuple(f"s{k}_{t}" for k in range(1, 6) for t in range(25))
+    ring = PolynomialRing(QQ, names)
+    v = ring.var
+    p = v("s1_4") ** 2 + 2 * v("s2_4") - v("s2_8")
+    assert str(p) == "s1_4^2+2*s2_4-s2_8"
+    q = (
+        p + v("s5_24") * v("s1_0") - F(1, 3) * v("s3_7") ** 3 + v("s2_8") * v("s2_4") * v("s1_4")
+        + 7 - v("s1_0") ** 2 * v("s3_7") + F(5, 2) * v("s4_1") * v("s2_4")
+    )
+    assert str(q) == (
+        "-s1_0^2*s3_7+s1_4*s2_4*s2_8-1/3*s3_7^3+s1_0*s5_24+s1_4^2"
+        "+5/2*s2_4*s4_1+2*s2_4-s2_8+7"
+    )
+    iring = PolynomialRing(QI, names)
+    s1_1, s5_0 = iring.var("s1_1"), iring.var("s5_0")
+    w = iring.coerce(q) * (1 + GAUSS_I) - GAUSS_I * s5_0**2 + s1_1 * s5_0
+    assert str(w) == (
+        "(-1-i)*s1_0^2*s3_7+(1+i)*s1_4*s2_4*s2_8+(-1/3-1/3i)*s3_7^3+(1+i)*s1_0*s5_24"
+        "+s1_1*s5_0+(1+i)*s1_4^2+(5/2+5/2i)*s2_4*s4_1-i*s5_0^2+(2+2i)*s2_4+(-1-i)*s2_8+(7+7i)"
+    )
+    assert repr(q.subs({"s2_4": v("s1_4") - 1})) == (
+        "ParamPoly('-s1_0^2*s3_7+s1_4^2*s2_8-1/3*s3_7^3+s1_0*s5_24+s1_4^2-s1_4*s2_8"
+        "+5/2*s1_4*s4_1+2*s1_4-s2_8-5/2*s4_1+5')"
+    )
+
+
+def test_dense_exponent_length_is_checked():
+    with pytest.raises(ValueError):
+        ParamPoly(("a", "b"), {(1,): F(1)})
+
+
+# ---------------------------------------------------------------------------
 # Truncated series
 # ---------------------------------------------------------------------------
 
@@ -213,6 +573,27 @@ def test_series_invert_matches_sympy():
     expected = sympy.series(1 / expr, h, 0, order).removeO()
     got = sum(sympy.Rational(c) * h**k for k, c in enumerate(inv.coeffs))
     assert sympy.expand(got - expected) == 0
+
+
+def test_gaussian_series_hold_gaussian_coefficients():
+    ring = SeriesRing(QI, 4)
+    h = ring.h()
+    z = GaussianRational.of(F(-3, 2), -1)
+    for s in (
+        ring.zero(),
+        ring.one(),
+        h,
+        TruncSeries.constant(4, z),
+        TruncSeries.h(4, QI.one()),
+        h * h,
+        (1 + h) * TruncSeries.constant(4, z),
+        series_invert(ring.one() + h),
+        series_invert(TruncSeries.constant(4, z)),
+        h.shift_up(2),
+        (h * h).shift_down(1),
+    ):
+        assert all(isinstance(c, GaussianRational) for c in s.coeffs), repr(s.coeffs)
+    assert TruncSeries(3, ()).coeffs == (F(0), F(0), F(0))
 
 
 def test_series_order_mismatch():
