@@ -19,78 +19,88 @@ The layers, bottom to top:
   solver, basis normalization and canonical forms.
 * :mod:`tpalg.fileio` / :mod:`tpalg.cli` — JSON interchange and the
   ``tpalg`` command.
+
+The public names below are loaded on first use: ``import tpalg`` imports
+no submodule, and ``tpalg.check_identity`` imports :mod:`tpalg.algebra`
+when it is first read, so a process compiles only the layers it uses.
 """
 
-from .algebra import (
-    AlgebraPresentation,
-    BilinearOp,
-    Counterexample,
-    IdentityReport,
-    LinearMap,
-    SubalgebraResult,
-    bounded_ddt_bracket,
-    check_identity,
-    commutator,
-    default_labels,
-    derivation_bracket,
-    euler_derivation,
-    euler_gelfand,
-    gelfand_construct,
-    identity_names,
-    is_derivation,
-    subalgebra_check,
-    truncated_poly_dot,
-)
-from .deform import (
-    ClassicalLimit,
-    TruncatedDeformation,
-    check_novikov_deformation,
-    classical_limit,
-    commutator_deform,
-    deform_from_np,
-    deformation_from_series,
-    deformed_bracket_series,
-    family2d_construct,
-    family2d_parameters,
-    unital_derivation,
-)
-from .dim2 import (
-    CatalogEntry,
-    NormalForm,
-    NormalizedBasis,
-    NovikovCompatibleFamily,
-    catalog,
-    normalize_basis,
-    normalize_family,
-    np_compatibility,
-    operad_dims,
-    solve_novikov_compatible,
-)
-from .equiv import (
-    EquivalenceWitness,
-    EquivVerdict,
-    family2d_equiv,
-    solve_equivalence,
-    verify_witness,
-)
-from .errors import TpalgError
-from .fileio import (
-    parse_algebra_file,
-    parse_deformation_file,
-    serialize_algebra,
-    serialize_deformation,
-)
-from .scalars import (
-    GaussianRational,
-    ParamPoly,
-    PolynomialRing,
-    QI,
-    QQ,
-    SeriesRing,
-    TruncSeries,
-    format_scalar,
-    parse_series,
-)
+import importlib
+
+# The public names, by the submodule that defines them.
+_SUBMODULE_NAMES = {
+    "algebra": (
+        "AlgebraPresentation",
+        "BilinearOp",
+        "Counterexample",
+        "IdentityReport",
+        "LinearMap",
+        "SubalgebraResult",
+        "bounded_ddt_bracket",
+        "check_identity",
+        "commutator",
+        "default_labels",
+        "derivation_bracket",
+        "euler_derivation",
+        "euler_gelfand",
+        "gelfand_construct",
+        "identity_names",
+        "is_derivation",
+        "subalgebra_check",
+        "truncated_poly_dot",
+    ),
+    "deform": (
+        "ClassicalLimit",
+        "TruncatedDeformation",
+        "check_novikov_deformation",
+        "classical_limit",
+        "commutator_deform",
+        "deform_from_np",
+        "deformation_from_series",
+        "deformed_bracket_series",
+        "family2d_construct",
+        "family2d_parameters",
+        "unital_derivation",
+    ),
+    "dim2": (
+        "CatalogEntry",
+        "NormalForm",
+        "NormalizedBasis",
+        "NovikovCompatibleFamily",
+        "catalog",
+        "normalize_basis",
+        "normalize_family",
+        "np_compatibility",
+        "operad_dims",
+        "solve_novikov_compatible",
+    ),
+    "equiv": (
+        "EquivalenceWitness",
+        "EquivVerdict",
+        "family2d_equiv",
+        "solve_equivalence",
+        "verify_witness",
+    ),
+    "errors": ("TpalgError",),
+    "fileio": (
+        "parse_algebra_file",
+        "parse_deformation_file",
+        "serialize_algebra",
+        "serialize_deformation",
+    ),
+    "scalars": (
+        "GaussianRational",
+        "ParamPoly",
+        "PolynomialRing",
+        "QI",
+        "QQ",
+        "SeriesRing",
+        "TruncSeries",
+        "format_scalar",
+        "parse_series",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -154,3 +164,16 @@ __all__ = [
     "unital_derivation",
     "verify_witness",
 ]
+
+
+def __getattr__(name):
+    # Not cached in the package namespace, so that a name rebound in its
+    # submodule (as perfbench's layer trace does, and undoes) reads the same here.
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SUBMODULE))

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -30,10 +29,13 @@ from .errors import (
     NotCommAssoc,
     NotDerivation,
     OutOfRange,
+    Record,
     UnknownIdentity,
 )
 from .linalg import is_identity_matrix, matmul, rank, solve_affine
 from .scalars import QQ
+
+_set = object.__setattr__
 
 # ---------------------------------------------------------------------------
 # Vectors
@@ -61,12 +63,14 @@ def is_zero_vector(u):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BilinearOp:
+class BilinearOp(Record):
     """Bilinear operation as structure constants: e_i * e_j = sum_k c[i][j][k] e_k."""
 
-    ring: object
-    c: tuple
+    __slots__ = ("ring", "c")
+
+    def __init__(self, ring, c: tuple):
+        _set(self, "ring", ring)
+        _set(self, "c", c)
 
     @property
     def dim(self):
@@ -156,12 +160,14 @@ class BilinearOp:
         )
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Record):
     """Linear endomorphism: column j holds the coordinates of the image of e_j."""
 
-    ring: object
-    m: tuple  # m[i][j]
+    __slots__ = ("ring", "m")
+
+    def __init__(self, ring, m: tuple):
+        _set(self, "ring", ring)
+        _set(self, "m", m)  # m[i][j]
 
     @property
     def dim(self):
@@ -190,23 +196,27 @@ class LinearMap:
         return is_identity_matrix(self.m)
 
 
-@dataclass(eq=False)
-class AlgebraPresentation:
+class AlgebraPresentation(Record):
     """A finite-dimensional algebra carrying named bilinear operations
-    ("dot", "circ", "bracket", ...) over a common scalar ring."""
+    ("dot", "circ", "bracket", ...) over a common scalar ring.  Mutable, and
+    compared by identity."""
 
-    dim: int
-    ring: object
-    basis_labels: tuple
-    ops: dict
+    __slots__ = ("dim", "ring", "basis_labels", "ops")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        self.basis_labels = tuple(self.basis_labels)
-        if len(self.basis_labels) != self.dim:
+    def __init__(self, dim: int, ring, basis_labels: tuple, ops: dict):
+        self.dim = dim
+        self.ring = ring
+        self.basis_labels = tuple(basis_labels)
+        self.ops = ops
+        if len(self.basis_labels) != dim:
             raise ValueError("need one basis label per dimension")
-        for label, op in self.ops.items():
-            if op.dim != self.dim:
-                raise ValueError(f"op {label!r} has dim {op.dim}, expected {self.dim}")
+        for label, op in ops.items():
+            if op.dim != dim:
+                raise ValueError(f"op {label!r} has dim {op.dim}, expected {dim}")
 
     @property
     def field_tag(self):
@@ -228,18 +238,24 @@ def default_labels(dim):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    indices: tuple  # 1-based basis indices
-    residual: tuple
-    clause: str = ""
+class Counterexample(Record):
+    __slots__ = ("indices", "residual", "clause")
+
+    def __init__(self, indices: tuple, residual: tuple, clause: str = ""):
+        _set(self, "indices", indices)  # 1-based basis indices
+        _set(self, "residual", residual)
+        _set(self, "clause", clause)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity_name: str
-    passed: bool
-    counterexample: Counterexample | None = None
+class IdentityReport(Record):
+    __slots__ = ("identity_name", "passed", "counterexample")
+
+    def __init__(
+        self, identity_name: str, passed: bool, counterexample: Counterexample | None = None
+    ):
+        _set(self, "identity_name", identity_name)
+        _set(self, "passed", passed)
+        _set(self, "counterexample", counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +294,7 @@ def _sign(seq):
     return -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """A signed sum of operation trees, held in ``terms`` as (coefficient,
     tree) pairs; a tree is a variable index (0-based) or (op, left, right).
     The residual at given arguments is zero iff the clause holds there.
@@ -289,29 +304,30 @@ class Clause:
     the one term op(x0, op(x1, ... op(x[k-1], xk))) with coefficient 1 and
     stands for its alternating sum over the orderings of x0..x[k-1]."""
 
-    name: str
-    arity: int
-    terms: tuple
-    alternating: bool = False
+    __slots__ = ("name", "arity", "terms", "alternating")
 
-    def __post_init__(self):
-        for _, tree in self.terms:
+    def __init__(self, name: str, arity: int, terms: tuple, alternating: bool = False):
+        _set(self, "name", name)
+        _set(self, "arity", arity)
+        _set(self, "terms", terms)
+        _set(self, "alternating", alternating)
+        for _, tree in terms:
             if any(node[0] not in OPS for node in _nodes(tree)):
-                raise ValueError(f"clause {self.name!r}: unknown operation in {tree!r}")
-            if sorted(_leaves(tree)) != list(range(self.arity)):
-                raise ValueError(f"clause {self.name!r}: a term is not multilinear")
-        if len({_degrees(tree) for _, tree in self.terms}) > 1:
+                raise ValueError(f"clause {name!r}: unknown operation in {tree!r}")
+            if sorted(_leaves(tree)) != list(range(arity)):
+                raise ValueError(f"clause {name!r}: a term is not multilinear")
+        if len({_degrees(tree) for _, tree in terms}) > 1:
             raise ValueError(
-                f"clause {self.name!r}: the terms differ in how often an operation occurs"
+                f"clause {name!r}: the terms differ in how often an operation occurs"
             )
-        if self.alternating and not (
-            self.arity > 1
-            and len(self.terms) == 1
-            and self.terms[0][0] == 1
-            and self.terms[0][1] == _chain(self.terms[0][1][0], tuple(range(self.arity)))
+        if alternating and not (
+            arity > 1
+            and len(terms) == 1
+            and terms[0][0] == 1
+            and terms[0][1] == _chain(terms[0][1][0], tuple(range(arity)))
         ):
             raise ValueError(
-                f"alternating clause {self.name!r} must be one right-nested chain "
+                f"alternating clause {name!r} must be one right-nested chain "
                 "of a single operation, with coefficient 1"
             )
 
@@ -662,11 +678,15 @@ def derivation_bracket(dot: BilinearOp, deriv: LinearMap) -> BilinearOp:
     return commutator(gelfand_construct(dot, deriv))
 
 
-@dataclass(frozen=True)
-class SubalgebraResult:
-    closed: bool
-    failing: tuple | None  # (op label, a, b) with 1-based span indices
-    induced: AlgebraPresentation | None
+class SubalgebraResult(Record):
+    __slots__ = ("closed", "failing", "induced")
+
+    def __init__(
+        self, closed: bool, failing: tuple | None, induced: AlgebraPresentation | None
+    ):
+        _set(self, "closed", closed)
+        _set(self, "failing", failing)  # (op label, a, b) with 1-based span indices
+        _set(self, "induced", induced)
 
 
 def subalgebra_check(alg: AlgebraPresentation, span) -> SubalgebraResult:

@@ -17,6 +17,11 @@ Subcommands map one-to-one onto library operations:
 Exit codes: 0 pass/Equivalent, 1 fail/NotEquivalent, 2 Unknown,
 3 usage or parse errors.  Reports are deterministic; --format json emits
 machine-readable documents (sorted keys).
+
+Each subcommand imports only what it runs: ``import tpalg`` loads the
+package's submodules on first use, and the handlers that need
+:mod:`tpalg.dim2` or :mod:`tpalg.equiv` import them themselves, so a cold
+``tpalg family2d`` or ``tpalg check`` never compiles those two modules.
 """
 
 from __future__ import annotations
@@ -34,14 +39,6 @@ from .deform import (
     family2d_construct,
     family2d_parameters,
 )
-from .dim2 import (
-    catalog,
-    normalize_basis,
-    normalize_family,
-    operad_dims,
-    solve_novikov_compatible,
-)
-from .equiv import family2d_equiv, solve_equivalence
 from .errors import (
     BadScalar,
     DimMismatch,
@@ -64,6 +61,8 @@ from .fileio import (
     serialize_deformation,
 )
 from .scalars import field_by_tag, format_scalar, parse_series
+
+# dim2 and equiv stay imported in their handlers: hoisted here, every cold start compiles them
 
 _EQUIV_EXIT = {"equivalent": 0, "not_equivalent": 1, "unknown": 2}
 
@@ -296,6 +295,8 @@ def _cmd_deform_commutator(args):
 
 
 def _cmd_equiv(args):
+    from .equiv import family2d_equiv, solve_equivalence
+
     d1 = _load_deformation(args.file1)
     d2 = _load_deformation(args.file2)
     fam1 = family2d_parameters(d1)
@@ -362,6 +363,8 @@ def _normal_form_output(args, nf, prefix_lines=(), prefix_doc=None):
 
 
 def _cmd_normalize(args):
+    from .dim2 import normalize_basis, normalize_family
+
     if args.file is not None and args.params:
         raise ParseError("give either a deformation file or --params, not both", "normalize")
     if args.file is not None:
@@ -389,6 +392,8 @@ def _cmd_normalize(args):
 
 
 def _cmd_solve_compatible(args):
+    from .dim2 import solve_novikov_compatible
+
     pres = _load_algebra(args.file)
     fam = solve_novikov_compatible(pres.op("bracket"))
     if not fam.feasible:
@@ -430,6 +435,8 @@ def _cmd_solve_compatible(args):
 
 
 def _cmd_catalog(args):
+    from .dim2 import catalog
+
     lam = None
     field = field_by_tag(args.field)
     if args.lam is not None:
@@ -461,6 +468,8 @@ def _cmd_catalog(args):
 
 
 def _cmd_operad_dims(args):
+    from .dim2 import operad_dims
+
     nov, tpois = operad_dims(args.n)
     _emit(
         args,

@@ -8,8 +8,6 @@ degree-1 layer is the limit bracket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     IDENTITIES,
     AlgebraPresentation,
@@ -32,28 +30,31 @@ from .errors import (
     NotTPA,
     NotUnit,
     OrderMismatch,
+    Record,
 )
 from .scalars import QI, QQ, GaussianRational, SeriesRing, TruncSeries
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class TruncatedDeformation:
+
+class TruncatedDeformation(Record):
     """A product on A[h]/(h^order) given by its layer ops."""
 
-    base: AlgebraPresentation
-    order: int
-    mu: tuple
+    __slots__ = ("base", "order", "mu")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, base: AlgebraPresentation, order: int, mu: tuple):
+        _set(self, "base", base)
+        _set(self, "order", order)
+        _set(self, "mu", mu)
+        if order < 1:
             raise ValueError("order must be at least 1")
-        if len(self.mu) != self.order:
-            raise ValueError(f"need exactly {self.order} layer ops, got {len(self.mu)}")
-        dot = self.base.op("dot")
-        for k, op in enumerate(self.mu):
-            if op.dim != self.base.dim:
-                raise ValueError(f"mu[{k}] has dim {op.dim}, expected {self.base.dim}")
-        if not self.mu[0].entries_equal(dot):
+        if len(mu) != order:
+            raise ValueError(f"need exactly {order} layer ops, got {len(mu)}")
+        dot = base.op("dot")
+        for k, op in enumerate(mu):
+            if op.dim != base.dim:
+                raise ValueError(f"mu[{k}] has dim {op.dim}, expected {base.dim}")
+        if not mu[0].entries_equal(dot):
             raise ValueError("mu[0] must equal the base dot product")
 
     @property
@@ -128,13 +129,17 @@ def _commutativity_report(dot: BilinearOp) -> IdentityReport:
     return failure_report("COMMUTATIVITY", next(clause_failures(alg, commutativity), None))
 
 
-@dataclass(frozen=True)
-class ClassicalLimit:
+class ClassicalLimit(Record):
     """The limit (dot, bracket) of a deformation, with its checks."""
 
-    algebra: AlgebraPresentation
-    tpa_report: IdentityReport
-    lie_report: IdentityReport
+    __slots__ = ("algebra", "tpa_report", "lie_report")
+
+    def __init__(
+        self, algebra: AlgebraPresentation, tpa_report: IdentityReport, lie_report: IdentityReport
+    ):
+        _set(self, "algebra", algebra)
+        _set(self, "tpa_report", tpa_report)
+        _set(self, "lie_report", lie_report)
 
     @property
     def passed(self):

@@ -9,7 +9,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .algebra import (
     AlgebraPresentation,
@@ -34,6 +33,7 @@ from .errors import (
     NotLie,
     OutOfRange,
     PreconditionViolated,
+    Record,
 )
 from .linalg import general_solution, matvec, solve_affine
 from .scalars import (
@@ -45,16 +45,20 @@ from .scalars import (
     series_invert,
 )
 
+_set = object.__setattr__
+
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str  # "A00" | "A01" | "Alam"
-    lam: object  # None except for "Alam"
-    algebra: AlgebraPresentation
+class CatalogEntry(Record):
+    __slots__ = ("name", "lam", "algebra")
+
+    def __init__(self, name: str, lam, algebra: AlgebraPresentation):
+        _set(self, "name", name)  # "A00" | "A01" | "Alam"
+        _set(self, "lam", lam)  # None except for "Alam"
+        _set(self, "algebra", algebra)
 
 
 def _with_bracket_e2(dot):
@@ -92,19 +96,28 @@ def catalog(lam=None, field=QQ):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NovikovCompatibleFamily:
+class NovikovCompatibleFamily(Record):
     """Affine family of products whose commutator is the given bracket and
     which satisfy the bracket-compatibility identity; free parameters appear
     as symbols p1, p2, ...  ``obstructions`` lists every nonzero
     right-commutativity residual of the family (empty iff the whole family
     is Novikov)."""
 
-    feasible: bool
-    param_names: tuple
-    op: BilinearOp | None
-    rightcomm_report: IdentityReport | None
-    obstructions: tuple
+    __slots__ = ("feasible", "param_names", "op", "rightcomm_report", "obstructions")
+
+    def __init__(
+        self,
+        feasible: bool,
+        param_names: tuple,
+        op: BilinearOp | None,
+        rightcomm_report: IdentityReport | None,
+        obstructions: tuple,
+    ):
+        _set(self, "feasible", feasible)
+        _set(self, "param_names", param_names)
+        _set(self, "op", op)
+        _set(self, "rightcomm_report", rightcomm_report)
+        _set(self, "obstructions", obstructions)
 
     @property
     def all_novikov(self):
@@ -210,16 +223,20 @@ def np_compatibility(dot: BilinearOp, circ: BilinearOp) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalizedBasis:
+class NormalizedBasis(Record):
     """Change of basis putting a dim-2 deformation into the two-parameter
     family shape; ``basis`` holds the coordinate columns of the new basis
     vectors (entries are truncated series)."""
 
-    basis: tuple
-    a_h: TruncSeries
-    b_h: TruncSeries
-    witness: EquivalenceWitness
+    __slots__ = ("basis", "a_h", "b_h", "witness")
+
+    def __init__(
+        self, basis: tuple, a_h: TruncSeries, b_h: TruncSeries, witness: EquivalenceWitness
+    ):
+        _set(self, "basis", basis)
+        _set(self, "a_h", a_h)
+        _set(self, "b_h", b_h)
+        _set(self, "witness", witness)
 
 
 def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
@@ -283,8 +300,7 @@ def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """Canonical representative of a family deformation's equivalence class.
 
     kind       -- "case1" (a=-h, b != 0), "case2" (limit A00, b eliminable),
@@ -294,12 +310,23 @@ class NormalForm:
                   (case1/case3/unital), None otherwise
     """
 
-    kind: str
-    m: int | None
-    leading: object
-    canonical_a: TruncSeries
-    canonical_b: TruncSeries
-    witness: EquivalenceWitness
+    __slots__ = ("kind", "m", "leading", "canonical_a", "canonical_b", "witness")
+
+    def __init__(
+        self,
+        kind: str,
+        m: int | None,
+        leading,
+        canonical_a: TruncSeries,
+        canonical_b: TruncSeries,
+        witness: EquivalenceWitness,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "m", m)
+        _set(self, "leading", leading)
+        _set(self, "canonical_a", canonical_a)
+        _set(self, "canonical_b", canonical_b)
+        _set(self, "witness", witness)
 
     def as_pair(self):
         return self.canonical_a, self.canonical_b

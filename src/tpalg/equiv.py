@@ -15,8 +15,6 @@ Three tools:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     BilinearOp,
     Counterexample,
@@ -26,24 +24,26 @@ from .algebra import (
     vsub,
 )
 from .deform import _family_frame, family2d_construct
-from .errors import DimMismatch, OrderMismatch
+from .errors import DimMismatch, OrderMismatch, Record
 from .linalg import general_solution, invert_series_matrix, matvec, solve_affine
 from .scalars import ParamPoly, PolynomialRing, TruncSeries, substitute_params
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+
+class EquivalenceWitness(Record):
     """f_h = sum_k f[k] h^k with f[0] = id."""
 
-    order: int
-    f: tuple  # LinearMaps, one per power of h
+    __slots__ = ("order", "f")
 
-    def __post_init__(self):
-        if len(self.f) != self.order:
+    def __init__(self, order: int, f: tuple):
+        _set(self, "order", order)
+        _set(self, "f", f)  # LinearMaps, one per power of h
+        if len(f) != order:
             raise ValueError("need one layer map per power of h")
-        if not self.f[0].is_identity():
+        if not f[0].is_identity():
             raise ValueError("the constant layer of a witness must be the identity")
-        dims = {m.dim for m in self.f}
+        dims = {m.dim for m in f}
         if len(dims) != 1:
             raise DimMismatch("witness layers have mixed dimensions")
 
@@ -112,12 +112,20 @@ def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
     return IdentityReport("EQUIVALENCE", True, None)
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
-    tag: str  # "equivalent" | "not_equivalent" | "unknown"
-    witness: EquivalenceWitness | None = None
-    failure_order: int | None = None
-    reason: str = ""
+class EquivVerdict(Record):
+    __slots__ = ("tag", "witness", "failure_order", "reason")
+
+    def __init__(
+        self,
+        tag: str,
+        witness: EquivalenceWitness | None = None,
+        failure_order: int | None = None,
+        reason: str = "",
+    ):
+        _set(self, "tag", tag)  # "equivalent" | "not_equivalent" | "unknown"
+        _set(self, "witness", witness)
+        _set(self, "failure_order", failure_order)
+        _set(self, "reason", reason)
 
     @property
     def is_equivalent(self):

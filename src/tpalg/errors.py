@@ -1,10 +1,47 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the base of its record
+types.
 
 Errors that wrap a diagnostic report (an IdentityReport or similar) keep it
 on the ``report`` attribute so callers can render the failing instance.
 """
 
 from __future__ import annotations
+
+
+class Record:
+    """Base of the library's record types, whose fields are the names in
+    ``__slots__``, in order: equality and hashing by the tuple of field
+    values, the repr ``Name(field=value, ...)``, and no assignment once
+    ``__init__`` has set the fields with ``object.__setattr__``.  A mutable
+    record sets ``__setattr__`` and ``__delattr__`` back to ``object``'s.
+    Defined here, not with ``dataclasses``, so that importing the library
+    generates no code at run time."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class TpalgError(Exception):

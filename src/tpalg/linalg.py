@@ -11,8 +11,9 @@ the form both parametric solvers hand on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import Record
 
 
 def matvec(rows, vec):
@@ -42,8 +43,7 @@ def is_identity_matrix(rows):
     )
 
 
-@dataclass
-class LinearSolveResult:
+class LinearSolveResult(Record):
     """Outcome of solving A x = b over a field.
 
     feasible      -- every zero row of the reduced A has zero residual
@@ -57,12 +57,26 @@ class LinearSolveResult:
                      left on zero rows (in elimination order)
     """
 
-    feasible: bool
-    particular: list | None
-    nullspace: list | None
-    free_cols: list | None
-    pivot_cols: list
-    residuals: list
+    __slots__ = ("feasible", "particular", "nullspace", "free_cols", "pivot_cols", "residuals")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        feasible: bool,
+        particular: list | None,
+        nullspace: list | None,
+        free_cols: list | None,
+        pivot_cols: list,
+        residuals: list,
+    ):
+        self.feasible = feasible
+        self.particular = particular
+        self.nullspace = nullspace
+        self.free_cols = free_cols
+        self.pivot_cols = pivot_cols
+        self.residuals = residuals
 
 
 def solve_affine(matrix, rhs, one=Fraction(1)):
@@ -153,7 +167,7 @@ def general_solution(sol, ring, names):
         value = ring.coerce(value)
         for name, vec in zip(names, sol.nullspace):
             if vec[u] != 0:
-                value = value + ring.var(name) * ring.coerce(vec[u])
+                value = value + ring.var(name) * ring.base.coerce(vec[u])
         out.append(value)
     return out
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadScalar, MissingSymbol, NotInvertible, OrderMismatch
+from .errors import BadScalar, MissingSymbol, NotInvertible, OrderMismatch, Record
 
 INF = math.inf
+_set = object.__setattr__
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +33,12 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    re: Fraction
-    im: Fraction
+class GaussianRational(Record):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
@@ -191,7 +193,11 @@ class ParamPoly:
         return all(not m for m in self.sparse)
 
     def constant_value(self):
-        return self.sparse.get((), Fraction(0))
+        """The constant term; with none, a zero of the coefficients' type
+        (Gaussian if any coefficient is, ``Fraction`` for the zero polynomial)."""
+        if () in self.sparse:
+            return self.sparse[()]
+        return sum((c * 0 for c in self.sparse.values()), Fraction(0))
 
     def used_variables(self):
         return {self.variables[i] for mono in self.sparse for i, _ in mono}
@@ -289,31 +295,29 @@ class ParamPoly:
         """(constant, {name: coefficient}) for an affine polynomial."""
         if not self.is_affine():
             raise ValueError("polynomial is not affine")
-        const = Fraction(0)
-        linear = {}
-        for mono, coeff in self.sparse.items():
-            if mono:
-                linear[self.variables[mono[0][0]]] = coeff
-            else:
-                const = coeff
-        return const, linear
+        linear = {self.variables[mono[0][0]]: c for mono, c in self.sparse.items() if mono}
+        return self.constant_value(), linear
 
     def subs(self, mapping):
         """Replace some variables by polynomials (same variable tuple);
         variables absent from the mapping stay symbolic."""
         terms = {}
         for mono, coeff in self.sparse.items():
-            kept, image = [], ParamPoly.constant(self.variables, coeff)
+            kept, image = [], None  # image: product of the replaced powers
             for i, e in mono:
                 rep = mapping.get(self.variables[i])
                 if rep is None:
                     kept.append((i, e))
                 else:
-                    image = image * rep**e
+                    rep = rep**e
+                    image = rep if image is None else image * rep
             kept = tuple(kept)
+            if image is None:
+                terms[kept] = terms.get(kept, 0) + coeff
+                continue
             for m, c in image.sparse.items():
                 m = _mono_mul(kept, m)
-                terms[m] = terms.get(m, 0) + c
+                terms[m] = terms.get(m, 0) + coeff * c
         return ParamPoly.from_sparse(self.variables, terms)
 
     def substitute(self, assignment):
@@ -498,15 +502,16 @@ def _zero_like(coeffs):
 
 def _power(one, base, n):
     """base^n by repeated squaring; exact and commutative rings give the
-    same result as n successive multiplications."""
-    out = one
+    same result as n successive multiplications.  ``one`` is the result
+    for n = 0 and is not multiplied in otherwise."""
+    out = None
     while n:
         if n & 1:
-            out = out * base
+            out = base if out is None else out * base
         n >>= 1
         if n:
             base = base * base
-    return out
+    return one if out is None else out
 
 
 def _invert_base(c):
@@ -859,9 +864,11 @@ def parse_in_env(text, env):
 _RESERVED_NAMES = {"h", "i"}
 
 
-class _Ring:
+class _Ring(Record):
     """Parsing and printing shared by the ring descriptors; each one
     supplies ``coerce`` and the parser environment ``_env``."""
+
+    __slots__ = ()
 
     def parse(self, text):
         return self.coerce(parse_in_env(text, self._env()))
@@ -870,9 +877,11 @@ class _Ring:
         return format_scalar(x)
 
 
-@dataclass(frozen=True)
 class RationalField(_Ring):
-    tag: str = "Q"
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str = "Q"):
+        _set(self, "tag", tag)
 
     def zero(self):
         return Fraction(0)
@@ -897,9 +906,11 @@ class RationalField(_Ring):
         return {"__const__": lambda q: q}
 
 
-@dataclass(frozen=True)
 class GaussianField(_Ring):
-    tag: str = "Qi"
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str = "Qi"):
+        _set(self, "tag", tag)
 
     def zero(self):
         return GaussianRational.of(0)
@@ -922,16 +933,16 @@ class GaussianField(_Ring):
         return {"__const__": lambda q: GaussianRational(q, Fraction(0)), "i": GAUSS_I}
 
 
-@dataclass(frozen=True)
 class PolynomialRing(_Ring):
-    base: object
-    variables: tuple
+    __slots__ = ("base", "variables")
 
-    def __post_init__(self):
-        bad = set(self.variables) & _RESERVED_NAMES
+    def __init__(self, base, variables: tuple):
+        _set(self, "base", base)
+        _set(self, "variables", variables)
+        bad = set(variables) & _RESERVED_NAMES
         if bad:
             raise BadScalar(f"parameter names {sorted(bad)} are reserved")
-        if len(set(self.variables)) != len(self.variables):
+        if len(set(variables)) != len(variables):
             raise BadScalar("duplicate parameter names")
 
     @property
@@ -975,13 +986,13 @@ class PolynomialRing(_Ring):
         return env
 
 
-@dataclass(frozen=True)
 class SeriesRing(_Ring):
-    base: object
-    order: int
+    __slots__ = ("base", "order")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, base, order: int):
+        _set(self, "base", base)
+        _set(self, "order", order)
+        if order < 1:
             raise ValueError("truncation order must be at least 1")
 
     @property

@@ -149,6 +149,15 @@ def test_affine_parts():
     assert not (a * b).is_affine()
 
 
+def test_gaussian_poly_without_constant_term_has_gaussian_zero():
+    p = PolynomialRing(QI, ("a", "b")).var("a") * QI.parse("2+i")
+    const, linear = p.affine_parts()
+    assert isinstance(const, GaussianRational) and const == 0
+    assert linear == {"a": GaussianRational.of(2, 1)}
+    assert isinstance(p.constant_value(), GaussianRational)
+    assert type(AB.zero().constant_value()) is F
+
+
 def test_poly_division_by_constant_only():
     a = AB.var("a")
     assert (2 * a) / 2 == a
@@ -586,6 +595,8 @@ def test_gaussian_series_hold_gaussian_coefficients():
         TruncSeries.constant(4, z),
         TruncSeries.h(4, QI.one()),
         h * h,
+        h**1,
+        (1 + h) ** 3,
         (1 + h) * TruncSeries.constant(4, z),
         series_invert(ring.one() + h),
         series_invert(TruncSeries.constant(4, z)),
