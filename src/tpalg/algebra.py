@@ -4,16 +4,18 @@ An algebra is a tensor c[i][j][k] (product of basis vectors i, j expanded in
 the basis) over one of the scalar rings.  The identity catalog is data:
 each clause is a signed sum of operation trees over its variables, and the
 degree-5 identity is one alternating clause.  One evaluator computes a
-clause at given vectors (``identity_residual``) and scans it over all basis
-tuples in lexicographic order (``check_identity``), memoizing proper
-subtrees; an alternating clause is read off a table of alternating products
-over index subsets.  The scan is complete because every clause is
-multilinear.  Every term of a clause also uses each operation equally
-often, so over Q the scan runs on integer structure constants (each op
-scaled by the lcm of its denominators) and scales a residual back exactly.
-When the entries are ParamPoly values, "zero residual" means the
-identically-zero polynomial, so one check certifies a whole parametric
-family.
+clause at given vectors (``identity_residual``).  The scan over all basis
+tuples in lexicographic order (``check_identity``) reads, at each prefix
+of all indices but the last, the residuals for every last index at once:
+this slab treats a subtree with the last variable as n rows, and for an
+alternating clause it is the columns of one matrix of a table of
+alternating products over index subsets.  The scan is complete because
+every clause is multilinear.  Every term of a clause also uses each
+operation equally often, so over Q the scan runs on integer structure
+constants (each op scaled by the lcm of its denominators) and scales a
+residual back exactly.  When the entries are ParamPoly values, "zero
+residual" means the identically-zero polynomial, so one check certifies a
+whole parametric family.
 """
 
 from __future__ import annotations
@@ -312,6 +314,8 @@ class Clause(Record):
         _set(self, "terms", terms)
         _set(self, "alternating", alternating)
         for _, tree in terms:
+            if isinstance(tree, int):
+                raise ValueError(f"clause {name!r}: a term is a bare variable")
             if any(node[0] not in OPS for node in _nodes(tree)):
                 raise ValueError(f"clause {name!r}: unknown operation in {tree!r}")
             if sorted(_leaves(tree)) != list(range(arity)):
@@ -437,26 +441,11 @@ def _canonical_identity(alg, identity):
 # -- the evaluator ------------------------------------------------------------
 
 
-def _evaluate(ops, tree, args, memo=None, t=None):
-    """Value of an operation tree with variable v bound to the vector args[v].
-
-    On a basis tuple t (args[v] is e_t[v]) the memo maps each proper subtree
-    to its variables, in leaf order, and a dict from their indices in t to
-    its value.
-    """
+def _evaluate(ops, tree, args):
+    """Value of an operation tree with variable v bound to the vector args[v]."""
     if isinstance(tree, int):
         return args[tree]
-    values = []
-    for sub in tree[1:]:
-        if memo is None or isinstance(sub, int):
-            values.append(_evaluate(ops, sub, args))
-            continue
-        variables, cache = memo[sub]
-        key = tuple(t[v] for v in variables)
-        if key not in cache:
-            cache[key] = _evaluate(ops, sub, args, memo, t)
-        values.append(cache[key])
-    return ops[tree[0]].apply(*values)
+    return ops[tree[0]].apply(_evaluate(ops, tree[1], args), _evaluate(ops, tree[2], args))
 
 
 def _signed_sum(pairs):
@@ -487,21 +476,72 @@ def _shape(tree):
     return None if isinstance(tree, int) else (tree[0], _shape(tree[1]), _shape(tree[2]))
 
 
-def _tree_reader(ops, clause, basis):
-    """Residual at a basis tuple; proper subtrees are memoized per scan, and
-    subtrees of one shape (such as x o y and y o x) share their values."""
+def _sparse(row):
+    """The nonzero entries of a vector as (index, entry) pairs."""
+    return [(m, x) for m, x in enumerate(row) if x != 0]
+
+
+def _tree_slab(ops, clause, ring, n):
+    """Slab reader for a signed sum of trees: at a prefix (the indices of
+    every variable but the last), the residual rows at prefix + (k,) for
+    k = 0..n-1.  A subtree's value is its n sparse rows, row k its value at
+    last = k; one without the last variable is one vector repeated, and it
+    is memoized per scan by its shape and indices, so subtrees of one shape
+    (such as x o y and y o x) share their values.  e_i * e_j, e_i * last and
+    last * e_j are table lookups, and each term's root product is added
+    straight into the slab rows with the term's coefficient."""
+    zero, repeat = ring.zero(), itertools.repeat
+    tables = {
+        label: [[_sparse(col) for col in row] for row in ops[label].c]
+        for label, degree in zip(OPS, clause.degrees)
+        if degree
+    }
+    columns = {label: list(zip(*table)) for label, table in tables.items()}
+    units = [[(k, ring.one())] for k in range(n)]  # the identity's rows
     shared = {}
-    memo = {
-        sub: (_leaves(sub), shared.setdefault(_shape(sub), {}))
+    memo = {  # a subtree's indices in t, and the values of its shape
+        sub: (operator.itemgetter(*_leaves(sub)), shared.setdefault(_shape(sub), {}))
         for _, tree in clause.terms
         for sub in _nodes(tree)[1:]
     }
 
-    def residual_at(t):
-        args = [basis[i] for i in t]
-        return _signed_sum((c, _evaluate(ops, tree, args, memo, t)) for c, tree in clause.terms)
+    def value(tree, t):
+        if isinstance(tree, int):
+            return units if t[tree] is None else repeat(units[t[tree]])
+        label, left, right = tree
+        if isinstance(left, int) and isinstance(right, int):
+            i, j = t[left], t[right]
+            if i is None:
+                return columns[label][j]
+            return tables[label][i] if j is None else repeat(tables[label][i][j])
+        indices, cache = memo[tree]
+        key = indices(t)
+        if key not in cache:
+            rows = [[zero] * n for _ in range(n if None in key else 1)]
+            product(rows, 1, tree, t)
+            cache[key] = [_sparse(row) for row in rows] if None in key else repeat(_sparse(rows[0]))
+        return cache[key]
 
-    return residual_at
+    def product(rows, coeff, tree, t):
+        """Add coeff times the root product of ``tree`` into ``rows``."""
+        table = tables[tree[0]]
+        for acc, u, v in zip(rows, value(tree[1], t), value(tree[2], t)):
+            for i, ui in u:
+                wi = ui if coeff == 1 else coeff * ui
+                ti = table[i]
+                for j, vj in v:
+                    w = wi * vj
+                    for m, x in ti[j]:
+                        acc[m] = acc[m] + w * x
+
+    def slab_at(prefix):
+        t = prefix + (None,)  # the last variable's index is the row
+        rows = [[zero] * n for _ in range(n)]
+        for coeff, tree in clause.terms:
+            product(rows, coeff, tree, t)
+        return 1, rows
+
+    return slab_at
 
 
 def _subset_matrix(table, s):
@@ -518,28 +558,25 @@ def _subset_matrix(table, s):
     return table[s]
 
 
-def _alternating_reader(ops, clause, basis):
-    """Residual at a basis tuple, read off the subset table A(S) over sorted
-    index subsets S, where ad(a) is the matrix of op(e_a, -).  A(S) e_last
-    is the clause at the sorted tuple; a repeated index gives zero, a
-    permuted tuple the permutation's sign."""
+def _alternating_slab(ops, clause, ring, n):
+    """Slab reader for an alternating clause, read off the subset table
+    A(S) over sorted index subsets S, where ad(a) is the matrix of
+    op(e_a, -).  A(S) e_k is the clause at the sorted head S and last index
+    k, so a prefix's slab is the columns of A(sorted head), with the sign
+    of the permutation that sorts it; a repeated index gives zero."""
     op = ops[clause.terms[0][1][0]]
-    n = op.dim
     table = {(a,): [[op.c[a][j][k] for j in range(n)] for k in range(n)] for a in range(n)}
 
-    def residual_at(t):
-        head = t[:-1]
+    def slab_at(head):
         if len(set(head)) < len(head):
-            return ()  # the zero vector
-        col = [row[t[-1]] for row in _subset_matrix(table, tuple(sorted(head)))]
-        return col if _sign(head) > 0 else vneg(col)
+            return 1, ()
+        return _sign(head), zip(*_subset_matrix(table, tuple(sorted(head))))
 
-    return residual_at
+    return slab_at
 
 
 class _Integers:
-    """Z as a scalar ring, as far as ``BilinearOp.apply`` and
-    ``_basis_vector`` use one."""
+    """Z as a scalar ring, as far as the slab readers use one."""
 
     @staticmethod
     def zero():
@@ -580,6 +617,7 @@ def clause_failures(alg, clause):
     """Every basis tuple at which ``clause`` fails on ``alg``, as (clause
     name, 0-based tuple, residual), tuples in lexicographic order.
 
+    A reader gives the residuals at a prefix for every last index at once.
     Over Q the scan runs on the integer constants of ``_integer_ops``: a
     residual is zero exactly when its scaled copy is, and a reported one is
     scaled back to the same Fractions.  Other rings are scanned as they are.
@@ -588,15 +626,14 @@ def clause_failures(alg, clause):
     integral = _integer_ops(alg, clause)
     if integral is not None:
         (ops, scale), ring = integral, _Integers
-    basis = [_basis_vector(alg.dim, i, ring) for i in range(alg.dim)]
-    reader = _alternating_reader if clause.alternating else _tree_reader
-    residual_at = reader(ops, clause, basis)
-    for t in itertools.product(range(alg.dim), repeat=clause.arity):
-        res = residual_at(t)
-        if not is_zero_vector(res):
-            if scale is not None:
-                res = [Fraction(r, scale) for r in res]
-            yield clause.name, t, res
+    reader = _alternating_slab if clause.alternating else _tree_slab
+    slab_at = reader(ops, clause, ring, alg.dim)
+    for prefix in itertools.product(range(alg.dim), repeat=clause.arity - 1):
+        sign, rows = slab_at(prefix)
+        for k, res in enumerate(rows):
+            if any(res):  # every scalar type is false exactly when zero
+                res = [sign * r if scale is None else Fraction(sign * r, scale) for r in res]
+                yield clause.name, prefix + (k,), res
 
 
 def identity_failures(alg, identity):

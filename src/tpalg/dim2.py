@@ -27,7 +27,6 @@ from .deform import (
     check_novikov_deformation,
     family2d_construct,
 )
-from .equiv import EquivalenceWitness, family2d_equiv, verify_witness
 from .errors import (
     NotAQuantization,
     NotLie,
@@ -243,6 +242,8 @@ def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
     """Rescale e1 and absorb an e1-component into e2 so that the deformed
     products take the family shape; returns the new basis, the recovered
     (a_h, b_h) and the witness mapping the family onto d."""
+    from .equiv import EquivalenceWitness, verify_witness
+
     if d.dim != 2:
         raise PreconditionViolated("basis normalization is specific to dim 2")
     if d.order < 2:
@@ -337,6 +338,8 @@ def normalize_family(a_h: TruncSeries, b_h: TruncSeries, field=None) -> NormalFo
     class.  The constant terms must match one of the catalog limits:
     a0 = 0 with b0 = 0 (zero product), a0 = 0 with b0 != 0 (unital square),
     or a0 != 0 with b0 = 0 (lambda family)."""
+    from .equiv import family2d_equiv
+
     order, field, (a_h, b_h) = _family_frame((a_h, b_h), field)
     sring = SeriesRing(field, order)
     a0, b0 = a_h.coeffs[0], b_h.coeffs[0]

@@ -956,7 +956,8 @@ class PolynomialRing(_Ring):
         return ParamPoly.constant(self.variables, self.base.one())
 
     def var(self, name):
-        return ParamPoly.var(self.variables, name)
+        """The parameter ``name``, with the base field's one as coefficient."""
+        return ParamPoly.var(self.variables, name) * self.base.one()
 
     def coerce(self, x):
         if isinstance(x, ParamPoly):
@@ -982,7 +983,7 @@ class PolynomialRing(_Ring):
         if isinstance(self.base, GaussianField):
             env["i"] = ParamPoly.constant(self.variables, GAUSS_I)
         for name in self.variables:
-            env[name] = ParamPoly.var(self.variables, name)
+            env[name] = self.var(name)
         return env
 
 

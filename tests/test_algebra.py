@@ -2,9 +2,11 @@
 construction, subalgebras, and the subset table for the degree-5 identity.
 
 The hand-written residual functions below are the independent reference
-for the engine's data catalog."""
+for the engine's data catalog, and the per-tuple scan further down is the
+reference for the engine's prefix-slab scan."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,17 +19,29 @@ from tpalg.algebra import (
     BilinearOp,
     Clause,
     LinearMap,
+    _basis_vector,
+    _Integers,
+    _integer_ops,
+    _leaves,
+    _nodes,
+    _shape,
+    _sign,
+    _signed_sum,
+    _subset_matrix,
     bounded_ddt_bracket,
     check_identity,
+    clause_failures,
     commutator,
     default_labels,
     derivation_bracket,
     euler_derivation,
     euler_gelfand,
+    failure_report,
     gelfand_construct,
     identity_names,
     identity_residual,
     is_derivation,
+    is_zero_vector,
     subalgebra_check,
     truncated_poly_dot,
     vadd,
@@ -42,7 +56,7 @@ from tpalg.errors import (
     OutOfRange,
     UnknownIdentity,
 )
-from tpalg.scalars import QI, QQ, GaussianRational, PolynomialRing
+from tpalg.scalars import QI, QQ, GaussianRational, PolynomialRing, SeriesRing, TruncSeries
 
 from conftest import catalog_dots, circ_family, np_pair, rightcomm_only_op
 
@@ -177,8 +191,6 @@ REFERENCE = {
 def _first_failure(alg, reference):
     """The first failure of a direct lexicographic scan of the reference
     clauses over basis tuples, as (clause, 1-based tuple, residual)."""
-    from tpalg.algebra import _basis_vector
-
     basis = [_basis_vector(alg.dim, i, alg.ring) for i in range(alg.dim)]
     for clause, arity, fn in reference:
         for t in itertools.product(range(alg.dim), repeat=arity):
@@ -333,8 +345,6 @@ def algebra_and_vectors(draw):
 @given(algebra_and_vectors())
 @settings(max_examples=30, deadline=None)
 def test_identity_residual_matches_reference(case):
-    from tpalg.algebra import _basis_vector
-
     alg, vectors = case
     assert sorted(REFERENCE) == identity_names()
     for name, reference in REFERENCE.items():
@@ -354,6 +364,178 @@ def test_identity_residual_matches_reference(case):
             assert tuple(fn(alg.ops, args)) == ce.residual, name
 
 
+# ---------------------------------------------------------------------------
+# The per-tuple scan: each basis tuple evaluated on its own, proper subtrees
+# memoized per scan.  The engine reads every value of the last index at one
+# prefix in one pass; both must report the same failures, in the same order,
+# with the same residual values and entry types.
+# ---------------------------------------------------------------------------
+
+
+def _evaluate_at(ops, tree, args, memo, t):
+    """Value of an operation tree on the basis tuple t (args[v] is e_t[v]).
+    The memo maps each proper subtree to its variables, in leaf order, and
+    a dict from their indices in t to its value."""
+    if isinstance(tree, int):
+        return args[tree]
+    values = []
+    for sub in tree[1:]:
+        if isinstance(sub, int):
+            values.append(args[sub])
+            continue
+        variables, cache = memo[sub]
+        key = tuple(t[v] for v in variables)
+        if key not in cache:
+            cache[key] = _evaluate_at(ops, sub, args, memo, t)
+        values.append(cache[key])
+    return ops[tree[0]].apply(*values)
+
+
+def _tree_reader(ops, clause, basis):
+    """Residual at a basis tuple; subtrees of one shape share their values."""
+    shared = {}
+    memo = {
+        sub: (_leaves(sub), shared.setdefault(_shape(sub), {}))
+        for _, tree in clause.terms
+        for sub in _nodes(tree)[1:]
+    }
+
+    def residual_at(t):
+        args = [basis[i] for i in t]
+        return _signed_sum((c, _evaluate_at(ops, tree, args, memo, t)) for c, tree in clause.terms)
+
+    return residual_at
+
+
+def _alternating_reader(ops, clause, basis):
+    """Residual at a basis tuple, read off the subset table: A(S) e_last is
+    the clause at the sorted tuple; a repeated index gives zero, a permuted
+    tuple the permutation's sign."""
+    op = ops[clause.terms[0][1][0]]
+    n = op.dim
+    table = {(a,): [[op.c[a][j][k] for j in range(n)] for k in range(n)] for a in range(n)}
+
+    def residual_at(t):
+        head = t[:-1]
+        if len(set(head)) < len(head):
+            return ()  # the zero vector
+        col = [row[t[-1]] for row in _subset_matrix(table, tuple(sorted(head)))]
+        return col if _sign(head) > 0 else vneg(col)
+
+    return residual_at
+
+
+def reference_failures(alg, clause):
+    """``clause_failures`` one basis tuple at a time."""
+    ops, ring, scale = alg.ops, alg.ring, None
+    integral = _integer_ops(alg, clause)
+    if integral is not None:
+        (ops, scale), ring = integral, _Integers
+    basis = [_basis_vector(alg.dim, i, ring) for i in range(alg.dim)]
+    reader = _alternating_reader if clause.alternating else _tree_reader
+    residual_at = reader(ops, clause, basis)
+    for t in itertools.product(range(alg.dim), repeat=clause.arity):
+        res = residual_at(t)
+        if not is_zero_vector(res):
+            if scale is not None:
+                res = [Fraction(r, scale) for r in res]
+            yield clause.name, t, res
+
+
+SCAN_CLAUSES = {
+    # S5 as its 24 signed chains: subtrees that hold the last variable
+    # three levels deep
+    "S5_CHAINS": (Clause("s5-chains", 5, IDENTITIES["S5"][0].signed_terms()),),
+    # the last variable inside the left factor, and a product of products
+    "MIXED4": (
+        Clause("mixed-4", 4, (
+            (1, ("circ", ("dot", ("bracket", 3, 0), 1), 2)),
+            (-2, ("dot", ("circ", 0, 2), ("bracket", 1, 3))),
+        )),
+    ),
+    **IDENTITIES,
+}
+
+
+def _random_ops(rnd, ring, base, dim, density):
+    """dot, circ and bracket with random entries, each nonzero with
+    probability ``density``, over ``ring``, whose numbers lie in ``base``."""
+
+    def number():
+        value = F(rnd.randint(-3, 3), rnd.randint(1, 6))
+        return value if base is QQ else GaussianRational(value, F(rnd.randint(-1, 1)))
+
+    def scalar():
+        if rnd.random() >= density:
+            return ring.zero()
+        if isinstance(ring, PolynomialRing):
+            return ring.coerce(number()) + ring.var("a") * rnd.randint(-1, 1)
+        if isinstance(ring, SeriesRing):
+            return TruncSeries(ring.order, [number() for _ in range(ring.order)])
+        return number()
+
+    return {
+        label: BilinearOp(
+            ring,
+            tuple(tuple(tuple(scalar() for _ in range(dim)) for _ in range(dim)) for _ in range(dim)),
+        )
+        for label in ("dot", "circ", "bracket")
+    }
+
+
+@st.composite
+def scan_cases(draw):
+    """A catalog identity (or one of the extra clauses) and a random
+    algebra over Q, Q(i), polynomials or truncated series.  The ops are
+    drawn with no relation between them, so most clauses fail at many
+    tuples; dimensions are capped so that n^arity stays in the hundreds."""
+    name = draw(st.sampled_from(sorted(SCAN_CLAUSES)))
+    base = draw(st.sampled_from([QQ, QI]))
+    ring = draw(
+        st.sampled_from([base, PolynomialRing(base, ("a",)), SeriesRing(base, 2)])
+    )
+    # only Q is scanned on integers; other products cost far more
+    if name == "S5":  # it fails only where four head indices differ
+        dim = draw(st.integers(4, 5 if ring is QQ else 4))
+    else:
+        arity = max(clause.arity for clause in SCAN_CLAUSES[name])
+        caps = {2: 5, 3: 5, 4: 3, 5: 3} if ring is QQ else {2: 4, 3: 3, 4: 2, 5: 2}
+        dim = draw(st.integers(2, caps[arity]))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return name, _pres(_random_ops(rnd, ring, base, dim, density), dim, ring)
+
+
+def _assert_scans_agree(name, alg):
+    """Both scans give the same failures of every clause of ``name``, in
+    the same order, with the same residual values and entry types, and
+    ``check_identity`` reports the first; returns how many there are."""
+    failures = []
+    for clause in SCAN_CLAUSES[name]:
+        got = list(clause_failures(alg, clause))
+        expected = list(reference_failures(alg, clause))
+        assert got == expected, clause.name
+        types = [[type(x) for x in res] for _, _, res in got]
+        assert types == [[type(x) for x in res] for _, _, res in expected], clause.name
+        failures += expected
+    if name in IDENTITIES:
+        assert check_identity(alg, name) == failure_report(name, next(iter(failures), None))
+    return len(failures)
+
+
+@given(scan_cases())
+@settings(max_examples=30, deadline=None)
+def test_slab_scan_matches_per_tuple_scan(case):
+    _assert_scans_agree(*case)
+
+
+@pytest.mark.parametrize("base", [QQ, QI], ids=["Q", "Qi"])
+def test_slab_scan_matches_on_dense_s5_failures(base):
+    """A dense random bracket fails S5 at heads of both signs."""
+    alg = _pres(_random_ops(random.Random(5), base, base, 5, 1.0), 5, base)
+    assert _assert_scans_agree("S5", alg) > 500
+
+
 def test_catalog_refuses_malformed_clauses():
     for clauses in IDENTITIES.values():
         for clause in clauses:
@@ -364,6 +546,8 @@ def test_catalog_refuses_malformed_clauses():
         Clause("bad", 3, ((1, ("dot", 0, 1)),))
     with pytest.raises(ValueError, match="unknown operation"):
         Clause("bad", 2, ((1, ("cup", 0, 1)),))
+    with pytest.raises(ValueError, match="bare variable"):
+        Clause("bad", 1, ((1, 0),))
     with pytest.raises(ValueError, match="how often"):  # not multi-homogeneous
         Clause("bad", 2, ((1, ("dot", 0, 1)), (-1, ("bracket", 0, 1))))
     with pytest.raises(ValueError, match="right-nested"):  # left-nested chain

@@ -158,6 +158,14 @@ def test_gaussian_poly_without_constant_term_has_gaussian_zero():
     assert type(AB.zero().constant_value()) is F
 
 
+def test_gaussian_poly_parameters_hold_gaussian_coefficients():
+    ring = PolynomialRing(QI, ("a", "b"))
+    for p in (ring.parse("a"), ring.var("a"), ring.parse("2a"), ring.parse("a*b")):
+        assert all(type(c) is GaussianRational for c in p.sparse.values()), p
+    assert ring.parse("a") == ring.var("a") == PolynomialRing(QQ, ("a", "b")).var("a")
+    assert all(type(c) is F for c in AB.parse("a").sparse.values())
+
+
 def test_poly_division_by_constant_only():
     a = AB.var("a")
     assert (2 * a) / 2 == a

@@ -79,4 +79,11 @@ def test_cold_family2d_loads_only_what_it_runs():
 
 def test_cold_catalog_loads_dim2():
     loaded = _modules_loaded_by(["catalog", "--lam", "1"])
-    assert {"tpalg.dim2", "tpalg.equiv"} <= loaded
+    assert "tpalg.dim2" in loaded
+    assert "tpalg.equiv" not in loaded
+
+
+def test_cold_operad_dims_skips_equiv():
+    loaded = _modules_loaded_by(["operad-dims", "4"])
+    assert "tpalg.dim2" in loaded
+    assert "tpalg.equiv" not in loaded
