@@ -13,15 +13,16 @@ alternating products over index subsets.  The scan is complete because
 every clause is multilinear.  Every term of a clause also uses each
 operation equally often, so over Q the scan runs on integer structure
 constants (each op scaled by the lcm of its denominators) and scales a
-residual back exactly.  When the entries are ParamPoly values, "zero
-residual" means the identically-zero polynomial, so one check certifies a
-whole parametric family.
+residual back exactly.  Over Q[h]/(h^N) it does the same with each series
+entry packed into one integer (``scalars.Packing``): the products are then
+untruncated, and only the low N digits of a residual are read.  When the
+entries are ParamPoly values, "zero residual" means the identically-zero
+polynomial, so one check certifies a whole parametric family.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .linalg import is_identity_matrix, matmul, rank, solve_affine
-from .scalars import QQ
+from .scalars import QQ, Packing, SeriesRing, TruncSeries, scaled_integers
 
 _set = object.__setattr__
 
@@ -50,10 +51,6 @@ def vadd(u, v):
 
 def vsub(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def vneg(u):
-    return [-a for a in u]
 
 
 def is_zero_vector(u):
@@ -588,29 +585,43 @@ class _Integers:
 
 
 def _integer_ops(alg, clause):
-    """The ops ``clause`` uses, each scaled by the lcm L of its entries'
-    denominators to integer constants, and D = prod L^degree, the factor by
-    which that scales the clause's residual.  None unless the ring's zero
-    and one and every entry of these ops are Fractions."""
-    if {type(alg.ring.zero()), type(alg.ring.one())} != {Fraction}:
+    """The ops ``clause`` uses, each scaled to integers by the lcm L of its
+    denominators (over Q[h]/(h^N) an entry packs into one integer), and the
+    ``Packing`` that reads a residual back over D = prod L^degree.  A term
+    of d ops sums n^(d-1) products of d entries, with at most N^(d-1)
+    products of coefficients at each h^t.  None unless the ring is Q or
+    Q[h]/(h^N) and every entry is a Fraction or a TruncSeries of order N
+    over Fractions."""
+    ring, n = alg.ring, alg.dim
+    series = isinstance(ring, SeriesRing)
+    order, base = (ring.order, ring.base) if series else (1, ring)
+    if {type(base.zero()), type(base.one())} != {Fraction}:
         return None
-    ops, scale = {}, 1
-    for label, degree in zip(OPS, clause.degrees):
+    scaled, scale, bound = {}, 1, sum(abs(c) for c, _ in clause.signed_terms())
+    degrees = clause.degrees
+    for label, degree in zip(OPS, degrees):
         if not degree:
             continue
-        c = alg.ops[label].c
-        if any(type(x) is not Fraction for row in c for col in row for x in col):
+        entries = [x for row in alg.ops[label].c for col in row for x in col]
+        if series:
+            if not {*map(type, entries)} <= {TruncSeries} or {x.order for x in entries} - {order}:
+                return None
+            entries = [c for layer in zip(*[x.coeffs for x in entries]) for c in layer]
+        integral = scaled_integers(entries)
+        if integral is None:
             return None
-        lcm = math.lcm(*(x.denominator for row in c for col in row for x in col))
+        lcm, scaled[label], top = integral
+        scale, bound = scale * lcm**degree, bound * top**degree
+    packing = Packing(order, bound * (n * order) ** (sum(degrees) - 1), scale, series)
+    ops = {}
+    for label, ints in scaled.items():
+        flat = packing.pack(ints)
         # lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # small size for reuse, and building these as tuples for every scan
         # kept about 1 MB more resident over repeated checks
-        ops[label] = BilinearOp(
-            _Integers,
-            [[[x.numerator * (lcm // x.denominator) for x in col] for col in row] for row in c],
-        )
-        scale *= lcm**degree
-    return ops, scale
+        cube = [[flat[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
+        ops[label] = BilinearOp(_Integers, cube)
+    return ops, packing
 
 
 def clause_failures(alg, clause):
@@ -618,21 +629,23 @@ def clause_failures(alg, clause):
     name, 0-based tuple, residual), tuples in lexicographic order.
 
     A reader gives the residuals at a prefix for every last index at once.
-    Over Q the scan runs on the integer constants of ``_integer_ops``: a
-    residual is zero exactly when its scaled copy is, and a reported one is
-    scaled back to the same Fractions.  Other rings are scanned as they are.
+    Over Q and over Q[h]/(h^N) the scan runs on the integers of
+    ``_integer_ops``: a residual vanishes (mod h^N) exactly when the low
+    digits of its packed copy do, and a reported one is read back to the
+    same Fractions or series.  Other rings are scanned as they are.
     """
-    ops, ring, scale = alg.ops, alg.ring, None
+    ops, ring, packing = alg.ops, alg.ring, None
     integral = _integer_ops(alg, clause)
     if integral is not None:
-        (ops, scale), ring = integral, _Integers
+        (ops, packing), ring = integral, _Integers
     reader = _alternating_slab if clause.alternating else _tree_slab
     slab_at = reader(ops, clause, ring, alg.dim)
     for prefix in itertools.product(range(alg.dim), repeat=clause.arity - 1):
         sign, rows = slab_at(prefix)
         for k, res in enumerate(rows):
-            if any(res):  # every scalar type is false exactly when zero
-                res = [sign * r if scale is None else Fraction(sign * r, scale) for r in res]
+            # every scalar type is false exactly when zero
+            if any(res) and (packing is None or any(r & packing.mask for r in res)):
+                res = [sign * r if packing is None else packing.read(sign * r) for r in res]
                 yield clause.name, prefix + (k,), res
 
 

@@ -15,6 +15,8 @@ Three tools:
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .algebra import (
     BilinearOp,
     Counterexample,
@@ -26,7 +28,9 @@ from .algebra import (
 from .deform import _family_frame, family2d_construct
 from .errors import DimMismatch, OrderMismatch, Record
 from .linalg import general_solution, invert_series_matrix, matvec, solve_affine
-from .scalars import ParamPoly, PolynomialRing, TruncSeries, substitute_params
+from .scalars import (
+    Packing, ParamPoly, PolynomialRing, TruncSeries, scaled_integers, substitute_params
+)
 
 _set = object.__setattr__
 
@@ -85,29 +89,69 @@ def _common_frame(d1, d2):
         raise OrderMismatch(f"deformation orders differ: {d1.order} vs {d2.order}")
 
 
+def _packed_defect(d1, d2, w):
+    """F(e_i *_1 e_j) - F(e_i) *_2 F(e_j) at (i, j) on packed integers, or
+    None where it vanishes; None unless both rings are Q and every layer
+    entry is a Fraction.  mu1, mu2, F are scaled by lcms L1, L2, Lf (largest
+    scaled coefficients A1, A2, Af) and both sides by Lf^2 L1 L2; at h^t the
+    left sums n N products of two coefficients, the right n^2 N^2 of three."""
+    if {type(x) for d in (d1, d2) for x in (d.ring.zero(), d.ring.one())} != {Fraction}:
+        return None
+    n, order = d1.dim, d1.order
+    flat = [[x for op in d.mu for row in op.c for col in row for x in col] for d in (d1, d2)]
+    scaled = [scaled_integers(v) for v in flat + [[x for f in w.f for row in f.m for x in row]]]
+    if None in scaled:
+        return None
+    (l1, ints1, a1), (l2, ints2, a2), (lf, intsf, af) = scaled
+    bound = lf * l2 * n * order * af * a1 + l1 * (n * order) ** 2 * af * af * a2
+    packing = Packing(order, bound, lf * lf * l1 * l2, True)
+    op1 = [x * lf * l2 for x in packing.pack(ints1)]
+    op2 = [x * l1 for x in packing.pack(ints2)]
+    op2 = [[(l, z) for l, z in enumerate(op2[m : m + n]) if z] for m in range(0, n**3, n)]
+    fm = packing.pack(intsf)
+    frows = [[(k, x) for k, x in enumerate(fm[l * n : (l + 1) * n]) if x] for l in range(n)]
+    fcols = [[(l, fm[l * n + j]) for l in range(n) if fm[l * n + j]] for j in range(n)]
+
+    def defect(i, j):
+        m = (i * n + j) * n
+        res = [sum(x * op1[m + k] for k, x in row) for row in frows]
+        for a, x in fcols[i]:
+            for b, y in fcols[j]:
+                xy = x * y
+                for l, z in op2[a * n + b]:
+                    res[l] -= xy * z
+        return tuple(map(packing.read, res)) if any(r & packing.mask for r in res) else None
+
+    return defect
+
+
 def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
     """Does w intertwine d1 into d2?  Checks every basis pair through the
-    full truncation order."""
+    full truncation order: over Q on packed integers (``Packing``), on
+    TruncSeries products otherwise."""
     _common_frame(d1, d2)
     if w.dim != d1.dim:
         raise DimMismatch(f"witness dim {w.dim} does not match deformation dim {d1.dim}")
     if w.order != d1.order:
         raise OrderMismatch(f"witness order {w.order} does not match deformation order {d1.order}")
-    op1 = d1.series_op()
-    op2 = d2.series_op()
-    fmat = w.series_matrix()
     n = d1.dim
-    fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
+    defect = _packed_defect(d1, d2, w)
+    if defect is None:
+        op1, op2, fmat = d1.series_op(), d2.series_op(), w.series_matrix()
+        fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
+
+        def defect(i, j):
+            res = vsub(matvec(fmat, op1.col(i, j)), op2.apply(fcols[i], fcols[j]))
+            return None if is_zero_vector(res) else tuple(res)
+
     for i in range(n):
         for j in range(n):
-            lhs = matvec(fmat, op1.col(i, j))
-            rhs = op2.apply(fcols[i], fcols[j])
-            res = vsub(lhs, rhs)
-            if not is_zero_vector(res):
+            res = defect(i, j)
+            if res is not None:
                 return IdentityReport(
                     "EQUIVALENCE",
                     False,
-                    Counterexample((i + 1, j + 1), tuple(res), "intertwining"),
+                    Counterexample((i + 1, j + 1), res, "intertwining"),
                 )
     return IdentityReport("EQUIVALENCE", True, None)
 
@@ -194,7 +238,7 @@ def _verified(d1, d2, witness, what):
 #
 # A returned witness substitutes the accumulated constraint solution with
 # every remaining free coordinate at zero.  verify_witness then re-checks it
-# independently, on the full series products through every order.
+# through every order, with code that shares nothing with R_k above.
 
 
 class _ParamConstraints:

@@ -474,13 +474,6 @@ class TruncSeries:
             raise NotInvertible(f"series is not divisible by h^{k}")
         return TruncSeries(self.order, self.coeffs[k:] + (_zero_like(self.coeffs),) * k)
 
-    def shift_up(self, k):
-        """Multiply by h^k (truncating)."""
-        if k == 0:
-            return self
-        pad = (_zero_like(self.coeffs),) * k
-        return TruncSeries(self.order, pad + self.coeffs[: self.order - k])
-
     def __str__(self):
         return format_scalar(self)
 
@@ -558,17 +551,55 @@ def h_valuation(s: TruncSeries):
     return INF
 
 
-def series_divide_exact(num: TruncSeries, den: TruncSeries) -> TruncSeries:
-    """num/den when val(num) >= val(den): shift both down by val(den) and
-    invert the resulting unit.  Top coefficients of the quotient beyond
-    order - val(den) are taken to be zero (the canonical lift)."""
-    v = h_valuation(den)
-    if v is INF:
-        raise NotInvertible("division by the zero series")
-    if v > 0:
-        num = num.shift_down(v)
-        den = den.shift_down(v)
-    return num * series_invert(den)
+# ---------------------------------------------------------------------------
+# Series over Q packed into integers
+# ---------------------------------------------------------------------------
+
+
+def scaled_integers(values):
+    """(L, values times L, their largest |value|) for L the lcm of the
+    denominators; None unless every value is a Fraction."""
+    if not {*map(type, values)} <= {Fraction}:
+        return None
+    dens = [x.denominator for x in values]
+    lcm = math.lcm(*dens)
+    ints = [x.numerator * (lcm // d) for x, d in zip(values, dens)]
+    return lcm, ints, max(map(abs, ints), default=0)
+
+
+class Packing:
+    """Kronecker substitution h = 2^B: sum c_t h^t over Z packs as the
+    integer sum c_t 2^(B t), a ring map, so packed products are the
+    untruncated products.  B puts every c_t (t < order) of a value read
+    back, at most ``bound`` in size, strictly inside +-2^(B-1): x is zero
+    mod h^order exactly when x & mask is 0, and ``read`` takes the c_t as
+    signed digits over ``scale``: a TruncSeries, or a Fraction for Q (order
+    1, ``series`` false)."""
+
+    __slots__ = ("order", "bits", "mask", "scale", "series")
+
+    def __init__(self, order, bound, scale, series):
+        self.order, self.scale, self.series = order, scale, series
+        self.bits = bound.bit_length() + 1
+        self.mask = (1 << self.bits * order) - 1
+
+    def pack(self, ints):
+        """The entries whose coefficients at h^0, h^1, ... are the
+        successive equal runs of ``ints``."""
+        size = len(ints) // self.order
+        out = ints[len(ints) - size :]
+        for t in range(self.order - 2, -1, -1):
+            out = [(x << self.bits) + c for x, c in zip(out, ints[t * size : (t + 1) * size])]
+        return out
+
+    def read(self, x):
+        """The scalar packed as x: its low ``order`` digits over ``scale``."""
+        digits, half = [], 1 << (self.bits - 1)
+        for _ in range(self.order):
+            digits.append(((x & (2 * half - 1)) ^ half) - half)
+            x = (x - digits[-1]) >> self.bits
+        coeffs = tuple(Fraction(d, self.scale) for d in digits)
+        return TruncSeries(self.order, coeffs) if self.series else coeffs[0]
 
 
 def substitute_params(x, assignment):

@@ -20,8 +20,6 @@ from tpalg.algebra import (
     Clause,
     LinearMap,
     _basis_vector,
-    _Integers,
-    _integer_ops,
     _leaves,
     _nodes,
     _shape,
@@ -45,7 +43,6 @@ from tpalg.algebra import (
     subalgebra_check,
     truncated_poly_dot,
     vadd,
-    vneg,
     vsub,
 )
 from tpalg.errors import (
@@ -170,7 +167,7 @@ def _s5_residual(ops, xs):
         inner = x5
         for idx in reversed(perm):
             inner = br.apply(xs[idx], inner)
-        term = inner if sign > 0 else vneg(inner)
+        term = inner if sign > 0 else [-x for x in inner]
         acc = term if acc is None else vadd(acc, term)
     return acc
 
@@ -420,25 +417,20 @@ def _alternating_reader(ops, clause, basis):
         if len(set(head)) < len(head):
             return ()  # the zero vector
         col = [row[t[-1]] for row in _subset_matrix(table, tuple(sorted(head)))]
-        return col if _sign(head) > 0 else vneg(col)
+        return col if _sign(head) > 0 else [-x for x in col]
 
     return residual_at
 
 
 def reference_failures(alg, clause):
-    """``clause_failures`` one basis tuple at a time."""
-    ops, ring, scale = alg.ops, alg.ring, None
-    integral = _integer_ops(alg, clause)
-    if integral is not None:
-        (ops, scale), ring = integral, _Integers
-    basis = [_basis_vector(alg.dim, i, ring) for i in range(alg.dim)]
+    """``clause_failures`` one basis tuple at a time, on the ring's own
+    scalars."""
+    basis = [_basis_vector(alg.dim, i, alg.ring) for i in range(alg.dim)]
     reader = _alternating_reader if clause.alternating else _tree_reader
-    residual_at = reader(ops, clause, basis)
+    residual_at = reader(alg.ops, clause, basis)
     for t in itertools.product(range(alg.dim), repeat=clause.arity):
         res = residual_at(t)
         if not is_zero_vector(res):
-            if scale is not None:
-                res = [Fraction(r, scale) for r in res]
             yield clause.name, t, res
 
 
@@ -457,12 +449,13 @@ SCAN_CLAUSES = {
 }
 
 
-def _random_ops(rnd, ring, base, dim, density):
+def _random_ops(rnd, ring, base, dim, density, top=3, den=6):
     """dot, circ and bracket with random entries, each nonzero with
-    probability ``density``, over ``ring``, whose numbers lie in ``base``."""
+    probability ``density``, over ``ring``, whose numbers lie in ``base``
+    (rationals with |numerator| <= top and denominator <= den)."""
 
     def number():
-        value = F(rnd.randint(-3, 3), rnd.randint(1, 6))
+        value = F(rnd.randint(-top, top), rnd.randint(1, den))
         return value if base is QQ else GaussianRational(value, F(rnd.randint(-1, 1)))
 
     def scalar():
@@ -526,6 +519,31 @@ def _assert_scans_agree(name, alg):
 @given(scan_cases())
 @settings(max_examples=30, deadline=None)
 def test_slab_scan_matches_per_tuple_scan(case):
+    _assert_scans_agree(*case)
+
+
+@st.composite
+def series_scan_cases(draw):
+    """A catalog identity (or one of the extra clauses) and a random
+    algebra over Q[h]/(h^N), N = 1..6, with numerators up to 10^30 and
+    denominators up to 10^9: the scan runs on packed integers."""
+    name = draw(st.sampled_from(sorted(SCAN_CLAUSES)))
+    ring = SeriesRing(QQ, draw(st.integers(1, 6)))
+    if name == "S5":
+        dim = 4
+    else:
+        arity = max(clause.arity for clause in SCAN_CLAUSES[name])
+        dim = draw(st.integers(2, {2: 4, 3: 3, 4: 2, 5: 2}[arity]))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    top = draw(st.sampled_from([3, 10**30]))
+    den = draw(st.sampled_from([1, 10**9]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return name, _pres(_random_ops(rnd, ring, QQ, dim, density, top, den), dim, ring)
+
+
+@given(series_scan_cases())
+@settings(max_examples=40, deadline=None)
+def test_packed_series_scan_matches_per_tuple_scan(case):
     _assert_scans_agree(*case)
 
 

@@ -6,8 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tpalg.algebra import BilinearOp, LinearMap, euler_gelfand, vsub
+from tpalg.algebra import (
+    AlgebraPresentation,
+    BilinearOp,
+    Counterexample,
+    IdentityReport,
+    LinearMap,
+    default_labels,
+    euler_gelfand,
+    is_zero_vector,
+    vsub,
+)
 from tpalg.deform import (
     TruncatedDeformation,
     commutator_deform,
@@ -140,6 +152,157 @@ def test_witness_symmetry_via_inverse():
     d2 = family2d_construct(S("h"), S("h^2"))
     assert verify_witness(d1, d2, v.witness).passed
     assert verify_witness(d2, d1, v.witness.inverse()).passed
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the gate: packed integers against series products
+# ---------------------------------------------------------------------------
+#
+# The reference is verify_witness as it was before it packed series over Q
+# into integers: every product below is a TruncSeries product, truncated as
+# it goes.  Over Q both must return the same report, residual series and
+# coefficient types included.
+
+
+def series_verify_witness(d1, d2, w):
+    """Does w intertwine d1 into d2?  Every basis pair, on TruncSeries."""
+    _common_frame(d1, d2)
+    if w.dim != d1.dim:
+        raise DimMismatch(f"witness dim {w.dim} does not match deformation dim {d1.dim}")
+    if w.order != d1.order:
+        raise OrderMismatch(f"witness order {w.order} does not match deformation order {d1.order}")
+    op1 = d1.series_op()
+    op2 = d2.series_op()
+    fmat = w.series_matrix()
+    n = d1.dim
+    fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            lhs = matvec(fmat, op1.col(i, j))
+            rhs = op2.apply(fcols[i], fcols[j])
+            res = vsub(lhs, rhs)
+            if not is_zero_vector(res):
+                return IdentityReport(
+                    "EQUIVALENCE",
+                    False,
+                    Counterexample((i + 1, j + 1), tuple(res), "intertwining"),
+                )
+    return IdentityReport("EQUIVALENCE", True, None)
+
+
+def _deformation(layers):
+    """The deformation over Q with layer ops ``layers`` (the first is dot)."""
+    n = layers[0].dim
+    base = AlgebraPresentation(n, QQ, default_labels(n), {"dot": layers[0]})
+    return TruncatedDeformation(base, len(layers), tuple(layers))
+
+
+def _op(n, entry):
+    return BilinearOp(
+        QQ, tuple(tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(n))
+    )
+
+
+def transported(d, w):
+    """The deformation that w intertwines d into: F(F^-1 x *_h F^-1 y)."""
+    n, order = d.dim, d.order
+    op = d.series_op()
+    fmat, gmat = w.series_matrix(), w.inverse().series_matrix()
+    gcols = [[gmat[i][j] for i in range(n)] for j in range(n)]
+    layers = [{} for _ in range(order)]
+    for p in range(n):
+        for q in range(n):
+            image = matvec(fmat, op.apply(gcols[p], gcols[q]))
+            for l, s in enumerate(image):
+                for t, c in enumerate(s.coeffs):
+                    layers[t][(p, q, l)] = c
+    return TruncatedDeformation(
+        d.base, order, tuple(BilinearOp.from_entries(n, QQ, e) for e in layers)
+    )
+
+
+def aligned_case(n, order, a):
+    """A failing pair whose residual comes within a small factor of the
+    bound the packed gate sizes its digits by: mu1 = a (1 + h + ...),
+    mu2 = a (1 - h - ...) and F = 1 - J (h + h^2 + ...), J all ones."""
+    def constant(value):
+        return BilinearOp(QQ, tuple(tuple((value,) * n for _ in range(n)) for _ in range(n)))
+
+    minus_j = LinearMap(QQ, tuple((F(-1),) * n for _ in range(n)))
+    w = EquivalenceWitness(order, (LinearMap.identity(n, QQ),) + (minus_j,) * (order - 1))
+    d1 = _deformation([constant(a)] * order)
+    d2 = _deformation([constant(a)] + [constant(-a)] * (order - 1))
+    return d1, d2, w
+
+
+@st.composite
+def witness_cases(draw):
+    """(d1, d2, w) over Q: random layers, family members or Euler
+    deformations against the same deformation, a transport (so that w
+    passes), a perturbed transport, or an unrelated deformation."""
+    rnd = draw(st.randoms(use_true_random=False))
+    top = draw(st.sampled_from([3, 10**9, 10**30]))
+    den = draw(st.sampled_from([1, 6, 10**9]))
+    density = draw(st.sampled_from([0.3, 1.0]))
+
+    def number():
+        if rnd.random() >= density:
+            return F(0)
+        return F(rnd.randint(-top, top), rnd.randint(1, den))
+
+    def series(order):
+        return TruncSeries(order, tuple(number() for _ in range(order)))
+
+    kind = draw(st.sampled_from(["random", "family", "euler", "aligned"]))
+    if kind == "aligned":
+        n, order = draw(st.integers(1, 2)), draw(st.integers(2, 8))
+        return aligned_case(n, order, F(rnd.randint(1, top), rnd.randint(1, den)))
+    if kind == "random":
+        n = draw(st.integers(1, 3))
+        order = draw(st.integers(1, 8 if n < 3 else 5))
+        d1 = _deformation([_op(n, number) for _ in range(order)])
+    elif kind == "family":
+        n, order = 2, draw(st.integers(2, 8))
+        d1 = family2d_construct(series(order), series(order))
+    else:
+        n = draw(st.integers(2, 4))
+        order = draw(st.integers(2, 8 if n < 4 else 4))
+        pres = euler_gelfand(n, QQ)
+        if draw(st.booleans()):
+            d1 = deform_from_np(pres, order)
+        else:
+            d1 = commutator_deform(pres.op("circ"), order)
+    if draw(st.booleans()):
+        w = EquivalenceWitness.identity(n, order, QQ)
+    else:
+        w = EquivalenceWitness(order, (LinearMap.identity(n, QQ),) + tuple(
+            LinearMap(QQ, tuple(tuple(number() for _ in range(n)) for _ in range(n)))
+            for _ in range(order - 1)
+        ))
+    pair = draw(st.sampled_from(["same", "transport", "perturbed", "unrelated"]))
+    if pair == "same":
+        return d1, d1, w
+    if pair == "unrelated":
+        return d1, _deformation([_op(n, number) for _ in range(order)]), w
+    d2 = transported(d1, w)
+    if pair == "perturbed" and order > 1:
+        idx = tuple(rnd.randrange(n) for _ in range(3))
+        d2 = perturbed(d2, rnd.randrange(1, order), idx, F(rnd.randint(1, top), rnd.randint(1, den)))
+    return d1, d2, w
+
+
+@given(witness_cases())
+@example(aligned_case(1, 2, F(10**30 - 1, 10**9 - 7)))
+@settings(max_examples=60, deadline=None)
+def test_packed_gate_matches_series_gate(case):
+    d1, d2, w = case
+    got, want = verify_witness(d1, d2, w), series_verify_witness(d1, d2, w)
+    assert got == want
+    if not want.passed:
+        residual = got.counterexample.residual
+        assert [type(s) for s in residual] == [TruncSeries] * d1.dim
+        types = [type(c) for s in residual for c in s.coeffs]
+        assert types == [type(c) for s in want.counterexample.residual for c in s.coeffs]
 
 
 # ---------------------------------------------------------------------------
