@@ -104,66 +104,7 @@ _SUBMODULE = {name: module for module, names in _SUBMODULE_NAMES.items() for nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraPresentation",
-    "BilinearOp",
-    "CatalogEntry",
-    "ClassicalLimit",
-    "Counterexample",
-    "EquivVerdict",
-    "EquivalenceWitness",
-    "GaussianRational",
-    "IdentityReport",
-    "LinearMap",
-    "NormalForm",
-    "NormalizedBasis",
-    "NovikovCompatibleFamily",
-    "ParamPoly",
-    "PolynomialRing",
-    "QI",
-    "QQ",
-    "SeriesRing",
-    "SubalgebraResult",
-    "TpalgError",
-    "TruncSeries",
-    "TruncatedDeformation",
-    "bounded_ddt_bracket",
-    "catalog",
-    "check_identity",
-    "check_novikov_deformation",
-    "classical_limit",
-    "commutator",
-    "default_labels",
-    "commutator_deform",
-    "deform_from_np",
-    "deformation_from_series",
-    "deformed_bracket_series",
-    "derivation_bracket",
-    "euler_derivation",
-    "euler_gelfand",
-    "family2d_construct",
-    "family2d_equiv",
-    "family2d_parameters",
-    "format_scalar",
-    "gelfand_construct",
-    "identity_names",
-    "is_derivation",
-    "normalize_basis",
-    "normalize_family",
-    "np_compatibility",
-    "operad_dims",
-    "parse_algebra_file",
-    "parse_deformation_file",
-    "parse_series",
-    "serialize_algebra",
-    "serialize_deformation",
-    "solve_equivalence",
-    "solve_novikov_compatible",
-    "subalgebra_check",
-    "truncated_poly_dot",
-    "unital_derivation",
-    "verify_witness",
-]
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name):

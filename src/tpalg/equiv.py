@@ -29,7 +29,8 @@ from .deform import _family_frame, family2d_construct
 from .errors import DimMismatch, OrderMismatch, Record
 from .linalg import general_solution, invert_series_matrix, matvec, solve_affine
 from .scalars import (
-    Packing, ParamPoly, PolynomialRing, TruncSeries, scaled_integers, substitute_params
+    Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation,
+    scaled_integers, series_invert, substitute_params,
 )
 
 _set = object.__setattr__
@@ -413,55 +414,47 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
 # For the family with parameters (a_h, b_h), equivalence to (a'_h, b'_h)
 # holds exactly when a_h = a'_h and there are eps_h = 1 + O(h) and mu_h with
 #
-#     b'_h = b_h eps_h - mu_h h (a_h + h)       (mod h^order).
+#     b'_h - b_h = b_h (eps_h - 1) - mu_h g,   g = h (a_h + h)   (mod h^order).
 #
-# Both sides are linear in the coefficients of eps_h and mu_h, so each
-# h-degree contributes one affine equation; when the whole system is
-# infeasible, the first infeasible prefix is the failure order.  The
-# witness is f(e2) = eps_h e2, f(e1) = e1 + mu_h h e2.
+# The right sides form the ideal (h b_h, g), and every ideal of K[h]/(h^order)
+# is a power of h: it is (h^m), m = min(v(b_h) + 1, v(g), order), v the
+# h-valuation.  So the pair is equivalent iff v(b'_h - b_h) >= m, and
+# otherwise that valuation is the failure order.  The witness is
+# f(e2) = eps_h e2, f(e1) = e1 + mu_h h e2; mu_h and eps_h - 1 each come from
+# one series division, cut to the coefficients the equation determines.
 
 
 def family2d_equiv(a_h, b_h, a2_h, b2_h, field=None) -> EquivVerdict:
     """Decide equivalence of the family deformations (a_h, b_h) and
-    (a2_h, b2_h); Equivalent verdicts carry a verified witness."""
+    (a2_h, b2_h) by the valuation criterion above; Equivalent verdicts carry
+    a verified witness."""
     order, field, (a_h, b_h, a2_h, b2_h) = _family_frame((a_h, b_h, a2_h, b2_h), field)
 
     for k in range(order):
         if a_h.coeffs[k] != a2_h.coeffs[k]:
             return not_equivalent(k, f"a_h coefficients differ at h^{k}")
 
-    # unknown vector: eps_1..eps_{order-1}, mu_0..mu_{order-1}
-    n_eps = order - 1
-    n_unknowns = n_eps + order
-    g = [field.zero()] * order  # g = h (a_h + h)
-    for j in range(1, order):
-        g[j] = a_h.coeffs[j - 1] + (field.one() if j == 2 else field.zero())
+    sring = SeriesRing(field, order)
+    h = sring.h()
+    g = h * (a_h + h)
+    w = b2_h - b_h
+    v_b, v_g, v_w = h_valuation(b_h), h_valuation(g), h_valuation(w)
+    if v_w < min(v_b + 1, v_g, order):
+        return not_equivalent(
+            v_w, f"no admissible ε_h: the b-coefficient constraint at h^{v_w} is infeasible"
+        )
 
-    def row_for_degree(k):
-        row = [field.zero()] * n_unknowns
-        for j in range(1, k + 1):
-            if j <= n_eps:
-                row[j - 1] = row[j - 1] + b_h.coeffs[k - j]
-            row[n_eps + (k - j)] = row[n_eps + (k - j)] - g[j]
-        return row
-
-    rows = [row_for_degree(k) for k in range(order)]
-    rhs = [b2_h.coeffs[k] - b_h.coeffs[k] for k in range(order)]
-    sol = solve_affine(rows, rhs, field.one())
-    if not sol.feasible:
-        # Adding a row only shrinks the solution set, so some prefix is the
-        # first infeasible one; its h-degree is the failure order.
-        for k in range(order):
-            if not solve_affine(rows[: k + 1], rhs[: k + 1], field.one()).feasible:
-                return not_equivalent(
-                    k,
-                    f"no admissible ε_h: the b-coefficient constraint at h^{k} is infeasible",
-                )
-
-    eps, mu = sol.particular[:n_eps], sol.particular[n_eps:]  # eps_1.., mu_0..
+    top = min(v_b + 1, order)  # below h^top, b_h (eps_h - 1) vanishes
+    mu = eps = sring.zero()  # mu_h and eps_h - 1
+    if v_g < top:
+        mu = -(w.shift_down(v_g) * series_invert(g.shift_down(v_g)))
+        mu = TruncSeries(order, mu.coeffs[: top - v_g])
+    if top < order:
+        eps = (w + g * mu).shift_down(v_b) * series_invert(b_h.shift_down(v_b))
+        eps = TruncSeries(order, eps.coeffs[: order - v_b])
     maps = [LinearMap.identity(2, field)]
     for k in range(1, order):
-        maps.append(LinearMap(field, ((field.zero(),) * 2, (mu[k - 1], eps[k - 1]))))
+        maps.append(LinearMap(field, ((field.zero(),) * 2, (mu.coeffs[k - 1], eps.coeffs[k]))))
     d1 = family2d_construct(a_h, b_h, field)
     d2 = family2d_construct(a2_h, b2_h, field)
     return _verified(d1, d2, EquivalenceWitness(order, tuple(maps)), "family")

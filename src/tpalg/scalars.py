@@ -379,8 +379,9 @@ class TruncSeries:
 
     @classmethod
     def h(cls, order, base_one=None):
+        """The series h; at order 1 that is the zero class, as h = 0 mod h."""
         one = Fraction(1) if base_one is None else base_one
-        return cls(order, (one * 0, one))
+        return cls(order, (one * 0, one)[:order])
 
     @classmethod
     def constant(cls, order, value):
@@ -1038,7 +1039,7 @@ class SeriesRing(_Ring):
         return TruncSeries.constant(self.order, self.base.one())
 
     def h(self):
-        return TruncSeries(self.order, (self.base.zero(), self.base.one()))
+        return TruncSeries.h(self.order, self.base.one())
 
     def coerce(self, x):
         if isinstance(x, TruncSeries):

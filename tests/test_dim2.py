@@ -22,6 +22,7 @@ from tpalg.algebra import (
 from tpalg.deform import TruncatedDeformation, deformation_from_series, family2d_construct
 from tpalg.dim2 import (
     NormalForm,
+    _join_rings,
     catalog,
     normalize_basis,
     normalize_family,
@@ -180,6 +181,17 @@ def test_np_compatibility_catalog_cross_symbolic():
         report = np_compatibility(dot, fam.op)
         assert report.passed, name
         assert report.identity_name == "NP1+NP2"
+
+
+def test_np_compatibility_joins_two_parameter_rings():
+    # the symbolic-lam dot against the p1, p2 family of the same bracket:
+    # both operands carry parameters, so the check runs over their union
+    dot = catalog()[2].algebra.op("dot")
+    fam = solve_novikov_compatible(catalog(lam=1)[2].algebra.op("bracket"))
+    assert _join_rings(dot.ring, fam.op.ring) == PolynomialRing(QQ, ("lam", "p1", "p2"))
+    report = np_compatibility(dot, fam.op)
+    assert report.passed
+    assert report.identity_name == "NP1+NP2"
 
 
 def test_np_compatibility_failure_carries_clause():

@@ -22,6 +22,7 @@ from tpalg.algebra import (
 )
 from tpalg.deform import (
     TruncatedDeformation,
+    _family_frame,
     commutator_deform,
     deform_from_np,
     family2d_construct,
@@ -32,6 +33,7 @@ from tpalg.equiv import (
     _common_frame,
     _delta_matrix,
     _ParamConstraints,
+    _verified,
     equivalent,
     family2d_equiv,
     not_equivalent,
@@ -45,6 +47,7 @@ from tpalg.scalars import (
     GAUSS_I,
     QI,
     QQ,
+    GaussianRational,
     PolynomialRing,
     SeriesRing,
     TruncSeries,
@@ -370,6 +373,115 @@ def test_family_reflexive_and_mixed_orders():
     assert v.is_equivalent
     with pytest.raises(OrderMismatch):
         family2d_equiv(S("h", 3), S("0", 3), S("h", 4), S("0", 4))
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the family criterion against its linear system
+# ---------------------------------------------------------------------------
+#
+# The reference is family2d_equiv as it was before it read the verdict off
+# h-valuations: one affine equation per h-degree in the coefficients of
+# eps_h and mu_h, solved by Gauss-Jordan, and on failure the first
+# infeasible prefix as the failure order.  Both must return the same
+# verdict, failure order, reason and witness, coefficient types included.
+
+
+def linear_family2d_equiv(a_h, b_h, a2_h, b2_h, field=None):
+    """The family criterion as a linear system in eps_1.., mu_0..."""
+    order, field, (a_h, b_h, a2_h, b2_h) = _family_frame((a_h, b_h, a2_h, b2_h), field)
+
+    for k in range(order):
+        if a_h.coeffs[k] != a2_h.coeffs[k]:
+            return not_equivalent(k, f"a_h coefficients differ at h^{k}")
+
+    n_eps = order - 1
+    n_unknowns = n_eps + order
+    g = [field.zero()] * order  # g = h (a_h + h)
+    for j in range(1, order):
+        g[j] = a_h.coeffs[j - 1] + (field.one() if j == 2 else field.zero())
+
+    def row_for_degree(k):
+        row = [field.zero()] * n_unknowns
+        for j in range(1, k + 1):
+            if j <= n_eps:
+                row[j - 1] = row[j - 1] + b_h.coeffs[k - j]
+            row[n_eps + (k - j)] = row[n_eps + (k - j)] - g[j]
+        return row
+
+    rows = [row_for_degree(k) for k in range(order)]
+    rhs = [b2_h.coeffs[k] - b_h.coeffs[k] for k in range(order)]
+    sol = solve_affine(rows, rhs, field.one())
+    if not sol.feasible:
+        for k in range(order):
+            if not solve_affine(rows[: k + 1], rhs[: k + 1], field.one()).feasible:
+                return not_equivalent(
+                    k,
+                    f"no admissible ε_h: the b-coefficient constraint at h^{k} is infeasible",
+                )
+
+    eps, mu = sol.particular[:n_eps], sol.particular[n_eps:]
+    maps = [LinearMap.identity(2, field)]
+    for k in range(1, order):
+        maps.append(LinearMap(field, ((field.zero(),) * 2, (mu[k - 1], eps[k - 1]))))
+    d1 = family2d_construct(a_h, b_h, field)
+    d2 = family2d_construct(a2_h, b2_h, field)
+    return _verified(d1, d2, EquivalenceWitness(order, tuple(maps)), "family")
+
+
+def family_case(field, order, v_ah, v_b, v_w, seed=0, explicit=False):
+    """(a, b, a, b + w, field) where a + h, b and w have h-valuations v_ah,
+    v_b and v_w (the order for the zero series), so g = h (a + h) has
+    valuation v_ah + 1; the other coefficients are small random numbers,
+    Gaussian over Q(i).  The field is passed only when ``explicit``."""
+    rnd = random.Random(seed)
+
+    def number(nonzero):
+        while True:
+            x = F(rnd.randint(-3, 3), rnd.randint(1, 3))
+            if field is QI and rnd.random() < 0.5:
+                x = GaussianRational(x, F(rnd.randint(-2, 2)))
+            if x or not nonzero:
+                return x
+
+    def valued(v):
+        return TruncSeries(order, tuple(F(0) if k < v else number(k == v) for k in range(order)))
+
+    a, b = valued(v_ah) - TruncSeries.h(order), valued(v_b)
+    return a, b, a, b + valued(v_w), field if explicit else None
+
+
+@st.composite
+def family_cases(draw):
+    field = draw(st.sampled_from([QQ, QI]))
+    order = draw(st.integers(2, 16))
+    v_ah, v_b, v_w = (draw(st.integers(0, order)) for _ in range(3))
+    return family_case(
+        field, order, v_ah, v_b, v_w, draw(st.integers(0, 2**32)), draw(st.booleans())
+    )
+
+
+@given(family_cases())
+# one example per branch (order 6 unless noted): v_w below v(g) = m
+@example(family_case(QQ, 6, 2, 4, 1))
+# v_w below v_b + 1 = m, over Q(i)
+@example(family_case(QI, 6, 4, 1, 1, seed=1))
+# v(g) >= v_b + 1: mu_h = 0 and eps_h from the division by b_h
+@example(family_case(QQ, 6, 3, 1, 3))
+@example(family_case(QI, 9, 5, 2, 7, seed=2, explicit=True))
+# v(g) < v_b + 1 < order: mu_h below h^(v_b+1), then eps_h
+@example(family_case(QI, 8, 0, 3, 1, seed=3))
+# b_h = 0: mu_h alone, through the top order; and the failure at v_w
+@example(family_case(QQ, 7, 1, 7, 2))
+@example(family_case(QI, 7, 1, 7, 1, seed=4))
+# g = 0 mod h^order (a_h = -h + c h^(order-1), or a_h = -h): eps_h alone
+@example(family_case(QQ, 6, 5, 2, 3))
+@example(family_case(QI, 6, 6, 2, 1, seed=5))
+# g = 0 and b_h = 0: only w = 0 passes
+@example(family_case(QQ, 5, 5, 5, 5))
+@example(family_case(QQ, 5, 4, 5, 4))
+@settings(max_examples=150, deadline=None)
+def test_family_criterion_matches_linear_system(case):
+    assert repr(family2d_equiv(*case)) == repr(linear_family2d_equiv(*case))
 
 
 # ---------------------------------------------------------------------------

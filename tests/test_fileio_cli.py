@@ -530,6 +530,16 @@ def test_gelfand_refuses_dimension_below_one(capsys, dim):
     assert captured.err == f"tpalg: error: --dim: must be at least 1, got {dim}\n"
 
 
+@pytest.mark.parametrize("command", ["family2d", "normalize"])
+@pytest.mark.parametrize("params", ["a=1,b=0", "a=h,b=0"])
+def test_family_commands_refuse_order_one(capsys, command, params):
+    code = main([command, "--params", params, "--order", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "tpalg: error: family needs order at least 2\n"
+
+
 def test_cli_usage_errors(capsys):
     assert run_cli(capsys)[0] == 3
     assert run_cli(capsys, "frobnicate")[0] == 3

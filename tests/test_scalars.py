@@ -608,6 +608,8 @@ def test_gaussian_series_hold_gaussian_coefficients():
         series_invert(ring.one() + h),
         series_invert(TruncSeries.constant(4, z)),
         (h * h).shift_down(1),
+        SeriesRing(QI, 1).h(),
+        TruncSeries.h(1, QI.one()),
     ):
         assert all(isinstance(c, GaussianRational) for c in s.coeffs), repr(s.coeffs)
     assert TruncSeries(3, ()).coeffs == (F(0), F(0), F(0))
@@ -708,12 +710,13 @@ def test_parse_series_cases(text, coeffs):
 def test_parse_series_order_suffix():
     s = parse_series("1+2h-h^3@order=5")
     assert s.order == 5
+    assert parse_series("h@order=1") == TruncSeries(1, ())  # h = 0 mod h
     with pytest.raises(OrderMismatch):
         parse_series("h@order=3", order=4)
 
 
 def test_series_format_roundtrip_examples():
-    for text in ("1+2h-h^3@order=5", "0@order=3", "1/2-1/4h+1/8h^2@order=3"):
+    for text in ("1+2h-h^3@order=5", "0@order=3", "1/2-1/4h+1/8h^2@order=3", "h@order=1"):
         s = parse_series(text)
         assert parse_series(format_scalar(s)) == s
 
@@ -722,6 +725,9 @@ def test_gaussian_series_format():
     ring = SeriesRing(QI, 3)
     s = ring.parse("(1+2i)h^2")
     assert format_scalar(s) == "(1+2i)h^2@order=3"
+    assert ring.parse(format_scalar(s)) == s
+    s = ring.parse("(1+i)+2h")
+    assert format_scalar(s) == "(1+i)+2h@order=3"
     assert ring.parse(format_scalar(s)) == s
 
 
