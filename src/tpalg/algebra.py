@@ -15,7 +15,10 @@ operation equally often, so over Q the scan runs on integer structure
 constants (each op scaled by the lcm of its denominators) and scales a
 residual back exactly.  Over Q[h]/(h^N) it does the same with each series
 entry packed into one integer (``scalars.Packing``): the products are then
-untruncated, and only the low N digits of a residual are read.  When the
+untruncated, and only the low N digits of a residual are read.  Other rings
+are scanned on their own structure constants; the entry format is chosen
+once per scan, and the slab readers and the scan loop are the same for
+both, given the cubes and the zero and one of their entries.  When the
 entries are ParamPoly values, "zero residual" means the identically-zero
 polynomial, so one check certifies a whole parametric family.
 """
@@ -478,7 +481,7 @@ def _sparse(row):
     return [(m, x) for m, x in enumerate(row) if x != 0]
 
 
-def _tree_slab(ops, clause, ring, n):
+def _tree_slab(cubes, clause, zero, one, n):
     """Slab reader for a signed sum of trees: at a prefix (the indices of
     every variable but the last), the residual rows at prefix + (k,) for
     k = 0..n-1.  A subtree's value is its n sparse rows, row k its value at
@@ -487,14 +490,14 @@ def _tree_slab(ops, clause, ring, n):
     (such as x o y and y o x) share their values.  e_i * e_j, e_i * last and
     last * e_j are table lookups, and each term's root product is added
     straight into the slab rows with the term's coefficient."""
-    zero, repeat = ring.zero(), itertools.repeat
+    repeat = itertools.repeat
     tables = {
-        label: [[_sparse(col) for col in row] for row in ops[label].c]
+        label: [[_sparse(col) for col in row] for row in cubes[label]]
         for label, degree in zip(OPS, clause.degrees)
         if degree
     }
     columns = {label: list(zip(*table)) for label, table in tables.items()}
-    units = [[(k, ring.one())] for k in range(n)]  # the identity's rows
+    units = [[(k, one)] for k in range(n)]  # the identity's rows
     shared = {}
     memo = {  # a subtree's indices in t, and the values of its shape
         sub: (operator.itemgetter(*_leaves(sub)), shared.setdefault(_shape(sub), {}))
@@ -555,14 +558,14 @@ def _subset_matrix(table, s):
     return table[s]
 
 
-def _alternating_slab(ops, clause, ring, n):
+def _alternating_slab(cubes, clause, zero, one, n):
     """Slab reader for an alternating clause, read off the subset table
     A(S) over sorted index subsets S, where ad(a) is the matrix of
     op(e_a, -).  A(S) e_k is the clause at the sorted head S and last index
     k, so a prefix's slab is the columns of A(sorted head), with the sign
     of the permutation that sorts it; a repeated index gives zero."""
-    op = ops[clause.terms[0][1][0]]
-    table = {(a,): [[op.c[a][j][k] for j in range(n)] for k in range(n)] for a in range(n)}
+    cube = cubes[clause.terms[0][1][0]]
+    table = {(a,): [[cube[a][j][k] for j in range(n)] for k in range(n)] for a in range(n)}
 
     def slab_at(head):
         if len(set(head)) < len(head):
@@ -572,26 +575,14 @@ def _alternating_slab(ops, clause, ring, n):
     return slab_at
 
 
-class _Integers:
-    """Z as a scalar ring, as far as the slab readers use one."""
-
-    @staticmethod
-    def zero():
-        return 0
-
-    @staticmethod
-    def one():
-        return 1
-
-
 def _integer_ops(alg, clause):
-    """The ops ``clause`` uses, each scaled to integers by the lcm L of its
-    denominators (over Q[h]/(h^N) an entry packs into one integer), and the
-    ``Packing`` that reads a residual back over D = prod L^degree.  A term
-    of d ops sums n^(d-1) products of d entries, with at most N^(d-1)
-    products of coefficients at each h^t.  None unless the ring is Q or
-    Q[h]/(h^N) and every entry is a Fraction or a TruncSeries of order N
-    over Fractions."""
+    """The structure-constant cubes of the ops ``clause`` uses, each scaled
+    to integers by the lcm L of its denominators (over Q[h]/(h^N) an entry
+    packs into one integer), and the ``Packing`` that reads a residual back
+    over D = prod L^degree.  A term of d ops sums n^(d-1) products of d
+    entries, with at most N^(d-1) products of coefficients at each h^t.
+    None unless the ring is Q or Q[h]/(h^N) and every entry is a Fraction
+    or a TruncSeries of order N over Fractions."""
     ring, n = alg.ring, alg.dim
     series = isinstance(ring, SeriesRing)
     order, base = (ring.order, ring.base) if series else (1, ring)
@@ -613,33 +604,36 @@ def _integer_ops(alg, clause):
         lcm, scaled[label], top = integral
         scale, bound = scale * lcm**degree, bound * top**degree
     packing = Packing(order, bound * (n * order) ** (sum(degrees) - 1), scale, series)
-    ops = {}
+    cubes = {}
     for label, ints in scaled.items():
         flat = packing.pack(ints)
         # lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # small size for reuse, and building these as tuples for every scan
         # kept about 1 MB more resident over repeated checks
         cube = [[flat[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-        ops[label] = BilinearOp(_Integers, cube)
-    return ops, packing
+        cubes[label] = cube
+    return cubes, packing
 
 
 def clause_failures(alg, clause):
     """Every basis tuple at which ``clause`` fails on ``alg``, as (clause
     name, 0-based tuple, residual), tuples in lexicographic order.
 
-    A reader gives the residuals at a prefix for every last index at once.
-    Over Q and over Q[h]/(h^N) the scan runs on the integers of
-    ``_integer_ops``: a residual vanishes (mod h^N) exactly when the low
-    digits of its packed copy do, and a reported one is read back to the
-    same Fractions or series.  Other rings are scanned as they are.
+    The entries are chosen once: over Q and over Q[h]/(h^N) the integer
+    cubes of ``_integer_ops``, otherwise the ring's own structure constants.
+    A reader gives the residuals at a prefix for every last index at once,
+    on either.  A packed residual vanishes (mod h^N) exactly when its low
+    digits do, and a reported one is read back to the same Fractions or
+    series.
     """
-    ops, ring, packing = alg.ops, alg.ring, None
     integral = _integer_ops(alg, clause)
-    if integral is not None:
-        (ops, packing), ring = integral, _Integers
+    if integral is None:
+        cubes, packing = {label: op.c for label, op in alg.ops.items()}, None
+        zero, one = alg.ring.zero(), alg.ring.one()
+    else:
+        (cubes, packing), zero, one = integral, 0, 1
     reader = _alternating_slab if clause.alternating else _tree_slab
-    slab_at = reader(ops, clause, ring, alg.dim)
+    slab_at = reader(cubes, clause, zero, one, alg.dim)
     for prefix in itertools.product(range(alg.dim), repeat=clause.arity - 1):
         sign, rows = slab_at(prefix)
         for k, res in enumerate(rows):

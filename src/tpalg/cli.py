@@ -31,7 +31,7 @@ import json
 import os
 import sys
 
-from .algebra import check_identity, commutator, euler_gelfand, identity_names
+from .algebra import AlgebraPresentation, check_identity, commutator, euler_gelfand, identity_names
 from .deform import (
     classical_limit,
     commutator_deform,
@@ -243,9 +243,8 @@ def _cmd_check(args):
     if detect_kind(data, args.file) == "deformation":
         d = parse_deformation_file(data, args.file)
         series = d.series_op()
-        pres = d.series_presentation(label="circ")
-        pres.ops["dot"] = series
-        pres.ops["bracket"] = commutator(series)
+        ops = {"circ": series, "dot": series, "bracket": commutator(series)}
+        pres = AlgebraPresentation(d.dim, series.ring, d.base.basis_labels, ops)
     else:
         pres = parse_algebra_file(data, args.file)
     report = check_identity(pres, args.identity)
@@ -311,7 +310,8 @@ def _cmd_equiv(args):
                 "family shape",
                 "--method",
             )
-        verdict = family2d_equiv(fam1[0], fam1[1], fam2[0], fam2[1], d1.ring)
+        # the field is inferred: Q(i) when either file's coefficients are Gaussian
+        verdict = family2d_equiv(fam1[0], fam1[1], fam2[0], fam2[1])
     else:
         verdict = solve_equivalence(d1, d2)
 

@@ -6,7 +6,9 @@ f_h(x *_h y) = f_h(x) *'_h f_h(y), exactly through h^(order-1).
 
 Three tools:
 
-* verify_witness     -- check a candidate f_h on all basis pairs
+* verify_witness     -- check a candidate f_h on all basis pairs, in one
+                        loop: on packed integers over Q, on series gathered
+                        from the layers otherwise
 * solve_equivalence  -- order-by-order linear solver (sound semidecision:
                         NotEquivalent only on parameter-free obstructions)
 * family2d_equiv     -- the closed-form criterion for the two-parameter
@@ -17,19 +19,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (
-    BilinearOp,
-    Counterexample,
-    IdentityReport,
-    LinearMap,
-    is_zero_vector,
-    vsub,
-)
+from .algebra import BilinearOp, Counterexample, IdentityReport, LinearMap
 from .deform import _family_frame, family2d_construct
 from .errors import DimMismatch, OrderMismatch, Record
-from .linalg import general_solution, invert_series_matrix, matvec, solve_affine
+from .linalg import general_solution, invert_series_matrix, solve_affine
 from .scalars import (
-    Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation,
+    QQ, Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation,
     scaled_integers, series_invert, substitute_params,
 )
 
@@ -84,71 +79,68 @@ class EquivalenceWitness(Record):
 
 
 def _common_frame(d1, d2):
+    """The field of both deformations: Q(i) when either one is over Q(i)."""
     if d1.dim != d2.dim:
         raise DimMismatch(f"deformation dims differ: {d1.dim} vs {d2.dim}")
     if d1.order != d2.order:
         raise OrderMismatch(f"deformation orders differ: {d1.order} vs {d2.order}")
+    return d2.ring if d1.ring == QQ else d1.ring
 
 
-def _packed_defect(d1, d2, w):
-    """F(e_i *_1 e_j) - F(e_i) *_2 F(e_j) at (i, j) on packed integers, or
-    None where it vanishes; None unless both rings are Q and every layer
-    entry is a Fraction.  mu1, mu2, F are scaled by lcms L1, L2, Lf (largest
-    scaled coefficients A1, A2, Af) and both sides by Lf^2 L1 L2; at h^t the
-    left sums n N products of two coefficients, the right n^2 N^2 of three."""
-    if {type(x) for d in (d1, d2) for x in (d.ring.zero(), d.ring.one())} != {Fraction}:
-        return None
+def _gate_entries(d1, d2, w):
+    """mu1, mu2 and F's layers as flat entry lists ((i, j, k) at
+    (i n + j) n + k, F's (i, j) at i n + j), and the ``Packing`` that reads
+    a defect back, or None.  Packed integers when both rings are Q and every
+    layer entry is a Fraction: mu1, mu2, F are scaled by lcms L1, L2, Lf
+    (largest scaled coefficients A1, A2, Af) and both sides by Lf^2 L1 L2;
+    at h^t the left sums n N products of two coefficients, the right n^2 N^2
+    of three.  Otherwise TruncSeries gathered from the layers."""
     n, order = d1.dim, d1.order
     flat = [[x for op in d.mu for row in op.c for col in row for x in col] for d in (d1, d2)]
-    scaled = [scaled_integers(v) for v in flat + [[x for f in w.f for row in f.m for x in row]]]
-    if None in scaled:
-        return None
-    (l1, ints1, a1), (l2, ints2, a2), (lf, intsf, af) = scaled
-    bound = lf * l2 * n * order * af * a1 + l1 * (n * order) ** 2 * af * af * a2
-    packing = Packing(order, bound, lf * lf * l1 * l2, True)
-    op1 = [x * lf * l2 for x in packing.pack(ints1)]
-    op2 = [x * l1 for x in packing.pack(ints2)]
-    op2 = [[(l, z) for l, z in enumerate(op2[m : m + n]) if z] for m in range(0, n**3, n)]
-    fm = packing.pack(intsf)
-    frows = [[(k, x) for k, x in enumerate(fm[l * n : (l + 1) * n]) if x] for l in range(n)]
-    fcols = [[(l, fm[l * n + j]) for l in range(n) if fm[l * n + j]] for j in range(n)]
-
-    def defect(i, j):
-        m = (i * n + j) * n
-        res = [sum(x * op1[m + k] for k, x in row) for row in frows]
-        for a, x in fcols[i]:
-            for b, y in fcols[j]:
-                xy = x * y
-                for l, z in op2[a * n + b]:
-                    res[l] -= xy * z
-        return tuple(map(packing.read, res)) if any(r & packing.mask for r in res) else None
-
-    return defect
+    flat.append([x for f in w.f for row in f.m for x in row])
+    if {type(x) for d in (d1, d2) for x in (d.ring.zero(), d.ring.one())} == {Fraction}:
+        scaled = [scaled_integers(v) for v in flat]
+        if None not in scaled:
+            (l1, ints1, a1), (l2, ints2, a2), (lf, intsf, af) = scaled
+            bound = lf * l2 * n * order * af * a1 + l1 * (n * order) ** 2 * af * af * a2
+            packing = Packing(order, bound, lf * lf * l1 * l2, True)
+            op1 = [x * lf * l2 for x in packing.pack(ints1)]
+            op2 = [x * l1 for x in packing.pack(ints2)]
+            return op1, op2, packing.pack(intsf), packing
+    sizes = (n**3, n**3, n * n)  # entries per layer
+    series = [[TruncSeries(order, v[m::s]) for m in range(s)] for v, s in zip(flat, sizes)]
+    return (*series, None)
 
 
 def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
-    """Does w intertwine d1 into d2?  Checks every basis pair through the
-    full truncation order: over Q on packed integers (``Packing``), on
-    TruncSeries products otherwise."""
+    """Does w intertwine d1 into d2?  Checks F(e_i *_1 e_j) = F(e_i) *_2
+    F(e_j) on every basis pair through the full truncation order, in one
+    loop on the entries of ``_gate_entries``: packed integers over Q,
+    TruncSeries otherwise.  It shares no code with the solver's R_k."""
     _common_frame(d1, d2)
     if w.dim != d1.dim:
         raise DimMismatch(f"witness dim {w.dim} does not match deformation dim {d1.dim}")
     if w.order != d1.order:
         raise OrderMismatch(f"witness order {w.order} does not match deformation order {d1.order}")
     n = d1.dim
-    defect = _packed_defect(d1, d2, w)
-    if defect is None:
-        op1, op2, fmat = d1.series_op(), d2.series_op(), w.series_matrix()
-        fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
-
-        def defect(i, j):
-            res = vsub(matvec(fmat, op1.col(i, j)), op2.apply(fcols[i], fcols[j]))
-            return None if is_zero_vector(res) else tuple(res)
-
+    op1, op2, fm, packing = _gate_entries(d1, d2, w)
+    op2 = [[(l, z) for l, z in enumerate(op2[m : m + n]) if z] for m in range(0, n**3, n)]
+    # F = id + O(h), so every row holds its diagonal entry and each sum below
+    # has a term: the start 0 leaves every value and type unchanged
+    frows = [[(k, x) for k, x in enumerate(fm[l * n : (l + 1) * n]) if x] for l in range(n)]
+    fcols = [[(l, fm[l * n + j]) for l in range(n) if fm[l * n + j]] for j in range(n)]
     for i in range(n):
         for j in range(n):
-            res = defect(i, j)
-            if res is not None:
+            m = (i * n + j) * n
+            res = [sum(x * op1[m + k] for k, x in row) for row in frows]
+            for a, x in fcols[i]:
+                for b, y in fcols[j]:
+                    xy = x * y
+                    for l, z in op2[a * n + b]:
+                        res[l] -= xy * z
+            # every scalar type is false exactly when zero
+            if any(res) and (packing is None or any(r & packing.mask for r in res)):
+                res = tuple(res if packing is None else map(packing.read, res))
                 return IdentityReport(
                     "EQUIVALENCE",
                     False,
@@ -318,9 +310,8 @@ def _delta_matrix(dot: BilinearOp):
 
 def solve_equivalence(d1, d2) -> EquivVerdict:
     """Search for an intertwining witness, one power of h at a time."""
-    _common_frame(d1, d2)
+    field = _common_frame(d1, d2)
     n, order = d1.dim, d1.order
-    field = d1.ring
     if not d1.mu[0].entries_equal(d2.mu[0]):
         return not_equivalent(0, "base products differ at h^0")
 

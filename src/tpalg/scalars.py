@@ -260,7 +260,7 @@ class ParamPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        return _power(ParamPoly.constant(self.variables, Fraction(1)), self, n)
+        return _power(_one_like(self) if n == 0 else None, self, n)
 
     def __truediv__(self, other):
         if isinstance(other, ParamPoly):
@@ -442,7 +442,7 @@ class TruncSeries:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("series powers must be nonnegative integers")
-        return _power(TruncSeries.constant(self.order, Fraction(1)), self, k)
+        return _power(_one_like(self) if k == 0 else None, self, k)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -492,6 +492,16 @@ def _zero_like(coeffs):
     if not coeffs or type(coeffs[0]) is Fraction:
         return Fraction(0)
     return coeffs[0] * 0
+
+
+def _one_like(x):
+    """The one of the ring x lives in, coefficients of the same type."""
+    if isinstance(x, TruncSeries):
+        lead = next((c for c in x.coeffs if c != 0), x.coeffs[0])
+        return TruncSeries.constant(x.order, _one_like(lead))
+    if isinstance(x, ParamPoly):
+        return ParamPoly.constant(x.variables, _one_like(x.constant_value()))
+    return x * 0 + 1
 
 
 def _power(one, base, n):

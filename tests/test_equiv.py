@@ -48,6 +48,7 @@ from tpalg.scalars import (
     QI,
     QQ,
     GaussianRational,
+    ParamPoly,
     PolynomialRing,
     SeriesRing,
     TruncSeries,
@@ -163,8 +164,8 @@ def test_witness_symmetry_via_inverse():
 #
 # The reference is verify_witness as it was before it packed series over Q
 # into integers: every product below is a TruncSeries product, truncated as
-# it goes.  Over Q both must return the same report, residual series and
-# coefficient types included.
+# it goes.  Over Q, Q(i) and a polynomial ring both must return the same
+# report, residual series and the types of their coefficients included.
 
 
 def series_verify_witness(d1, d2, w):
@@ -194,15 +195,15 @@ def series_verify_witness(d1, d2, w):
 
 
 def _deformation(layers):
-    """The deformation over Q with layer ops ``layers`` (the first is dot)."""
-    n = layers[0].dim
-    base = AlgebraPresentation(n, QQ, default_labels(n), {"dot": layers[0]})
+    """The deformation with layer ops ``layers`` (the first is dot)."""
+    n, ring = layers[0].dim, layers[0].ring
+    base = AlgebraPresentation(n, ring, default_labels(n), {"dot": layers[0]})
     return TruncatedDeformation(base, len(layers), tuple(layers))
 
 
-def _op(n, entry):
+def _op(n, entry, ring=QQ):
     return BilinearOp(
-        QQ, tuple(tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(n))
+        ring, tuple(tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(n))
     )
 
 
@@ -220,7 +221,7 @@ def transported(d, w):
                 for t, c in enumerate(s.coeffs):
                     layers[t][(p, q, l)] = c
     return TruncatedDeformation(
-        d.base, order, tuple(BilinearOp.from_entries(n, QQ, e) for e in layers)
+        d.base, order, tuple(BilinearOp.from_entries(n, d.ring, e) for e in layers)
     )
 
 
@@ -238,55 +239,69 @@ def aligned_case(n, order, a):
     return d1, d2, w
 
 
+POLY = PolynomialRing(QQ, ("a", "b"))
+
+
 @st.composite
 def witness_cases(draw):
-    """(d1, d2, w) over Q: random layers, family members or Euler
-    deformations against the same deformation, a transport (so that w
-    passes), a perturbed transport, or an unrelated deformation."""
+    """(d1, d2, w) over Q, Q(i) or Q[a, b]: random layers, family members
+    or Euler deformations (Q and Q(i)) against the same deformation, a
+    transport (so that w passes), a perturbed transport, or an unrelated
+    deformation."""
     rnd = draw(st.randoms(use_true_random=False))
+    ring = draw(st.sampled_from([QQ, QI, POLY]))
     top = draw(st.sampled_from([3, 10**9, 10**30]))
     den = draw(st.sampled_from([1, 6, 10**9]))
     density = draw(st.sampled_from([0.3, 1.0]))
 
-    def number():
+    def rational():
         if rnd.random() >= density:
             return F(0)
         return F(rnd.randint(-top, top), rnd.randint(1, den))
 
+    def number():
+        if ring == QQ:
+            return rational()
+        if ring == QI:
+            return GaussianRational(rational(), rational())
+        a, b = (ring.var(v) for v in ring.variables)
+        return ring.coerce(rational()) + rational() * a + rational() * a * b
+
     def series(order):
         return TruncSeries(order, tuple(number() for _ in range(order)))
 
-    kind = draw(st.sampled_from(["random", "family", "euler", "aligned"]))
+    kinds = ["random", "family", "euler"] + ["aligned"] * (ring == QQ)
+    kind = draw(st.sampled_from(kinds if ring != POLY else ["random"]))
     if kind == "aligned":
         n, order = draw(st.integers(1, 2)), draw(st.integers(2, 8))
         return aligned_case(n, order, F(rnd.randint(1, top), rnd.randint(1, den)))
     if kind == "random":
         n = draw(st.integers(1, 3))
         order = draw(st.integers(1, 8 if n < 3 else 5))
-        d1 = _deformation([_op(n, number) for _ in range(order)])
+        d1 = _deformation([_op(n, number, ring) for _ in range(order)])
     elif kind == "family":
         n, order = 2, draw(st.integers(2, 8))
-        d1 = family2d_construct(series(order), series(order))
+        d1 = family2d_construct(series(order), series(order), ring)
     else:
         n = draw(st.integers(2, 4))
         order = draw(st.integers(2, 8 if n < 4 else 4))
-        pres = euler_gelfand(n, QQ)
+        pres = euler_gelfand(n, ring)
         if draw(st.booleans()):
             d1 = deform_from_np(pres, order)
         else:
             d1 = commutator_deform(pres.op("circ"), order)
     if draw(st.booleans()):
-        w = EquivalenceWitness.identity(n, order, QQ)
+        w = EquivalenceWitness.identity(n, order, ring)
     else:
-        w = EquivalenceWitness(order, (LinearMap.identity(n, QQ),) + tuple(
-            LinearMap(QQ, tuple(tuple(number() for _ in range(n)) for _ in range(n)))
+        w = EquivalenceWitness(order, (LinearMap.identity(n, ring),) + tuple(
+            LinearMap(ring, tuple(tuple(number() for _ in range(n)) for _ in range(n)))
             for _ in range(order - 1)
         ))
     pair = draw(st.sampled_from(["same", "transport", "perturbed", "unrelated"]))
     if pair == "same":
         return d1, d1, w
     if pair == "unrelated":
-        return d1, _deformation([_op(n, number) for _ in range(order)]), w
+        return d1, _deformation([_op(n, number, ring) for _ in range(order)]), w
     d2 = transported(d1, w)
     if pair == "perturbed" and order > 1:
         idx = tuple(rnd.randrange(n) for _ in range(3))
@@ -294,18 +309,29 @@ def witness_cases(draw):
     return d1, d2, w
 
 
+def scalar_types(x):
+    """The type of a scalar with the types of the coefficients inside it."""
+    if isinstance(x, TruncSeries):
+        return TruncSeries, tuple(map(scalar_types, x.coeffs))
+    if isinstance(x, ParamPoly):
+        return ParamPoly, sorted((m, scalar_types(c)) for m, c in x.sparse.items())
+    return type(x)
+
+
 @given(witness_cases())
 @example(aligned_case(1, 2, F(10**30 - 1, 10**9 - 7)))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_packed_gate_matches_series_gate(case):
     d1, d2, w = case
     got, want = verify_witness(d1, d2, w), series_verify_witness(d1, d2, w)
     assert got == want
+    assert repr(got) == repr(want)
     if not want.passed:
         residual = got.counterexample.residual
         assert [type(s) for s in residual] == [TruncSeries] * d1.dim
-        types = [type(c) for s in residual for c in s.coeffs]
-        assert types == [type(c) for s in want.counterexample.residual for c in s.coeffs]
+        assert list(map(scalar_types, residual)) == list(
+            map(scalar_types, want.counterexample.residual)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +648,20 @@ def test_solver_gaussian_gelfand_self_pair():
     v = solve_equivalence(d, d)
     assert v.is_equivalent
     assert verify_witness(d, d, v.witness).passed
+
+
+def test_mixed_fields_answer_over_qi_in_either_order():
+    a_qi, b_qi = parse_series("h", QI, 3), parse_series("i*h^2", QI, 3)
+    a_q, b_q = S("h", 3), S("h^2", 3)
+    qi, q = family2d_construct(a_qi, b_qi), family2d_construct(a_q, b_q)
+    orders = (((qi, q), (a_qi, b_qi, a_q, b_q)), ((q, qi), (a_q, b_q, a_qi, b_qi)))
+    for (d1, d2), params in orders:
+        for v in (solve_equivalence(d1, d2), family2d_equiv(*params)):
+            assert v.is_equivalent
+            entries = [x for f in v.witness.f for row in f.m for x in row]
+            assert {type(x) for x in entries} == {GaussianRational}
+            assert verify_witness(d1, d2, v.witness).passed
+            assert series_verify_witness(d1, d2, v.witness).passed
 
 
 def test_solver_gaussian_perturbed_pair():

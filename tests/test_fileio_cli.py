@@ -365,6 +365,20 @@ def test_equiv_forced_methods(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["family", "solver"])
+def test_equiv_mixed_fields_answer_over_qi_in_either_order(capsys, tmp_path, method):
+    qi = family2d_construct(parse_series("h", QI, 3), parse_series("i*h^2", QI, 3))
+    q = family2d_construct(parse_series("h", QQ, 3), parse_series("h^2", QQ, 3))
+    qi_path = write(tmp_path, "qi.json", dumps(serialize_deformation(qi)))
+    q_path = write(tmp_path, "q.json", dumps(serialize_deformation(q)))
+    # f(e1) = e1 + c h e2, c = (b_1 - b_2)/2 at h^2, since h (a_h + h) = 2 h^2
+    for paths, c in (((qi_path, q_path), "-1/2+1/2i"), ((q_path, qi_path), "1/2-1/2i")):
+        code, out = run_cli(capsys, "equiv", *paths, "--method", method)
+        assert code == 0
+        assert out.startswith(f"verdict: EQUIVALENT\nmethod: {method}\n")
+        assert f"witness f[1]:\n  [0, 0]\n  [{c}, 0]\n" in out
+
+
 def test_equiv_json_agrees_with_text(capsys, tmp_path):
     f1 = write(
         tmp_path, "f1.json", dumps(serialize_deformation(family2d_construct(S("h"), S("0"))))

@@ -5,7 +5,10 @@ command once more through ``--method solver``, runs through ``cli.main`` in
 text and, where the subcommand has ``--format``, in JSON.  Three more cases
 pin routes the README does not show: a NOT-EQUIVALENT verdict, the file
 route of ``normalize`` on a deformation seen through a basis change, and
-``solve-compatible`` on a family with obstructions.
+``solve-compatible`` on a family with obstructions.  Five more run over
+Q(i): two ``family2d --field Qi`` files, the second with an ``i`` in b_h,
+``check`` of that file, and ``equiv`` of the two by the family route and
+by ``--method solver``.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -30,7 +33,8 @@ ROOT = Path(__file__).parent.parent
 
 # (case name, argv, stdin source): the stdin source names an earlier case
 # whose stdout is piped in, as in `tpalg gelfand --dim 4 | tpalg check -`.
-# fam.json, fam2.json and fam3.json are the stdout of the family2d cases.
+# fam.json, fam2.json, fam3.json, famqi.json and famqi2.json are the stdout
+# of the family2d cases.
 # The golden inputs: bracket.json is [e1, e2] = e2; sheared.json is the
 # family at (a, b) = (h, 3h), order 4, seen through f(e1) = (1+h) e1 and
 # f(e2) = e2 + 2h e1.
@@ -52,6 +56,15 @@ COMMANDS = [
     ("gelfand_3", ["gelfand", "--dim", "3"], None),
     ("gelfand_3_solve_compatible", ["solve-compatible", "-"], "gelfand_3"),
     ("operad_dims", ["operad-dims", "5"], None),
+    ("family2d_qi_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3", "--field", "Qi"], None),
+    (
+        "family2d_qi_h_ih2",
+        ["family2d", "--params", "a=h,b=i*h^2", "--order", "3", "--field", "Qi"],
+        None,
+    ),
+    ("check_qi_nov_leftsym", ["check", "famqi2.json", "--identity", "nov_leftsym"], None),
+    ("equiv_qi", ["equiv", "famqi.json", "famqi2.json"], None),
+    ("equiv_qi_solver", ["equiv", "famqi.json", "famqi2.json", "--method", "solver"], None),
 ]
 WITH_FORMAT = {
     "check_nov_leftsym",
@@ -66,11 +79,16 @@ WITH_FORMAT = {
     "catalog",
     "gelfand_check_s5",
     "operad_dims",
+    "check_qi_nov_leftsym",
+    "equiv_qi",
+    "equiv_qi_solver",
 }
 FILES = {
     "fam.json": "family2d_h_0",
     "fam2.json": "family2d_h_h2",
     "fam3.json": "family2d_2h_h",
+    "famqi.json": "family2d_qi_h_0",
+    "famqi2.json": "family2d_qi_h_ih2",
 }
 INPUTS = ("bracket.json", "sheared.json")
 

@@ -159,8 +159,18 @@ def test_gaussian_poly_without_constant_term_has_gaussian_zero():
 
 def test_gaussian_poly_parameters_hold_gaussian_coefficients():
     ring = PolynomialRing(QI, ("a", "b"))
-    for p in (ring.parse("a"), ring.var("a"), ring.parse("2a"), ring.parse("a*b")):
+    a = ring.var("a")
+    for p in (
+        ring.parse("a"),
+        a,
+        ring.parse("2a"),
+        ring.parse("a*b"),
+        a**0,
+        (a * ring.var("b")) ** 0,
+        (SeriesRing(ring, 2).h() ** 0).coeffs[0],
+    ):
         assert all(type(c) is GaussianRational for c in p.sparse.values()), p
+        assert p.sparse
     assert ring.parse("a") == ring.var("a") == PolynomialRing(QQ, ("a", "b")).var("a")
     assert all(type(c) is F for c in AB.parse("a").sparse.values())
 
@@ -610,6 +620,10 @@ def test_gaussian_series_hold_gaussian_coefficients():
         (h * h).shift_down(1),
         SeriesRing(QI, 1).h(),
         TruncSeries.h(1, QI.one()),
+        h**0,
+        (1 + h) ** 0,
+        ring.zero() ** 0,
+        SeriesRing(QI, 3).h() ** 0,
     ):
         assert all(isinstance(c, GaussianRational) for c in s.coeffs), repr(s.coeffs)
     assert TruncSeries(3, ()).coeffs == (F(0), F(0), F(0))
