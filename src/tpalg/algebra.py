@@ -41,8 +41,6 @@ from .errors import (
 from .linalg import is_identity_matrix, matmul, rank, solve_affine
 from .scalars import QQ, Packing, SeriesRing, TruncSeries, scaled_integers
 
-_set = object.__setattr__
-
 # ---------------------------------------------------------------------------
 # Vectors
 # ---------------------------------------------------------------------------
@@ -69,10 +67,6 @@ class BilinearOp(Record):
     """Bilinear operation as structure constants: e_i * e_j = sum_k c[i][j][k] e_k."""
 
     __slots__ = ("ring", "c")
-
-    def __init__(self, ring, c: tuple):
-        _set(self, "ring", ring)
-        _set(self, "c", c)
 
     @property
     def dim(self):
@@ -165,11 +159,7 @@ class BilinearOp(Record):
 class LinearMap(Record):
     """Linear endomorphism: column j holds the coordinates of the image of e_j."""
 
-    __slots__ = ("ring", "m")
-
-    def __init__(self, ring, m: tuple):
-        _set(self, "ring", ring)
-        _set(self, "m", m)  # m[i][j]
+    __slots__ = ("ring", "m")  # m[i][j]
 
     @property
     def dim(self):
@@ -209,16 +199,14 @@ class AlgebraPresentation(Record):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, dim: int, ring, basis_labels: tuple, ops: dict):
-        self.dim = dim
-        self.ring = ring
-        self.basis_labels = tuple(basis_labels)
-        self.ops = ops
-        if len(self.basis_labels) != dim:
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        self.basis_labels = tuple(self.basis_labels)
+        if len(self.basis_labels) != self.dim:
             raise ValueError("need one basis label per dimension")
-        for label, op in ops.items():
-            if op.dim != dim:
-                raise ValueError(f"op {label!r} has dim {op.dim}, expected {dim}")
+        for label, op in self.ops.items():
+            if op.dim != self.dim:
+                raise ValueError(f"op {label!r} has dim {op.dim}, expected {self.dim}")
 
     @property
     def field_tag(self):
@@ -241,23 +229,13 @@ def default_labels(dim):
 
 
 class Counterexample(Record):
-    __slots__ = ("indices", "residual", "clause")
-
-    def __init__(self, indices: tuple, residual: tuple, clause: str = ""):
-        _set(self, "indices", indices)  # 1-based basis indices
-        _set(self, "residual", residual)
-        _set(self, "clause", clause)
+    __slots__ = ("indices", "residual", "clause")  # indices are 1-based
+    _defaults = {"clause": ""}
 
 
 class IdentityReport(Record):
     __slots__ = ("identity_name", "passed", "counterexample")
-
-    def __init__(
-        self, identity_name: str, passed: bool, counterexample: Counterexample | None = None
-    ):
-        _set(self, "identity_name", identity_name)
-        _set(self, "passed", passed)
-        _set(self, "counterexample", counterexample)
+    _defaults = {"counterexample": None}
 
 
 # ---------------------------------------------------------------------------
@@ -307,31 +285,30 @@ class Clause(Record):
     stands for its alternating sum over the orderings of x0..x[k-1]."""
 
     __slots__ = ("name", "arity", "terms", "alternating")
+    _defaults = {"alternating": False}
 
-    def __init__(self, name: str, arity: int, terms: tuple, alternating: bool = False):
-        _set(self, "name", name)
-        _set(self, "arity", arity)
-        _set(self, "terms", terms)
-        _set(self, "alternating", alternating)
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        terms = self.terms
         for _, tree in terms:
             if isinstance(tree, int):
-                raise ValueError(f"clause {name!r}: a term is a bare variable")
+                raise ValueError(f"clause {self.name!r}: a term is a bare variable")
             if any(node[0] not in OPS for node in _nodes(tree)):
-                raise ValueError(f"clause {name!r}: unknown operation in {tree!r}")
-            if sorted(_leaves(tree)) != list(range(arity)):
-                raise ValueError(f"clause {name!r}: a term is not multilinear")
+                raise ValueError(f"clause {self.name!r}: unknown operation in {tree!r}")
+            if sorted(_leaves(tree)) != list(range(self.arity)):
+                raise ValueError(f"clause {self.name!r}: a term is not multilinear")
         if len({_degrees(tree) for _, tree in terms}) > 1:
             raise ValueError(
-                f"clause {name!r}: the terms differ in how often an operation occurs"
+                f"clause {self.name!r}: the terms differ in how often an operation occurs"
             )
-        if alternating and not (
-            arity > 1
+        if self.alternating and not (
+            self.arity > 1
             and len(terms) == 1
             and terms[0][0] == 1
-            and terms[0][1] == _chain(terms[0][1][0], tuple(range(arity)))
+            and terms[0][1] == _chain(terms[0][1][0], tuple(range(self.arity)))
         ):
             raise ValueError(
-                f"alternating clause {name!r} must be one right-nested chain "
+                f"alternating clause {self.name!r} must be one right-nested chain "
                 "of a single operation, with coefficient 1"
             )
 
@@ -723,14 +700,7 @@ def derivation_bracket(dot: BilinearOp, deriv: LinearMap) -> BilinearOp:
 
 
 class SubalgebraResult(Record):
-    __slots__ = ("closed", "failing", "induced")
-
-    def __init__(
-        self, closed: bool, failing: tuple | None, induced: AlgebraPresentation | None
-    ):
-        _set(self, "closed", closed)
-        _set(self, "failing", failing)  # (op label, a, b) with 1-based span indices
-        _set(self, "induced", induced)
+    __slots__ = ("closed", "failing", "induced")  # failing: (op label, a, b), 1-based
 
 
 def subalgebra_check(alg: AlgebraPresentation, span) -> SubalgebraResult:

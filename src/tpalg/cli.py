@@ -294,10 +294,11 @@ def _cmd_deform_commutator(args):
 
 
 def _cmd_equiv(args):
-    from .equiv import family2d_equiv, solve_equivalence
+    from .equiv import _refuse_parameters, family2d_equiv, solve_equivalence
 
     d1 = _load_deformation(args.file1)
     d2 = _load_deformation(args.file2)
+    _refuse_parameters(d1, d2)
     fam1 = family2d_parameters(d1)
     fam2 = family2d_parameters(d2)
     method = args.method

@@ -4,7 +4,8 @@ Novikov-Poisson structures built from them."""
 
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation, BilinearOp, default_labels, euler_gelfand
+from .algebra import AlgebraPresentation, default_labels, euler_gelfand
+from .deform import family_layer
 from .dim2 import catalog
 from .scalars import QQ
 
@@ -15,10 +16,9 @@ AB_POINTS = [(F(0), F(0)), (F(1), F(2)), (F(-1), F(1, 2)), (F(2), F(-3)), (F(1, 
 
 
 def circ_family(a, b, ring=QQ):
-    """e1 o e1 = a e1 + b e2, e1 o e2 = (a+1) e2, e2 o e1 = a e2."""
-    a, b = ring.coerce(a), ring.coerce(b)
-    entries = {(0, 0, 0): a, (0, 0, 1): b, (0, 1, 1): a + ring.one(), (1, 0, 1): a}
-    return BilinearOp.from_entries(2, ring, entries)
+    """e1 o e1 = a e1 + b e2, e1 o e2 = (a+1) e2, e2 o e1 = a e2: the h^1
+    layer of ``family2d_construct`` at (a h, b h)."""
+    return family_layer(ring.coerce(a), ring.coerce(b), ring, ring.one())
 
 
 def catalog_dots(ring=QQ):

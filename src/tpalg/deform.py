@@ -34,18 +34,15 @@ from .errors import (
 )
 from .scalars import QI, QQ, GaussianRational, SeriesRing, TruncSeries
 
-_set = object.__setattr__
-
 
 class TruncatedDeformation(Record):
     """A product on A[h]/(h^order) given by its layer ops."""
 
     __slots__ = ("base", "order", "mu")
 
-    def __init__(self, base: AlgebraPresentation, order: int, mu: tuple):
-        _set(self, "base", base)
-        _set(self, "order", order)
-        _set(self, "mu", mu)
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        base, order, mu = self.base, self.order, self.mu
         if order < 1:
             raise ValueError("order must be at least 1")
         if len(mu) != order:
@@ -134,13 +131,6 @@ class ClassicalLimit(Record):
 
     __slots__ = ("algebra", "tpa_report", "lie_report")
 
-    def __init__(
-        self, algebra: AlgebraPresentation, tpa_report: IdentityReport, lie_report: IdentityReport
-    ):
-        _set(self, "algebra", algebra)
-        _set(self, "tpa_report", tpa_report)
-        _set(self, "lie_report", lie_report)
-
     @property
     def passed(self):
         return self.tpa_report.passed and self.lie_report.passed
@@ -224,6 +214,14 @@ def _family_frame(series, field=None):
     return order, field, tuple(sring.coerce(s) for s in series)
 
 
+def family_layer(a, b, ring, shift) -> BilinearOp:
+    """The dim-2 product e1 e1 = a e1 + b e2, e1 e2 = (a + shift) e2,
+    e2 e1 = a e2, e2 e2 = 0 over ``ring``: the layer at h^k of the family
+    below has shift 1 for k = 1 and 0 otherwise."""
+    entries = {(0, 0, 0): a, (0, 0, 1): b, (0, 1, 1): a + shift, (1, 0, 1): a}
+    return BilinearOp.from_entries(2, ring, entries)
+
+
 def family2d_construct(a_h: TruncSeries, b_h: TruncSeries, field=None) -> TruncatedDeformation:
     """The two-parameter dim-2 deformation
 
@@ -231,16 +229,10 @@ def family2d_construct(a_h: TruncSeries, b_h: TruncSeries, field=None) -> Trunca
         e2 *_h e1 = a_h e2,            e2 *_h e2 = 0.
     """
     order, field, (a_h, b_h) = _family_frame((a_h, b_h), field)
-    layers = []
-    for k in range(order):
-        a_k, b_k = a_h.coeffs[k], b_h.coeffs[k]
-        entries = {
-            (0, 0, 0): a_k,
-            (0, 0, 1): b_k,
-            (0, 1, 1): a_k + (field.one() if k == 1 else field.zero()),
-            (1, 0, 1): a_k,
-        }
-        layers.append(BilinearOp.from_entries(2, field, entries))
+    layers = [
+        family_layer(a_k, b_k, field, field.one() if k == 1 else field.zero())
+        for k, (a_k, b_k) in enumerate(zip(a_h.coeffs, b_h.coeffs))
+    ]
     base = AlgebraPresentation(2, field, default_labels(2), {"dot": layers[0]})
     return TruncatedDeformation(base, order, tuple(layers))
 

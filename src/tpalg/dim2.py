@@ -26,6 +26,7 @@ from .deform import (
     _family_frame,
     check_novikov_deformation,
     family2d_construct,
+    family_layer,
 )
 from .errors import (
     NotAQuantization,
@@ -44,20 +45,15 @@ from .scalars import (
     series_invert,
 )
 
-_set = object.__setattr__
-
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
 
 
 class CatalogEntry(Record):
-    __slots__ = ("name", "lam", "algebra")
+    """name is "A00" | "A01" | "Alam"; lam is None except for "Alam"."""
 
-    def __init__(self, name: str, lam, algebra: AlgebraPresentation):
-        _set(self, "name", name)  # "A00" | "A01" | "Alam"
-        _set(self, "lam", lam)  # None except for "Alam"
-        _set(self, "algebra", algebra)
+    __slots__ = ("name", "lam", "algebra")
 
 
 def _with_bracket_e2(dot):
@@ -79,13 +75,12 @@ def catalog(lam=None, field=QQ):
         lam_value = field.coerce(lam)
         if lam_value == 0:
             raise ValueError("lam must be nonzero")
-    lam_dot = BilinearOp.from_entries(
-        2, ring, {(0, 0, 0): lam_value, (0, 1, 1): lam_value, (1, 0, 1): lam_value}
-    )
+    # the dots are h^0 layers of the family: (a, b) = (0, 0), (0, 1), (lam, 0)
+    zero, one = field.zero(), field.one()
     dots = (
-        ("A00", None, BilinearOp.zero(2, field)),
-        ("A01", None, BilinearOp.from_entries(2, field, {(0, 0, 1): field.one()})),
-        ("Alam", lam_value, lam_dot),
+        ("A00", None, family_layer(zero, zero, field, zero)),
+        ("A01", None, family_layer(zero, one, field, zero)),
+        ("Alam", lam_value, family_layer(lam_value, ring.zero(), ring, ring.zero())),
     )
     return [CatalogEntry(name, value, _with_bracket_e2(dot)) for name, value, dot in dots]
 
@@ -103,20 +98,6 @@ class NovikovCompatibleFamily(Record):
     is Novikov)."""
 
     __slots__ = ("feasible", "param_names", "op", "rightcomm_report", "obstructions")
-
-    def __init__(
-        self,
-        feasible: bool,
-        param_names: tuple,
-        op: BilinearOp | None,
-        rightcomm_report: IdentityReport | None,
-        obstructions: tuple,
-    ):
-        _set(self, "feasible", feasible)
-        _set(self, "param_names", param_names)
-        _set(self, "op", op)
-        _set(self, "rightcomm_report", rightcomm_report)
-        _set(self, "obstructions", obstructions)
 
     @property
     def all_novikov(self):
@@ -229,14 +210,6 @@ class NormalizedBasis(Record):
 
     __slots__ = ("basis", "a_h", "b_h", "witness")
 
-    def __init__(
-        self, basis: tuple, a_h: TruncSeries, b_h: TruncSeries, witness: EquivalenceWitness
-    ):
-        _set(self, "basis", basis)
-        _set(self, "a_h", a_h)
-        _set(self, "b_h", b_h)
-        _set(self, "witness", witness)
-
 
 def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
     """Rescale e1 and absorb an e1-component into e2 so that the deformed
@@ -312,22 +285,6 @@ class NormalForm(Record):
     """
 
     __slots__ = ("kind", "m", "leading", "canonical_a", "canonical_b", "witness")
-
-    def __init__(
-        self,
-        kind: str,
-        m: int | None,
-        leading,
-        canonical_a: TruncSeries,
-        canonical_b: TruncSeries,
-        witness: EquivalenceWitness,
-    ):
-        _set(self, "kind", kind)
-        _set(self, "m", m)
-        _set(self, "leading", leading)
-        _set(self, "canonical_a", canonical_a)
-        _set(self, "canonical_b", canonical_b)
-        _set(self, "witness", witness)
 
     def as_pair(self):
         return self.canonical_a, self.canonical_b

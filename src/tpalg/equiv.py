@@ -21,25 +21,23 @@ from fractions import Fraction
 
 from .algebra import BilinearOp, Counterexample, IdentityReport, LinearMap
 from .deform import _family_frame, family2d_construct
-from .errors import DimMismatch, OrderMismatch, Record
+from .errors import BadScalar, DimMismatch, OrderMismatch, Record
 from .linalg import general_solution, invert_series_matrix, solve_affine
 from .scalars import (
     QQ, Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation,
     scaled_integers, series_invert, substitute_params,
 )
 
-_set = object.__setattr__
-
 
 class EquivalenceWitness(Record):
     """f_h = sum_k f[k] h^k with f[0] = id."""
 
-    __slots__ = ("order", "f")
+    __slots__ = ("order", "f")  # f: LinearMaps, one per power of h
 
-    def __init__(self, order: int, f: tuple):
-        _set(self, "order", order)
-        _set(self, "f", f)  # LinearMaps, one per power of h
-        if len(f) != order:
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        f = self.f
+        if len(f) != self.order:
             raise ValueError("need one layer map per power of h")
         if not f[0].is_identity():
             raise ValueError("the constant layer of a witness must be the identity")
@@ -75,6 +73,17 @@ class EquivalenceWitness(Record):
         return EquivalenceWitness(
             self.order,
             tuple(LinearMap(ring, tuple(tuple(row) for row in m)) for m in inv_layers),
+        )
+
+
+def _refuse_parameters(d1, d2):
+    """Equivalence is decided over Q or Q(i): refuse deformations whose
+    structure constants carry parameters."""
+    names = [v for d in (d1, d2) if isinstance(d.ring, PolynomialRing) for v in d.ring.variables]
+    if names:
+        raise BadScalar(
+            "equivalence is decided over Q or Q(i), but the deformations carry "
+            f"parameters {', '.join(dict.fromkeys(names))}"
         )
 
 
@@ -150,19 +159,10 @@ def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
 
 
 class EquivVerdict(Record):
-    __slots__ = ("tag", "witness", "failure_order", "reason")
+    """``tag`` is "equivalent" | "not_equivalent" | "unknown"."""
 
-    def __init__(
-        self,
-        tag: str,
-        witness: EquivalenceWitness | None = None,
-        failure_order: int | None = None,
-        reason: str = "",
-    ):
-        _set(self, "tag", tag)  # "equivalent" | "not_equivalent" | "unknown"
-        _set(self, "witness", witness)
-        _set(self, "failure_order", failure_order)
-        _set(self, "reason", reason)
+    __slots__ = ("tag", "witness", "failure_order", "reason")
+    _defaults = {"witness": None, "failure_order": None, "reason": ""}
 
     @property
     def is_equivalent(self):
@@ -309,7 +309,9 @@ def _delta_matrix(dot: BilinearOp):
 
 
 def solve_equivalence(d1, d2) -> EquivVerdict:
-    """Search for an intertwining witness, one power of h at a time."""
+    """Search for an intertwining witness, one power of h at a time, over Q
+    or Q(i); deformations with parameters raise BadScalar."""
+    _refuse_parameters(d1, d2)
     field = _common_frame(d1, d2)
     n, order = d1.dim, d1.order
     if not d1.mu[0].entries_equal(d2.mu[0]):

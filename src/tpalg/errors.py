@@ -7,17 +7,43 @@ on the ``report`` attribute so callers can render the failing instance.
 
 from __future__ import annotations
 
+_set = object.__setattr__
+
 
 class Record:
     """Base of the library's record types, whose fields are the names in
-    ``__slots__``, in order: equality and hashing by the tuple of field
-    values, the repr ``Name(field=value, ...)``, and no assignment once
-    ``__init__`` has set the fields with ``object.__setattr__``.  A mutable
-    record sets ``__setattr__`` and ``__delattr__`` back to ``object``'s.
-    Defined here, not with ``dataclasses``, so that importing the library
-    generates no code at run time."""
+    ``__slots__``, in order.  The constructor binds positional arguments to
+    the fields in that order and keywords by name; a field given neither
+    way takes its value from the class's ``_defaults``.  Records compare
+    and hash by the tuple of field values, print as ``Name(field=value,
+    ...)``, and refuse assignment once constructed.  A mutable record sets
+    ``__setattr__`` and ``__delattr__`` back to ``object``'s; a record that
+    validates its fields checks them after ``Record.__init__`` has bound
+    them.  Defined here, not with ``dataclasses``, so that importing the
+    library generates no code at run time."""
 
     __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(names)} fields, {len(args)} given"
+            )
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args) :]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                _set(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__qualname__}() is missing field {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            problem = "repeated" if name in names else "unknown"
+            raise TypeError(f"{type(self).__qualname__}() got {problem} field {name!r}")
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -62,22 +62,6 @@ class LinearSolveResult(Record):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(
-        self,
-        feasible: bool,
-        particular: list | None,
-        nullspace: list | None,
-        free_cols: list | None,
-        pivot_cols: list,
-        residuals: list,
-    ):
-        self.feasible = feasible
-        self.particular = particular
-        self.nullspace = nullspace
-        self.free_cols = free_cols
-        self.pivot_cols = pivot_cols
-        self.residuals = residuals
-
 
 def solve_affine(matrix, rhs, one=Fraction(1)):
     """Gauss-Jordan solve of ``matrix . x = rhs``.

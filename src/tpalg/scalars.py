@@ -36,6 +36,8 @@ _set = object.__setattr__
 class GaussianRational(Record):
     __slots__ = ("re", "im")
 
+    # bound by hand, not by Record.__init__: every Q(i) product builds one,
+    # and the generic binder costs about three times as much per call
     def __init__(self, re: Fraction, im: Fraction):
         _set(self, "re", re)
         _set(self, "im", im)
@@ -209,7 +211,10 @@ class ParamPoly:
             if other.variables != self.variables:
                 raise ValueError("parameter polynomials over different variables")
             return other
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if isinstance(other, (int, Fraction)):
+            # to the coefficients' type, as ``constant_value`` reads it
+            return ParamPoly.constant(self.variables, self.constant_value() * 0 + other)
+        if isinstance(other, GaussianRational):
             return ParamPoly.constant(self.variables, other)
         return None
 
@@ -921,9 +926,7 @@ class _Ring(Record):
 
 class RationalField(_Ring):
     __slots__ = ("tag",)
-
-    def __init__(self, tag: str = "Q"):
-        _set(self, "tag", tag)
+    _defaults = {"tag": "Q"}
 
     def zero(self):
         return Fraction(0)
@@ -950,9 +953,7 @@ class RationalField(_Ring):
 
 class GaussianField(_Ring):
     __slots__ = ("tag",)
-
-    def __init__(self, tag: str = "Qi"):
-        _set(self, "tag", tag)
+    _defaults = {"tag": "Qi"}
 
     def zero(self):
         return GaussianRational.of(0)
@@ -978,9 +979,9 @@ class GaussianField(_Ring):
 class PolynomialRing(_Ring):
     __slots__ = ("base", "variables")
 
-    def __init__(self, base, variables: tuple):
-        _set(self, "base", base)
-        _set(self, "variables", variables)
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        variables = self.variables
         bad = set(variables) & _RESERVED_NAMES
         if bad:
             raise BadScalar(f"parameter names {sorted(bad)} are reserved")
@@ -1032,10 +1033,9 @@ class PolynomialRing(_Ring):
 class SeriesRing(_Ring):
     __slots__ = ("base", "order")
 
-    def __init__(self, base, order: int):
-        _set(self, "base", base)
-        _set(self, "order", order)
-        if order < 1:
+    def __init__(self, *fields, **named):
+        super().__init__(*fields, **named)
+        if self.order < 1:
             raise ValueError("truncation order must be at least 1")
 
     @property

@@ -41,7 +41,7 @@ from tpalg.equiv import (
     unknown,
     verify_witness,
 )
-from tpalg.errors import DimMismatch, OrderMismatch
+from tpalg.errors import BadScalar, DimMismatch, OrderMismatch
 from tpalg.linalg import matvec, solve_affine
 from tpalg.scalars import (
     GAUSS_I,
@@ -564,6 +564,13 @@ def test_solver_frame_checks():
         solve_equivalence(d1, family2d_construct(S("h", 3), S("0", 3)))
     with pytest.raises(DimMismatch):
         solve_equivalence(d1, commutator_deform(euler_gelfand(3, QQ).op("circ"), 4))
+    # equivalence is decided over a field: parameters are refused up front,
+    # on either side, before the orders are compared
+    para = _deformation([_op(2, POLY.zero, POLY), _op(2, lambda: POLY.var("a"), POLY)])
+    message = r"^equivalence is decided over Q or Q\(i\), but the deformations carry parameters a, b$"
+    for pair in ((para, d1), (d1, para), (para, para)):
+        with pytest.raises(BadScalar, match=message):
+            solve_equivalence(*pair)
 
 
 def test_verdict_tag_properties():

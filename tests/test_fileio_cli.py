@@ -379,6 +379,31 @@ def test_equiv_mixed_fields_answer_over_qi_in_either_order(capsys, tmp_path, met
         assert f"witness f[1]:\n  [0, 0]\n  [{c}, 0]\n" in out
 
 
+PARAMETRIC_FAMILY = json.dumps(
+    {
+        "dim": 2,
+        "field": "Q",
+        "params": ["a"],
+        "order": 2,
+        "ops": {"dot": []},
+        "mu": [[], [[1, 1, 1, "a"], [1, 2, 2, "a+1"], [2, 1, 2, "a"]]],
+    }
+)
+
+
+@pytest.mark.parametrize("method", ["auto", "family", "solver"])
+def test_equiv_refuses_parameters_on_one_line(capsys, tmp_path, method):
+    path = write(tmp_path, "p.json", PARAMETRIC_FAMILY)
+    code = main(["equiv", path, path, "--method", method])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "tpalg: error: equivalence is decided over Q or Q(i), "
+        "but the deformations carry parameters a\n"
+    )
+
+
 def test_equiv_json_agrees_with_text(capsys, tmp_path):
     f1 = write(
         tmp_path, "f1.json", dumps(serialize_deformation(family2d_construct(S("h"), S("0"))))

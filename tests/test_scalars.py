@@ -167,6 +167,9 @@ def test_gaussian_poly_parameters_hold_gaussian_coefficients():
         ring.parse("a*b"),
         a**0,
         (a * ring.var("b")) ** 0,
+        a + 1,
+        1 - a,
+        a * ring.var("b") + F(1, 2),
         (SeriesRing(ring, 2).h() ** 0).coeffs[0],
     ):
         assert all(type(c) is GaussianRational for c in p.sparse.values()), p

@@ -1,7 +1,9 @@
 """The names other code depends on: every ``tpalg.__all__`` entry, and every
 function the benchmark's layer trace wraps, must resolve.  The package loads
-them on first use, and a cold ``tpalg`` command imports only what it runs."""
+them on first use, and a cold ``tpalg`` command imports only what it runs.
+No module keeps an import or a private alias it does not use."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -51,6 +53,37 @@ def test_trace_round_trip_leaves_no_wrapper_in_package():
     assert tpalg.check_identity is original
     assert not [k for k, v in vars(tpalg).items() if getattr(v, "_perfbench_layer", None)]
     assert not tracer.leftover_wrappers()
+
+
+def _module_level_names(tree):
+    """The names a module binds at top level by an import, and by an
+    assignment of another name to a private one (``_set = object.__setattr__``)."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.Name, ast.Attribute))
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.startswith("_")
+        ):
+            yield node.targets[0].id
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "tpalg").glob("*.py")), ids=lambda p: p.name)
+def test_module_level_imports_and_aliases_are_used(path):
+    tree = ast.parse(path.read_text())
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    dead = [name for name in _module_level_names(tree) if name not in used]
+    assert not dead
 
 
 def _modules_loaded_by(argv):
