@@ -38,7 +38,7 @@ from .errors import (
     Record,
     UnknownIdentity,
 )
-from .linalg import is_identity_matrix, matmul, rank, solve_affine
+from .linalg import factor, is_identity_matrix, matmul, solve_affine
 from .scalars import QQ, Packing, SeriesRing, TruncSeries, scaled_integers
 
 # ---------------------------------------------------------------------------
@@ -713,8 +713,9 @@ def subalgebra_check(alg: AlgebraPresentation, span) -> SubalgebraResult:
     r = len(span)
     if r == 0:
         raise DependentSpan("empty span")
-    coord_matrix = [[span[t][i] for t in range(r)] for i in range(alg.dim)]
-    if rank(coord_matrix, alg.ring.one()) < r:
+    one = alg.ring.one()
+    coords = factor([{t: v[i] for t, v in enumerate(span)} for i in range(alg.dim)], one, r)
+    if len(coords.pivot_cols) < r:
         raise DependentSpan("span vectors are linearly dependent")
 
     induced_entries = {}
@@ -723,7 +724,7 @@ def subalgebra_check(alg: AlgebraPresentation, span) -> SubalgebraResult:
         for a in range(r):
             for b in range(r):
                 w = op.apply(span[a], span[b])
-                sol = solve_affine(coord_matrix, w, alg.ring.one())
+                sol = solve_affine(coords, w, one)
                 if not sol.feasible:
                     return SubalgebraResult(False, (label, a + 1, b + 1), None)
                 for t in range(r):

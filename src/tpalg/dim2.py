@@ -122,32 +122,38 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
     def idx(i, j, k):
         return (i * n + j) * n + k
 
-    rows, rhs = [], []
     br = bracket.c
+    # the nonzeros of each bracket fibre, read once: [e_i, e_j] = sum_m x e_m
+    # in out_of[i][j], and the (m, x) of [e_m, e_j]_l in left[j][l] and of
+    # [e_i, e_m]_l in right[i][l]
+    out_of = [[[(m, x) for m, x in enumerate(br[i][j]) if x] for j in range(n)] for i in range(n)]
+    left = [[[(m, br[m][j][l]) for m in range(n) if br[m][j][l]] for l in range(n)] for j in range(n)]
+    right = [[[(m, br[i][m][l]) for m in range(n) if br[i][m][l]] for l in range(n)] for i in range(n)]
+
+    rows, rhs = [], []
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(n):
-                row = [zero] * nun
-                row[idx(i, j, l)] = row[idx(i, j, l)] + one
-                row[idx(j, i, l)] = row[idx(j, i, l)] - one
-                rows.append(row)
+                rows.append({idx(i, j, l): one, idx(j, i, l): -one})
                 rhs.append(br[i][j][l])
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
-                    row = [zero] * nun
-                    for m in range(n):
-                        if br[i][j][m] != 0:
-                            row[idx(m, k, l)] = row[idx(m, k, l)] + 2 * br[i][j][m]
-                        if br[m][j][l] != 0:
-                            row[idx(i, k, m)] = row[idx(i, k, m)] - br[m][j][l]
-                        if br[i][m][l] != 0:
-                            row[idx(j, k, m)] = row[idx(j, k, m)] - br[i][m][l]
+                    row = {}
+                    for m, x in out_of[i][j]:
+                        c = idx(m, k, l)
+                        row[c] = row.get(c, zero) + 2 * x
+                    for m, x in left[j][l]:
+                        c = idx(i, k, m)
+                        row[c] = row.get(c, zero) - x
+                    for m, x in right[i][l]:
+                        c = idx(j, k, m)
+                        row[c] = row.get(c, zero) - x
                     rows.append(row)
                     rhs.append(zero)
 
-    sol = solve_affine(rows, rhs, one)
+    sol = solve_affine(rows, rhs, one, nun)
     if not sol.feasible:
         return NovikovCompatibleFamily(False, (), None, None, ())
 

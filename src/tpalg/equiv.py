@@ -22,7 +22,7 @@ from fractions import Fraction
 from .algebra import BilinearOp, Counterexample, IdentityReport, LinearMap
 from .deform import _family_frame, family2d_construct
 from .errors import BadScalar, DimMismatch, OrderMismatch, Record
-from .linalg import general_solution, invert_series_matrix, solve_affine
+from .linalg import factor, general_solution, invert_series_matrix, solve_affine
 from .scalars import (
     QQ, Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation,
     scaled_integers, series_invert, substitute_params,
@@ -286,8 +286,9 @@ class _ParamConstraints:
 
 
 def _delta_matrix(dot: BilinearOp):
-    """Rows of the linearized intertwining operator in the n^2 unknowns
-    m[i][j] (flattened i*n+j), one row per (pair p,q; coordinate l)."""
+    """The linearized intertwining operator in the n^2 unknowns m[i][j]
+    (flattened i*n+j), one row per (pair p,q; coordinate l), factored once
+    for the solves at every order."""
     n = dot.dim
     zero = dot.ring.zero()
     rows = []
@@ -295,17 +296,15 @@ def _delta_matrix(dot: BilinearOp):
         for q in range(n):
             v = dot.col(p, q)
             for l in range(n):
-                row = [zero] * (n * n)
-                for j in range(n):
-                    if v[j] != 0:
-                        row[l * n + j] = row[l * n + j] + v[j]
+                row = {l * n + j: x for j, x in enumerate(v) if x}
                 for i in range(n):
-                    if dot.c[i][q][l] != 0:
-                        row[i * n + p] = row[i * n + p] - dot.c[i][q][l]
-                    if dot.c[p][i][l] != 0:
-                        row[i * n + q] = row[i * n + q] - dot.c[p][i][l]
+                    x, y = dot.c[i][q][l], dot.c[p][i][l]
+                    if x:
+                        row[i * n + p] = row.get(i * n + p, zero) - x
+                    if y:
+                        row[i * n + q] = row.get(i * n + q, zero) - y
                 rows.append(row)
-    return rows
+    return factor(rows, dot.ring.one(), n * n)
 
 
 def solve_equivalence(d1, d2) -> EquivVerdict:

@@ -5,12 +5,15 @@ the operad dimension table."""
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_dots, circ_family, normal_form_grid, np_pair
+from test_linalg import dense_solve_affine
+from tpalg import dim2
 from tpalg.algebra import (
     AlgebraPresentation,
     BilinearOp,
@@ -18,6 +21,9 @@ from tpalg.algebra import (
     check_identity,
     commutator,
     default_labels,
+    euler_gelfand,
+    gelfand_construct,
+    truncated_poly_dot,
 )
 from tpalg.deform import TruncatedDeformation, deformation_from_series, family2d_construct
 from tpalg.dim2 import (
@@ -167,6 +173,95 @@ def test_compatible_family_commutator_is_bracket():
     ring = fam.op.ring
     assert comm.entry(0, 1, 1) == ring.one()
     assert comm.entry(0, 0, 0) == ring.zero()
+
+
+# The compatibility system as it was built before its rows were sparse: one
+# dense row of n^3 entries per equation, every bracket entry tested in an
+# n^5 loop.  Solved by the dense Gauss-Jordan reference, it is the oracle
+# for the sparse rows solve_novikov_compatible builds.
+
+
+def dense_compatibility_system(bracket):
+    field = bracket.ring
+    n = bracket.dim
+    nun = n * n * n
+    zero, one = field.zero(), field.one()
+
+    def idx(i, j, k):
+        return (i * n + j) * n + k
+
+    rows, rhs = [], []
+    br = bracket.c
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(n):
+                row = [zero] * nun
+                row[idx(i, j, l)] = row[idx(i, j, l)] + one
+                row[idx(j, i, l)] = row[idx(j, i, l)] - one
+                rows.append(row)
+                rhs.append(br[i][j][l])
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    row = [zero] * nun
+                    for m in range(n):
+                        if br[i][j][m] != 0:
+                            row[idx(m, k, l)] = row[idx(m, k, l)] + 2 * br[i][j][m]
+                        if br[m][j][l] != 0:
+                            row[idx(i, k, m)] = row[idx(i, k, m)] - br[m][j][l]
+                        if br[i][m][l] != 0:
+                            row[idx(j, k, m)] = row[idx(j, k, m)] - br[i][m][l]
+                    rows.append(row)
+                    rhs.append(zero)
+    return rows, rhs
+
+
+def _assert_matches_dense_system(bracket):
+    """The family solve_novikov_compatible returns is repr-identical to the
+    one it returns when its solve is the dense rows by the dense reference."""
+    got = solve_novikov_compatible(bracket)
+    rows, rhs = dense_compatibility_system(bracket)
+    dense = dense_solve_affine(rows, rhs, bracket.ring.one())
+    with mock.patch.object(dim2, "solve_affine", lambda *args: dense):
+        want = solve_novikov_compatible(bracket)
+    assert repr(got) == repr(want)
+
+
+def _novikov_bracket(ring, coeffs):
+    """The commutator of x o y = x . D(y) on K[t]/(t^n), n = len(coeffs) + 1,
+    for the derivation D(t) = sum_m coeffs[m-1] t^m."""
+    n = len(coeffs) + 1
+    rows = [[ring.zero()] * n for _ in range(n)]
+    for k in range(1, n):
+        for m, c in enumerate(coeffs, start=1):
+            if k - 1 + m < n:
+                rows[k - 1 + m][k] = rows[k - 1 + m][k] + ring.coerce(k) * c
+    deriv = LinearMap(ring, tuple(tuple(row) for row in rows))
+    return commutator(gelfand_construct(truncated_poly_dot(n, ring), deriv))
+
+
+SL2 = {(0, 1, 2): F(1), (1, 0, 2): F(-1), (2, 0, 0): F(2), (0, 2, 0): F(-2), (2, 1, 1): F(-2), (1, 2, 1): F(2)}
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [euler_gelfand(n).op("bracket") for n in range(2, 6)]
+    + [BilinearOp.from_entries(3, QQ, SL2), BilinearOp.from_entries(2, QQ, {(0, 1, 1): F(1), (1, 0, 1): F(-1)})],
+    ids=["euler2", "euler3", "euler4", "euler5", "sl2", "e2"],
+)
+def test_compatible_family_matches_dense_system(bracket):
+    _assert_matches_dense_system(bracket)
+
+
+@given(st.sampled_from((QQ, QI)), st.data())
+@settings(max_examples=25, deadline=None)
+def test_random_novikov_family_matches_dense_system(ring, data):
+    n = data.draw(st.integers(2, 4 if ring is QQ else 3))
+    small = st.sampled_from((0, 1, -1, 2, F(1, 2), F(-3, 2)))
+    scalar = st.builds(GaussianRational.of, small, small) if ring is QI else small.map(F)
+    coeffs = data.draw(st.lists(scalar, min_size=n - 1, max_size=n - 1))
+    _assert_matches_dense_system(_novikov_bracket(ring, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +435,6 @@ def test_normalize_basis_refuses_top_order_shear():
 
 
 def test_normalize_basis_needs_dim2_and_order2():
-    from tpalg.algebra import euler_gelfand
     from tpalg.deform import commutator_deform
 
     with pytest.raises(PreconditionViolated):

@@ -4,18 +4,22 @@ multiplication."""
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpalg.linalg import (
+    FactoredMatrix,
     LinearSolveResult,
+    factor,
     invert_series_matrix,
     matmul,
     matvec,
+    rank,
     solve_affine,
 )
-from tpalg.scalars import GaussianRational, ParamPoly
+from tpalg.scalars import GAUSS_I, GaussianRational, ParamPoly
 
 F = Fraction
 
@@ -201,23 +205,27 @@ def _params(coeffs):
 
 
 @st.composite
-def sparse_systems(draw):
-    """A system of up to 12 x 10 with about 20 % nonzero entries over Q or
-    Q(i), a right-hand side over Q, Q(i) or parameter polynomials, either
-    consistent by construction or drawn at random."""
-    one = draw(st.sampled_from((F(1), GaussianRational.of(1))))
-    entry = _sparse(NONZERO_Q if isinstance(one, F) else NONZERO_QI, one * 0)
+def right_hand_sides(draw, matrix, one):
+    """A right-hand side for ``matrix`` over Q, Q(i) or parameter
+    polynomials, either consistent by construction or drawn at random."""
     rationals, gaussians = st.sampled_from(SMALL), st.sampled_from(NONZERO_QI)
     rhs_entries = draw(st.sampled_from((rationals, gaussians, _params(st.sampled_from(NONZERO_Q)))))
+    if draw(st.booleans()):
+        x = draw(st.lists(rhs_entries, min_size=len(matrix[0]), max_size=len(matrix[0])))
+        return [sum((a * v for a, v in zip(r, x)), one * 0) for r in matrix]
+    return draw(st.lists(rhs_entries, min_size=len(matrix), max_size=len(matrix)))
+
+
+@st.composite
+def sparse_systems(draw):
+    """A system of up to 12 x 10 with about 20 % nonzero entries over Q or
+    Q(i), and one of its ``right_hand_sides``."""
+    one = draw(st.sampled_from((F(1), GaussianRational.of(1))))
+    entry = _sparse(NONZERO_Q if isinstance(one, F) else NONZERO_QI, one * 0)
     nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 10))
     row = st.lists(entry, min_size=ncols, max_size=ncols)
     matrix = draw(st.lists(row, min_size=nrows, max_size=nrows))
-    if draw(st.booleans()):
-        x = draw(st.lists(rhs_entries, min_size=ncols, max_size=ncols))
-        rhs = [sum((a * v for a, v in zip(r, x)), one * 0) for r in matrix]
-    else:
-        rhs = draw(st.lists(rhs_entries, min_size=nrows, max_size=nrows))
-    return matrix, rhs, one
+    return matrix, draw(right_hand_sides(matrix, one)), one
 
 
 @given(sparse_systems())
@@ -233,3 +241,98 @@ def test_sparse_solve_matches_dense_reference(system):
         return [[type(x) for x in vec] for vec in vectors]
 
     assert types(got) == types(want)
+
+
+# ---------------------------------------------------------------------------
+# One elimination, many right-hand sides
+# ---------------------------------------------------------------------------
+
+
+def _dict_rows(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def _assert_same(got, want):
+    """Equal results whose vectors hold the same element types."""
+    assert got == want
+
+    def types(result):
+        vectors = [result.particular or [], result.residuals] + (result.nullspace or [])
+        return [[type(x) for x in vec] for vec in vectors]
+
+    assert types(got) == types(want)
+
+
+@given(sparse_systems(), st.data())
+@settings(max_examples=150)
+def test_factored_solves_match_dense_reference(system, data):
+    """One factorization of dict rows answers 1-4 right-hand sides of mixed
+    kinds, each as the dense reference answers it alone."""
+    matrix, rhs, one = system
+    factored = factor(_dict_rows(matrix), one, len(matrix[0]))
+    more = data.draw(st.lists(right_hand_sides(matrix, one), max_size=3))
+    for b in [rhs] + more:
+        _assert_same(solve_affine(factored, b), dense_solve_affine(matrix, b, one))
+
+
+BIG = st.builds(F, st.integers(-(10**30), 10**30), st.integers(1, 10**9))
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_large_rationals_match_dense_reference(data):
+    """Numerators up to 10^30 and denominators up to 10^9: the integer rows
+    and their scales give the Fraction elimination's values."""
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(F(0)), BIG)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    matrix = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    factored = factor(matrix)
+    for _ in range(2):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(BIG, min_size=ncols, max_size=ncols))
+            b = [sum((a * v for a, v in zip(r, x)), F(0)) for r in matrix]
+        else:
+            b = data.draw(st.lists(BIG, min_size=nrows, max_size=nrows))
+        _assert_same(solve_affine(factored, b), dense_solve_affine(matrix, b))
+
+
+def test_dict_rows_match_dense_rows():
+    dense = [[F(0), F(2), F(-1, 3)], [F(1), F(0), F(0)], [F(1), F(4), F(-2, 3)]]
+    for rhs in ([F(1), F(2), F(4)], [F(1), F(2), F(5)]):
+        got = solve_affine(_dict_rows(dense), rhs, F(1), 3)
+        _assert_same(got, solve_affine(dense, rhs))
+        _assert_same(got, dense_solve_affine(dense, rhs))
+    with pytest.raises(ValueError, match="ncols"):
+        solve_affine(_dict_rows(dense), [F(0)] * 3)
+
+
+def test_trailing_zero_columns_come_from_ncols():
+    # x0 + 2 x1 = 3 in four unknowns: x2 and x3 appear in no row
+    sol = solve_affine([{0: F(1), 1: F(2)}], [F(3)], F(1), 4)
+    _assert_same(sol, dense_solve_affine([[F(1), F(2), F(0), F(0)]], [F(3)]))
+    assert sol.free_cols == [1, 2, 3]
+    assert sol.particular == [F(3), F(0), F(0), F(0)]
+    one = GaussianRational.of(1)
+    gauss = solve_affine([{}, {1: GAUSS_I}], [one * 0, one], one, 3)
+    zero = one * 0
+    _assert_same(gauss, dense_solve_affine([[zero] * 3, [zero, GAUSS_I, zero]], [zero, one], one))
+
+
+def test_factored_matrix_is_its_rows():
+    rows = [{0: F(1)}, {0: F(2), 2: F(1)}]
+    factored = factor(rows, F(1), 3)
+    assert isinstance(factored, FactoredMatrix)
+    assert list(factored) == rows and len(factored) == 2
+    assert factored.pivot_cols == [0, 2]
+    with pytest.raises(ValueError, match="row count"):
+        solve_affine(factored, [F(1)])
+
+
+@given(st.integers(1, 7), st.integers(1, 7), st.data())
+@settings(max_examples=60)
+def test_rank_of_sparse_integer_rows_matches_sympy(nrows, ncols, data):
+    entry = st.sampled_from([0] * 6 + [-3, -2, -1, 1, 2, 5, 10**12])
+    dense = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    assert rank(_dict_rows(dense), ncols=ncols) == sympy.Matrix(dense).rank()
+    assert rank(dense) == sympy.Matrix(dense).rank()
