@@ -9,8 +9,13 @@ Three tools:
 * verify_witness     -- check a candidate f_h on all basis pairs, in one
                         loop: on packed integers over Q, on series gathered
                         from the layers otherwise
-* solve_equivalence  -- order-by-order linear solver (sound semidecision:
-                        NotEquivalent only on parameter-free obstructions)
+* solve_equivalence  -- order-by-order linear solver in two passes over one
+                        loop: over the field with every free coordinate at
+                        0, which can only find a witness, then, where that
+                        pass meets an infeasible order, over polynomial
+                        parameters (a sound semidecision: NotEquivalent only
+                        on parameter-free obstructions, Unknown on quadratic
+                        ones)
 * family2d_equiv     -- the closed-form criterion for the two-parameter
                         dim-2 family, which is a complete decision there
 """
@@ -18,11 +23,13 @@ Three tools:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import starmap
+from operator import mul
 
 from .algebra import BilinearOp, Counterexample, IdentityReport, LinearMap
 from .deform import _family_frame, family2d_construct
 from .errors import BadScalar, DimMismatch, OrderMismatch, Record
-from .linalg import factor, general_solution, invert_series_matrix, solve_affine
+from .linalg import factor, general_solution, solve_affine
 from .scalars import (
     QQ, Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation,
     scaled_integers, series_invert, substitute_params,
@@ -54,26 +61,6 @@ class EquivalenceWitness(Record):
         ident = LinearMap.identity(dim, ring)
         zero = LinearMap(ring, tuple(tuple(ring.zero() for _ in range(dim)) for _ in range(dim)))
         return cls(order, (ident,) + (zero,) * (order - 1))
-
-    def series_matrix(self):
-        n = self.dim
-        return [
-            [
-                TruncSeries(self.order, tuple(self.f[k].m[i][j] for k in range(self.order)))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    def inverse(self) -> "EquivalenceWitness":
-        """The truncated inverse map, which exists because f[0] = id."""
-        layers = [[list(row) for row in fk.m] for fk in self.f]
-        inv_layers = invert_series_matrix(layers)
-        ring = self.f[0].ring
-        return EquivalenceWitness(
-            self.order,
-            tuple(LinearMap(ring, tuple(tuple(row) for row in m)) for m in inv_layers),
-        )
 
 
 def _refuse_parameters(d1, d2):
@@ -215,23 +202,43 @@ def _verified(d1, d2, witness, what):
 #     R_k(x,y) = sum_{a<k} f_a(mu1_{k-a}(x,y))
 #                - sum_{a,b<k, a+b<=k} mu2_{k-a-b}(f_a(x), f_b(y))
 #
-# The solver reads R_k straight from the layer ops of both deformations and
-# the committed layers f_0 = id, f_1, ..., f_{k-1}, skipping zero factors; no
-# series is formed.  So each order is an affine-linear solve against the
-# same coefficient matrix.  Free coordinates of earlier layers are carried
-# as fresh polynomial parameters rather than being fixed eagerly: a later
-# order may constrain them.  Stranded residuals (zero rows of the reduced
-# system with nonzero right-hand side) are then classified:
+# ``_residual_terms`` reads R_k straight from the layer ops of both
+# deformations and the committed layers f_0 = id, f_1, ..., f_{k-1}, skipping
+# zero factors; no series is formed.  So each order is an affine-linear solve
+# against the same coefficient matrix, factored once.  ``_solve`` runs the
+# order-by-order loop in one of two passes, on the same R_k code:
 #
-#   * parameter-free nonzero      -> genuine obstruction, NotEquivalent(k)
-#   * affine-linear in parameters -> absorbed as a constraint binding the
-#                                    earlier free coordinates, solve goes on
-#   * nonlinear in parameters     -> Unknown (deciding it would need
-#                                    quadratic-system reasoning)
+#   field pass     -- the layers hold field scalars.  Each order commits its
+#                     particular solution, every free coordinate at 0, and
+#                     the first infeasible order ends the pass undecided.
+#   symbolic pass  -- free coordinates of earlier layers are carried as fresh
+#                     polynomial parameters rather than being fixed eagerly:
+#                     a later order may constrain them.  Stranded residuals
+#                     (zero rows of the reduced system with nonzero
+#                     right-hand side) are then classified:
 #
-# A returned witness substitutes the accumulated constraint solution with
-# every remaining free coordinate at zero.  verify_witness then re-checks it
-# through every order, with code that shares nothing with R_k above.
+#       * parameter-free nonzero      -> genuine obstruction, NotEquivalent(k)
+#       * affine-linear in parameters -> absorbed as a constraint binding the
+#                                        earlier free coordinates, solve goes on
+#       * nonlinear in parameters     -> Unknown (deciding it would need
+#                                        quadratic-system reasoning)
+#
+#     Its witness substitutes the accumulated constraint solution with every
+#     remaining free coordinate at zero.
+#
+# solve_equivalence runs the field pass, and the symbolic pass from the start
+# only where the field pass is undecided.  So Equivalent comes from either
+# pass, NotEquivalent and Unknown only from the symbolic one.  Where both
+# would find a witness, it is the same: setting every parameter to 0 is a
+# ring map, so at 0 the symbolic pass's right-hand sides, solutions and
+# stranded residuals are the field pass's, as long as every solved parameter
+# is 0 there too.  When the field pass is feasible at every order, each
+# stranded residual vanishes at 0, so each absorbed constraint has a zero
+# constant term and solves its pivot to an expression that is 0 at 0; by
+# induction the final assignment is all zeros and the symbolic layers are
+# the field pass's particular solutions.  A contradiction (a nonzero
+# constant residual) cannot arise there either.  verify_witness re-checks
+# every witness through every order, with code that shares nothing with R_k.
 
 
 class _ParamConstraints:
@@ -307,63 +314,80 @@ def _delta_matrix(dot: BilinearOp):
     return factor(rows, dot.ring.one(), n * n)
 
 
-def solve_equivalence(d1, d2) -> EquivVerdict:
-    """Search for an intertwining witness, one power of h at a time, over Q
-    or Q(i); deformations with parameters raise BadScalar."""
-    _refuse_parameters(d1, d2)
-    field = _common_frame(d1, d2)
+def _residual_terms(k, m1, m2, cols, one):
+    """sum_{a<k} f_a(m1_{k-a}(e_p, e_q)) + sum_{a,b<k, a+b<=k}
+    m2_{k-a-b}(f_a e_p, f_b e_q), at each coordinate l, as a list of (x, c)
+    pairs meaning sum x * c, one list per (p, q, l) in the order
+    (p n + q) n + l.  ``m1``, ``m2`` hold layer ops' entries [i][j][l] and
+    ``cols[a][j]`` the nonzero entries (i, (f_a)_ij) of column j of f_a,
+    a < k, whose identity entries are ``one``.  With m1 = -mu1 and
+    m2 = mu2 the sums are -R_k."""
+    n = len(cols[0])
+    out = []
+    for p in range(n):
+        for q in range(n):
+            acc = [[] for _ in range(n)]
+            for a in range(k):
+                v = m1[k - a][p][q]
+                for j in range(n):
+                    if v[j]:
+                        for l, x in cols[a][j]:
+                            acc[l].append((x, v[j]))
+            for a in range(k):
+                for b in range(min(k - 1, k - a) + 1):
+                    op = m2[k - a - b]
+                    for i, x in cols[a][p]:
+                        for j, y in cols[b][q]:
+                            w = op[i][j]
+                            if not any(w):
+                                continue
+                            xy = y if x is one else x if y is one else x * y
+                            for l in range(n):
+                                if w[l]:
+                                    acc[l].append((xy, w[l]))
+            out += acc
+    return out
+
+
+def _poly_sum(names, terms):
+    """sum x * c over (x, c) pairs, x a ParamPoly over ``names`` and c a
+    field scalar, collected term by term."""
+    acc = {}
+    for x, c in terms:
+        for mono, coeff in x.sparse.items():
+            acc[mono] = acc.get(mono, 0) + coeff * c
+    return ParamPoly.from_sparse(names, acc)
+
+
+def _solve(d1, d2, field, amat, symbolic):
+    """The order-by-order loop against ``amat``, the factored
+    ``_delta_matrix``: the field pass (``symbolic`` false) returns None at
+    the first infeasible order, the symbolic pass a verdict."""
     n, order = d1.dim, d1.order
-    if not d1.mu[0].entries_equal(d2.mu[0]):
-        return not_equivalent(0, "base products differ at h^0")
+    m1 = [[[[-x if x else x for x in v] for v in row] for row in op.c] for op in d1.mu]
+    m2 = [op.c for op in d2.mu]
+    if symbolic:
+        names = tuple(f"s{k}_{t}" for k in range(1, order) for t in range(n * n))
+        ring = PolynomialRing(field, names)
+        constraints = _ParamConstraints(ring, field)
+    else:
+        ring = field
+    zero, one = ring.zero(), ring.one()
 
-    names = tuple(f"s{k}_{t}" for k in range(1, order) for t in range(n * n))
-    pring = PolynomialRing(field, names)
-    amat = _delta_matrix(d1.mu[0])
-    mu1 = [op.c for op in d1.mu]
-    mu2 = [op.c for op in d2.mu]
-    one = pring.one()
-
-    committed = []  # committed[k-1][i][j]: ParamPoly entry of f_k
+    committed = []  # committed[k-1][i][j]: the entry of f_k in ring
     # cols[a][j]: the nonzero entries (i, (f_a)_ij) of column j of f_a
     cols = [[[(j, one)] for j in range(n)]]
 
-    def add_scaled(acc, x, c):
-        """acc += x * c, on a dict of polynomial terms."""
-        for mono, coeff in x.sparse.items():
-            acc[mono] = acc.get(mono, 0) + coeff * c
-
-    constraints = _ParamConstraints(pring, field)
-
     for k in range(1, order):
-        rhs = []
-        for p in range(n):
-            for q in range(n):
-                acc = [{} for _ in range(n)]  # the terms of R_k(e_p, e_q)_l
-                # F(e_p *_h e_q): f_a applied to mu1_{k-a}(e_p, e_q), a < k
-                for a in range(k):
-                    v = mu1[k - a][p][q]
-                    for j in range(n):
-                        if v[j]:
-                            for l, x in cols[a][j]:
-                                add_scaled(acc[l], x, v[j])
-                # F(e_p) *'_h F(e_q): mu2_{k-a-b}(f_a e_p, f_b e_q), a, b < k
-                for a in range(k):
-                    for b in range(min(k - 1, k - a) + 1):
-                        op = mu2[k - a - b]
-                        for i, x in cols[a][p]:
-                            for j, y in cols[b][q]:
-                                w = op[i][j]
-                                if not any(w):
-                                    continue
-                                xy = y if x is one else x if y is one else x * y
-                                for l in range(n):
-                                    if w[l]:
-                                        add_scaled(acc[l], xy, -w[l])
-                for l in range(n):
-                    residual = ParamPoly.from_sparse(names, acc[l])
-                    rhs.append(constraints.reduce(pring.coerce(-residual)))
-        sol = solve_affine(amat, rhs, field.one())
+        terms = _residual_terms(k, m1, m2, cols, one)
+        if symbolic:
+            rhs = [constraints.reduce(_poly_sum(names, t)) for t in terms]
+        else:
+            rhs = [sum(starmap(mul, t), zero) for t in terms]
+        sol = solve_affine(amat, rhs)
         if not sol.feasible:
+            if not symbolic:
+                return None
             for stranded in sol.residuals:
                 status = constraints.absorb(stranded)
                 if status == constraints.CONTRADICTION:
@@ -375,28 +399,42 @@ def solve_equivalence(d1, d2) -> EquivVerdict:
                         f"obstruction at h^{k} is quadratic in free parameters "
                         "from lower orders"
                     )
-            sol = solve_affine(amat, [constraints.reduce(r) for r in rhs], field.one())
+            sol = solve_affine(amat, [constraints.reduce(r) for r in rhs])
             if not sol.feasible:
                 raise AssertionError(
                     "internal error: system stayed infeasible after absorbing "
                     "its stranded residuals"
                 )
-        flat = general_solution(sol, pring, [f"s{k}_{col}" for col in sol.free_cols])
+        names_k = [f"s{k}_{col}" for col in sol.free_cols] if symbolic else ()
+        flat = general_solution(sol, ring, names_k)
         layer = [flat[i * n : (i + 1) * n] for i in range(n)]
         committed.append(layer)
         cols.append(
             [[(i, layer[i][j]) for i in range(n) if layer[i][j]] for j in range(n)]
         )
 
-    zero_assignment = constraints.final_assignment()
+    if symbolic:
+        zeros = constraints.final_assignment()
+        committed = [
+            [[field.coerce(substitute_params(x, zeros)) for x in row] for row in layer]
+            for layer in committed
+        ]
     maps = [LinearMap.identity(n, field)]
-    for layer in committed:
-        rows = tuple(
-            tuple(field.coerce(substitute_params(layer[i][j], zero_assignment)) for j in range(n))
-            for i in range(n)
-        )
-        maps.append(LinearMap(field, rows))
+    maps += [LinearMap(field, tuple(map(tuple, layer))) for layer in committed]
     return _verified(d1, d2, EquivalenceWitness(order, tuple(maps)), "solved")
+
+
+def solve_equivalence(d1, d2) -> EquivVerdict:
+    """Search for an intertwining witness, one power of h at a time, over Q
+    or Q(i): the field pass, then the symbolic pass where that is
+    undecided (see above); deformations with parameters raise BadScalar."""
+    _refuse_parameters(d1, d2)
+    field = _common_frame(d1, d2)
+    if not d1.mu[0].entries_equal(d2.mu[0]):
+        return not_equivalent(0, "base products differ at h^0")
+    amat = _delta_matrix(d1.mu[0])
+    verdict = _solve(d1, d2, field, amat, False)
+    return verdict or _solve(d1, d2, field, amat, True)
 
 
 # ---------------------------------------------------------------------------

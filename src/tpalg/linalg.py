@@ -227,7 +227,9 @@ def solve_affine(matrix, rhs, one=Fraction(1), ncols=None):
 def general_solution(sol, ring, names):
     """Per coordinate u of a feasible solve, the polynomial
     particular[u] + sum_t names[t] * nullspace[t][u] in ``ring``, one
-    name per free column; zero nullspace entries add no term."""
+    name per free column; zero nullspace entries add no term.  With no
+    names it is the particular solution coerced into ``ring``, which may
+    then be a field."""
     out = []
     for u, value in enumerate(sol.particular):
         value = ring.coerce(value)

@@ -33,6 +33,7 @@ from tpalg.equiv import (
     _common_frame,
     _delta_matrix,
     _ParamConstraints,
+    _solve,
     _verified,
     equivalent,
     family2d_equiv,
@@ -42,7 +43,7 @@ from tpalg.equiv import (
     verify_witness,
 )
 from tpalg.errors import BadScalar, DimMismatch, OrderMismatch
-from tpalg.linalg import matvec, solve_affine
+from tpalg.linalg import invert_series_matrix, matvec, solve_affine
 from tpalg.scalars import (
     GAUSS_I,
     QI,
@@ -70,6 +71,24 @@ def rand_series(rng, order, lo=-3, hi=3):
 # ---------------------------------------------------------------------------
 # Witness container
 # ---------------------------------------------------------------------------
+
+
+def series_matrix(w):
+    """The witness as a matrix of TruncSeries entries."""
+    n = w.dim
+    return [
+        [TruncSeries(w.order, tuple(w.f[k].m[i][j] for k in range(w.order))) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def inverse(w):
+    """The truncated inverse witness, which exists because f[0] = id."""
+    inv_layers = invert_series_matrix([[list(row) for row in fk.m] for fk in w.f])
+    ring = w.f[0].ring
+    return EquivalenceWitness(
+        w.order, tuple(LinearMap(ring, tuple(map(tuple, m))) for m in inv_layers)
+    )
 
 
 def test_witness_constant_layer_must_be_identity():
@@ -103,9 +122,8 @@ def test_witness_inverse_composes_to_identity():
             LinearMap(QQ, ((F(1), F(0)), (F(0), F(-1)))),
         ),
     )
-    winv = w.inverse()
-    fmat = w.series_matrix()
-    gmat = winv.series_matrix()
+    fmat = series_matrix(w)
+    gmat = series_matrix(inverse(w))
     ring = SeriesRing(QQ, 3)
     for i in range(2):
         for j in range(2):
@@ -155,7 +173,7 @@ def test_witness_symmetry_via_inverse():
     d1 = family2d_construct(S("h"), S("0"))
     d2 = family2d_construct(S("h"), S("h^2"))
     assert verify_witness(d1, d2, v.witness).passed
-    assert verify_witness(d2, d1, v.witness.inverse()).passed
+    assert verify_witness(d2, d1, inverse(v.witness)).passed
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +195,7 @@ def series_verify_witness(d1, d2, w):
         raise OrderMismatch(f"witness order {w.order} does not match deformation order {d1.order}")
     op1 = d1.series_op()
     op2 = d2.series_op()
-    fmat = w.series_matrix()
+    fmat = series_matrix(w)
     n = d1.dim
     fcols = [[fmat[i][j] for i in range(n)] for j in range(n)]
     for i in range(n):
@@ -211,7 +229,7 @@ def transported(d, w):
     """The deformation that w intertwines d into: F(F^-1 x *_h F^-1 y)."""
     n, order = d.dim, d.order
     op = d.series_op()
-    fmat, gmat = w.series_matrix(), w.inverse().series_matrix()
+    fmat, gmat = series_matrix(w), series_matrix(inverse(w))
     gcols = [[gmat[i][j] for i in range(n)] for j in range(n)]
     layers = [{} for _ in range(order)]
     for p in range(n):
@@ -544,13 +562,17 @@ def test_solver_lambda_scale_obstruction():
 def test_solver_declines_quadratic_obstruction():
     # with a zero base dot every first-layer coordinate is free, and from
     # h^3 on the residual is quadratic in those parameters; the per-order
-    # affine strategy reports unknown instead of guessing -- even on a
-    # deformation compared against itself
+    # affine strategy reports unknown instead of guessing.  A self-pair is
+    # decided by the field pass (the identity is a witness); one entry of
+    # the h^3 layer changed leaves the field pass infeasible at h^3
     circ = euler_gelfand(3, QQ).op("circ")
     d = commutator_deform(circ, 4)
-    v = solve_equivalence(d, d)
+    v = solve_equivalence(d, perturbed(d, 3, (0, 0, 2), F(1)))
     assert v.is_unknown
     assert v.reason == "obstruction at h^3 is quadratic in free parameters from lower orders"
+    v = solve_equivalence(d, d)
+    assert v.is_equivalent
+    assert verify_witness(d, d, v.witness).passed
     # one order lower the system stays linear and the verdict is definite
     d3 = commutator_deform(circ, 3)
     v3 = solve_equivalence(d3, d3)
@@ -812,13 +834,22 @@ def _differential_pairs():
                         e = perturbed(d, k, idx, delta)
                         pair = (d, e) if side == 0 else (e, d)
                         yield f"{ring.tag}/{label}/{n}/{order}/{k}{idx}/{side}", *pair
+    # a pair the field pass leaves to a quadratic obstruction
+    d = commutator_deform(euler_gelfand(3, QQ).op("circ"), 4)
+    yield "Q/comm/3/4/3(0, 0, 2)/quadratic", d, perturbed(d, 3, (0, 0, 2), F(1))
 
 
 def test_solver_matches_series_reference():
+    # the reference has no field pass: where it answers unknown, the solver
+    # may instead find a witness, which must then verify
     tags = set()
     for case, d1, d2 in _differential_pairs():
         got = solve_equivalence(d1, d2)
         want = series_solve_equivalence(d1, d2)
+        if want.is_unknown and got.is_equivalent:
+            assert verify_witness(d1, d2, got.witness).passed, case
+            tags.add(got.tag)
+            continue
         assert (got.tag, got.failure_order, got.reason) == (
             want.tag,
             want.failure_order,
@@ -829,3 +860,41 @@ def test_solver_matches_series_reference():
             assert layers == [repr(m.m) for m in want.witness.f], case
         tags.add(got.tag)
     assert tags == {"equivalent", "not_equivalent", "unknown"}
+
+
+# ---------------------------------------------------------------------------
+# The field pass against the symbolic pass
+# ---------------------------------------------------------------------------
+#
+# Wherever the field pass finds a witness, the symbolic pass run alone must
+# not find an obstruction, and where it finds a witness too the two must be
+# the same, down to the type of every entry.
+
+
+def _euler_self_pairs():
+    for ring in (QQ, QI):
+        for label, make in (
+            ("np", deform_from_np),
+            ("comm", lambda pres, order: commutator_deform(pres.op("circ"), order)),
+        ):
+            for n in (2, 3, 4, 5):
+                for order in (4, 6, 8):
+                    d = make(euler_gelfand(n, ring), order)
+                    yield f"{ring.tag}/{label}/{n}/{order}/self", d, d
+
+
+def test_field_pass_witness_matches_symbolic_pass():
+    outcomes = set()
+    for case, d1, d2 in [*_differential_pairs(), *_euler_self_pairs()]:
+        field = _common_frame(d1, d2)
+        amat = _delta_matrix(d1.mu[0])
+        fast = _solve(d1, d2, field, amat, False)
+        if fast is None:
+            continue
+        slow = _solve(d1, d2, field, amat, True)
+        assert fast.is_equivalent and not slow.is_not_equivalent, case
+        if slow.is_equivalent:
+            layers = [repr(m.m) for m in fast.witness.f]
+            assert layers == [repr(m.m) for m in slow.witness.f], case
+        outcomes.add(slow.tag)
+    assert outcomes == {"equivalent", "unknown"}

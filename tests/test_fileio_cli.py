@@ -19,12 +19,14 @@ from conftest import catalog_dots, circ_family, np_pair
 from tpalg.algebra import (
     AlgebraPresentation,
     BilinearOp,
+    LinearMap,
     default_labels,
     euler_gelfand,
 )
 from tpalg.cli import main
-from tpalg.deform import commutator_deform, family2d_construct
+from tpalg.deform import TruncatedDeformation, commutator_deform, family2d_construct
 from tpalg.dim2 import solve_novikov_compatible
+from tpalg.equiv import EquivalenceWitness, verify_witness
 from tpalg.errors import IndexOutOfRange, ParseError
 from tpalg.fileio import (
     detect_kind,
@@ -323,7 +325,25 @@ def test_equiv_not_equivalent(capsys, tmp_path):
 def test_equiv_solver_route_and_unknown(capsys, tmp_path):
     d = commutator_deform(euler_gelfand(3, QQ).op("circ"), 4)
     path = write(tmp_path, "zero_dot.json", dumps(serialize_deformation(d)))
-    code, out = run_cli(capsys, "equiv", path, path)
+    code, out = run_cli(capsys, "equiv", path, path, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["method"]) == ("equivalent", "solver")
+    layers = [
+        LinearMap(QQ, tuple(tuple(QQ.parse(x) for x in row) for row in m))
+        for m in doc["witness"]
+    ]
+    assert verify_witness(d, d, EquivalenceWitness(d.order, tuple(layers))).passed
+    # one more e3 in e1 *_h e1 at h^3: a quadratic obstruction at h^3
+    n = d.dim
+    entries = {
+        (i, j, l): d.mu[3].c[i][j][l] for i in range(n) for j in range(n) for l in range(n)
+    }
+    entries[(0, 0, 2)] += 1
+    mu = d.mu[:3] + (BilinearOp.from_entries(n, QQ, entries),)
+    e = TruncatedDeformation(d.base, d.order, mu)
+    other = write(tmp_path, "perturbed.json", dumps(serialize_deformation(e)))
+    code, out = run_cli(capsys, "equiv", path, other)
     assert code == 2
     assert "verdict: UNKNOWN" in out
     assert "method: solver" in out
