@@ -11,16 +11,20 @@ this slab treats a subtree with the last variable as n rows, and for an
 alternating clause it is the columns of one matrix of a table of
 alternating products over index subsets.  The scan is complete because
 every clause is multilinear.  Every term of a clause also uses each
-operation equally often, so over Q the scan runs on integer structure
-constants (each op scaled by the lcm of its denominators) and scales a
-residual back exactly.  Over Q[h]/(h^N) it does the same with each series
-entry packed into one integer (``scalars.Packing``): the products are then
-untruncated, and only the low N digits of a residual are read.  Other rings
-are scanned on their own structure constants; the entry format is chosen
-once per scan, and the slab readers and the scan loop are the same for
-both, given the cubes and the zero and one of their entries.  When the
-entries are ParamPoly values, "zero residual" means the identically-zero
-polynomial, so one check certifies a whole parametric family.
+operation equally often, so the scan runs on integers (each op scaled by
+the lcm of its denominators) and scales a residual back exactly, in one of
+three entry formats (``scalars.Packing``): over Q an entry is an integer;
+over Q[h]/(h^N) a series packs into one integer, products are untruncated,
+and only the low N digits of a residual are read; over Q[p1..pm], for a
+clause of at most two ops per term, an entry affine in the parameters packs
+its coefficients at digits e_0 < ... < e_m of a Sidon set, where every sum
+e_s + e_t holds the coefficient of p_s p_t alone, and a residual is zero
+exactly when its whole integer is.  Other rings are scanned on their own
+structure constants; the entry format is chosen once per scan, and the
+slab readers and the scan loop are the same for both, given the cubes and
+the zero and one of their entries.  When the entries are ParamPoly values,
+"zero residual" means the identically-zero polynomial, so one check
+certifies a whole parametric family.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from .errors import (
     UnknownIdentity,
 )
 from .linalg import factor, is_identity_matrix, matmul, solve_affine
-from .scalars import QQ, Packing, SeriesRing, TruncSeries, scaled_integers
+from .scalars import (
+    QQ, Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, scaled_integers,
+)
 
 # ---------------------------------------------------------------------------
 # Vectors
@@ -554,19 +560,33 @@ def _alternating_slab(cubes, clause, zero, one, n):
 
 def _integer_ops(alg, clause):
     """The structure-constant cubes of the ops ``clause`` uses, each scaled
-    to integers by the lcm L of its denominators (over Q[h]/(h^N) an entry
-    packs into one integer), and the ``Packing`` that reads a residual back
-    over D = prod L^degree.  A term of d ops sums n^(d-1) products of d
-    entries, with at most N^(d-1) products of coefficients at each h^t.
-    None unless the ring is Q or Q[h]/(h^N) and every entry is a Fraction
-    or a TruncSeries of order N over Fractions."""
-    ring, n = alg.ring, alg.dim
+    to integers by the lcm L of its denominators, in one of three entry
+    formats, and the ``Packing`` that reads a residual back over
+    D = prod L^degree:
+
+    * over Q an entry is its integer;
+    * over Q[h]/(h^N) an entry packs its N coefficients into one integer;
+      a term of d ops sums n^(d-1) products of d entries, with at most
+      N^(d-1) products of coefficients at each h^t;
+    * over Q[p1..pm], for a clause of at most two ops per term, an entry
+      c_0 + sum c_t p_t packs its m + 1 coefficients at the digits of a
+      Sidon set, where a product of two entries keeps each coefficient of
+      p_s p_t in its own digit; at most two products of coefficients
+      (p_s p_t and p_t p_s) meet there.
+
+    None unless the ring is one of these and every entry is a Fraction, a
+    TruncSeries of order N over Fractions, or an affine ParamPoly in the
+    ring's variables over Fractions."""
+    ring, n, degrees = alg.ring, alg.dim, clause.degrees
     series = isinstance(ring, SeriesRing)
-    order, base = (ring.order, ring.base) if series else (1, ring)
+    affine = isinstance(ring, PolynomialRing) and sum(degrees) <= 2
+    order, base = (ring.order, ring.base) if series else (1, ring.base if affine else ring)
     if {type(base.zero()), type(base.one())} != {Fraction}:
         return None
+    if affine:
+        variables, zero = ring.variables, Fraction(0)
+        keys = [()] + [((t, 1),) for t in range(len(variables))]
     scaled, scale, bound = {}, 1, sum(abs(c) for c, _ in clause.signed_terms())
-    degrees = clause.degrees
     for label, degree in zip(OPS, degrees):
         if not degree:
             continue
@@ -575,12 +595,19 @@ def _integer_ops(alg, clause):
             if not {*map(type, entries)} <= {TruncSeries} or {x.order for x in entries} - {order}:
                 return None
             entries = [c for layer in zip(*[x.coeffs for x in entries]) for c in layer]
+        elif affine:
+            if not {*map(type, entries)} <= {ParamPoly} or not all(
+                x.variables == variables and x.is_affine() for x in entries
+            ):
+                return None
+            entries = [x.sparse.get(key, zero) for key in keys for x in entries]
         integral = scaled_integers(entries)
         if integral is None:
             return None
         lcm, scaled[label], top = integral
         scale, bound = scale * lcm**degree, bound * top**degree
-    packing = Packing(order, bound * (n * order) ** (sum(degrees) - 1), scale, series)
+    bound *= (n * order) ** (sum(degrees) - 1) * (2 if affine else 1)
+    packing = Packing(order, bound, scale, series, variables if affine else None)
     cubes = {}
     for label, ints in scaled.items():
         flat = packing.pack(ints)
@@ -596,12 +623,14 @@ def clause_failures(alg, clause):
     """Every basis tuple at which ``clause`` fails on ``alg``, as (clause
     name, 0-based tuple, residual), tuples in lexicographic order.
 
-    The entries are chosen once: over Q and over Q[h]/(h^N) the integer
-    cubes of ``_integer_ops``, otherwise the ring's own structure constants.
-    A reader gives the residuals at a prefix for every last index at once,
-    on either.  A packed residual vanishes (mod h^N) exactly when its low
-    digits do, and a reported one is read back to the same Fractions or
-    series.
+    The entries are chosen once: the integer cubes of ``_integer_ops``
+    (over Q, over Q[h]/(h^N), and over Q[p1..pm] for affine entries in a
+    clause of at most two ops per term), otherwise the ring's own structure
+    constants.  A reader gives the residuals at a prefix for every last
+    index at once, on either.  A packed residual vanishes exactly when its
+    bits under the packing's mask do (the low N digits of a series, every
+    bit of a polynomial), and a reported one is read back to the same
+    Fractions, series or polynomials.
     """
     integral = _integer_ops(alg, clause)
     if integral is None:

@@ -174,16 +174,14 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
 
 
 def _join_rings(r1, r2):
-    if r1 == r2:
-        return r2
-    p1 = isinstance(r1, PolynomialRing)
-    p2 = isinstance(r2, PolynomialRing)
-    if p1 and p2:
-        merged = tuple(dict.fromkeys(r1.variables + r2.variables))
-        return PolynomialRing(r1.base, merged)
-    if p1:
-        return r1
-    return r2
+    """The ring of two operands: over Q(i) when either one is, and over the
+    parameters of both, r1's first, when either one has parameters."""
+    polys = [r for r in (r1, r2) if isinstance(r, PolynomialRing)]
+    b1, b2 = (r.base if isinstance(r, PolynomialRing) else r for r in (r1, r2))
+    base = b2 if b1 == QQ else b1
+    if not polys:
+        return base
+    return PolynomialRing(base, tuple(dict.fromkeys(v for r in polys for v in r.variables)))
 
 
 def np_compatibility(dot: BilinearOp, circ: BilinearOp) -> IdentityReport:

@@ -568,7 +568,7 @@ def h_valuation(s: TruncSeries):
 
 
 # ---------------------------------------------------------------------------
-# Series over Q packed into integers
+# Series and affine polynomials over Q packed into integers
 # ---------------------------------------------------------------------------
 
 
@@ -583,37 +583,83 @@ def scaled_integers(values):
     return lcm, ints, max(map(abs, ints), default=0)
 
 
+def _sidon(count):
+    """The first ``count`` terms of the Mian-Chowla sequence shifted to 0
+    (0, 1, 3, 7, 12, 20, ...): each is the least number whose sums with
+    itself and the earlier terms are all new, so every sum e_s + e_t with
+    s <= t is distinct."""
+    terms, sums, e = [], set(), 0
+    while len(terms) < count:
+        new = {e + x for x in terms} | {2 * e}
+        if not new & sums:
+            terms.append(e)
+            sums |= new
+        e += 1
+    return terms
+
+
 class Packing:
-    """Kronecker substitution h = 2^B: sum c_t h^t over Z packs as the
-    integer sum c_t 2^(B t), a ring map, so packed products are the
-    untruncated products.  B puts every c_t (t < order) of a value read
-    back, at most ``bound`` in size, strictly inside +-2^(B-1): x is zero
-    mod h^order exactly when x & mask is 0, and ``read`` takes the c_t as
-    signed digits over ``scale``: a TruncSeries, or a Fraction for Q (order
-    1, ``series`` false)."""
+    """Kronecker substitution: a value with integer coefficients c_t packs
+    as the integer sum c_t 2^(B e_t), a ring map, so packed products are
+    the untruncated products.  Three formats:
 
-    __slots__ = ("order", "bits", "mask", "scale", "series")
+    * Q (order 1, ``series`` false) and series over Q, where c_t is the
+      coefficient of h^t and e_t = t: x is zero mod h^order exactly when
+      x & mask, its low ``order`` digits, is 0;
+    * affine polynomials over Q in ``variables`` p1..pm, where c_0 is the
+      constant term, c_t the coefficient of p_t, and e_0 < ... < e_m a
+      Sidon set: a product of two packed values holds the coefficient of
+      p_s p_t (p_0 = 1) in digit e_s + e_t and in no other digit, so it
+      is read off ``monomials``.  Nothing is truncated, and the mask keeps
+      every bit: x is zero exactly when x is 0.
 
-    def __init__(self, order, bound, scale, series):
-        self.order, self.scale, self.series = order, scale, series
+    B puts every digit of a value read back, at most ``bound`` in size,
+    strictly inside +-2^(B-1), and ``read`` takes the signed digits over
+    ``scale``: a TruncSeries, a Fraction, or a ParamPoly of degree <= 2."""
+
+    __slots__ = ("order", "bits", "mask", "scale", "series", "variables", "positions", "monomials")
+
+    def __init__(self, order, bound, scale, series, variables=None):
+        self.order, self.scale, self.series, self.variables = order, scale, series, variables
         self.bits = bound.bit_length() + 1
-        self.mask = (1 << self.bits * order) - 1
+        if variables is None:
+            self.positions, self.monomials = range(order), None
+            self.mask = (1 << self.bits * order) - 1
+            return
+        e = self.positions = _sidon(len(variables) + 1)
+        powers = [()] + [((t, 1),) for t in range(len(variables))]
+        self.monomials = {
+            e[s] + e[t]: _mono_mul(powers[s], powers[t])
+            for t in range(len(e))
+            for s in range(t + 1)
+        }
+        self.mask = -1
 
     def pack(self, ints):
-        """The entries whose coefficients at h^0, h^1, ... are the
-        successive equal runs of ``ints``."""
-        size = len(ints) // self.order
+        """The entries whose coefficients c_0, c_1, ... are the successive
+        equal runs of ``ints``."""
+        e = self.positions
+        size = len(ints) // len(e)
         out = ints[len(ints) - size :]
-        for t in range(self.order - 2, -1, -1):
-            out = [(x << self.bits) + c for x, c in zip(out, ints[t * size : (t + 1) * size])]
+        for t in range(len(e) - 2, -1, -1):
+            shift = self.bits * (e[t + 1] - e[t])
+            out = [(x << shift) + c for x, c in zip(out, ints[t * size : (t + 1) * size])]
         return out
 
     def read(self, x):
-        """The scalar packed as x: its low ``order`` digits over ``scale``."""
+        """The scalar packed as x: its signed digits over ``scale``, the
+        low ``order`` ones, or for a polynomial all of them (a nonzero top
+        digit at 2^(B p) makes |x| > 2^(B p - 1))."""
         digits, half = [], 1 << (self.bits - 1)
-        for _ in range(self.order):
+        count = self.order if self.monomials is None else abs(x).bit_length() // self.bits + 1
+        for _ in range(count):
             digits.append(((x & (2 * half - 1)) ^ half) - half)
             x = (x - digits[-1]) >> self.bits
+        if self.monomials is not None:
+            return ParamPoly.from_sparse(
+                self.variables,
+                {self.monomials[p]: Fraction(d, self.scale) for p, d in enumerate(digits) if d},
+            )
         coeffs = tuple(Fraction(d, self.scale) for d in digits)
         return TruncSeries(self.order, coeffs) if self.series else coeffs[0]
 

@@ -20,6 +20,7 @@ from tpalg.algebra import (
     Clause,
     LinearMap,
     _basis_vector,
+    _integer_ops,
     _leaves,
     _nodes,
     _shape,
@@ -53,7 +54,9 @@ from tpalg.errors import (
     OutOfRange,
     UnknownIdentity,
 )
-from tpalg.scalars import QI, QQ, GaussianRational, PolynomialRing, SeriesRing, TruncSeries
+from tpalg.scalars import (
+    QI, QQ, GaussianRational, ParamPoly, PolynomialRing, SeriesRing, TruncSeries,
+)
 
 from conftest import catalog_dots, circ_family, np_pair, rightcomm_only_op
 
@@ -461,8 +464,9 @@ def _random_ops(rnd, ring, base, dim, density, top=3, den=6):
     def scalar():
         if rnd.random() >= density:
             return ring.zero()
-        if isinstance(ring, PolynomialRing):
-            return ring.coerce(number()) + ring.var("a") * rnd.randint(-1, 1)
+        if isinstance(ring, PolynomialRing):  # affine in the parameters
+            linear = (ring.var(v) * number() for v in ring.variables if rnd.random() < density)
+            return sum(linear, ring.coerce(number()))
         if isinstance(ring, SeriesRing):
             return TruncSeries(ring.order, [number() for _ in range(ring.order)])
         return number()
@@ -501,13 +505,14 @@ def scan_cases(draw):
 
 def _assert_scans_agree(name, alg):
     """Both scans give the same failures of every clause of ``name``, in
-    the same order, with the same residual values and entry types, and
-    ``check_identity`` reports the first; returns how many there are."""
+    the same order, with the same residual values, reprs and entry types,
+    and ``check_identity`` reports the first; returns how many there are."""
     failures = []
     for clause in SCAN_CLAUSES[name]:
         got = list(clause_failures(alg, clause))
         expected = list(reference_failures(alg, clause))
         assert got == expected, clause.name
+        assert repr(got) == repr(expected), clause.name
         types = [[type(x) for x in res] for _, _, res in got]
         assert types == [[type(x) for x in res] for _, _, res in expected], clause.name
         failures += expected
@@ -545,6 +550,84 @@ def series_scan_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_packed_series_scan_matches_per_tuple_scan(case):
     _assert_scans_agree(*case)
+
+
+# the clauses of at most two ops per term, which are scanned on packed
+# integers over Q[p1..pm]
+AFFINE_CLAUSES = sorted(
+    name for name, clauses in SCAN_CLAUSES.items() if max(sum(c.degrees) for c in clauses) <= 2
+)
+
+
+@st.composite
+def affine_scan_cases(draw):
+    """A catalog identity of at most two ops per term (NP1 and NP2 among
+    them) and random ops whose entries are affine in 1..10 parameters over
+    Q, with numerators up to 10^30 and denominators up to 10^9: the scan
+    runs on packed integers, whose residuals read back to polynomials of
+    degree 2."""
+    name = draw(st.sampled_from(AFFINE_CLAUSES))
+    ring = PolynomialRing(QQ, tuple(f"p{t + 1}" for t in range(draw(st.integers(1, 10)))))
+    arity = max(clause.arity for clause in SCAN_CLAUSES[name])
+    dim = draw(st.integers(2, {2: 4, 3: 3}[arity]))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    top = draw(st.sampled_from([3, 10**30]))
+    den = draw(st.sampled_from([1, 10**9]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return name, _pres(_random_ops(rnd, ring, QQ, dim, density, top, den), dim, ring)
+
+
+@given(affine_scan_cases())
+@settings(max_examples=40, deadline=None)
+def test_packed_affine_scan_matches_per_tuple_scan(case):
+    name, alg = case
+    assert all(_integer_ops(alg, clause) for clause in SCAN_CLAUSES[name])
+    _assert_scans_agree(name, alg)
+
+
+def test_affine_packing_fills_its_digits():
+    """With every bracket entry q = A (1 + p1 + ... + p4), each Jacobi
+    residual entry is 3 n q^2, whose coefficient of p_s p_t (s != t) is
+    6 n A^2: the digit bound itself."""
+    n, ring = 3, PolynomialRing(QQ, ("p1", "p2", "p3", "p4"))
+    q = sum(map(ring.var, ring.variables), ring.one()) * F(10**30)
+    alg = _pres({"bracket": BilinearOp(ring, (((q,) * n,) * n,) * n)}, n, ring)
+    assert _assert_scans_agree("LIE", alg) == n**2 + n**3
+    *_, (_, _, residual) = clause_failures(alg, IDENTITIES["LIE"][1])
+    assert residual == [3 * n * q * q] * n
+
+
+def test_affine_packing_gate():
+    """Only entries affine in the ring's parameters with Fraction
+    coefficients, over Q, in a clause of at most two ops per term, are
+    packed; every other input is scanned on its own entries, and both scans
+    agree on all of them."""
+    rnd = random.Random(3)
+    variables = ("p1", "p2", "p3")
+    ring, qi = PolynomialRing(QQ, variables), PolynomialRing(QI, variables)
+    ops = _random_ops(rnd, ring, QQ, 3, 0.7)
+    packing = _integer_ops(_pres(ops, 3, ring), IDENTITIES["NP2"][0])[1]
+    assert packing.variables == variables and packing.positions == [0, 1, 3, 7]
+
+    def with_circ_entry(x):
+        """The ops with x as the e3-coordinate of e1 o e2."""
+        c = [[list(col) for col in row] for row in ops["circ"].c]
+        c[0][1][2] = x
+        circ = BilinearOp(ring, tuple(tuple(map(tuple, row)) for row in c))
+        return _pres({**ops, "circ": circ}, 3, ring)
+
+    square = with_circ_entry(ring.var("p1") ** 2 - ring.var("p3"))
+    integer = with_circ_entry(ParamPoly.from_sparse(variables, {(): 1, ((1, 1),): -2}))
+    for name, alg in (
+        ("NOV_RIGHTCOMM", square),
+        ("NP1", square),
+        ("NOV_RIGHTCOMM", integer),
+        ("NP1", _pres(_random_ops(rnd, qi, QI, 3, 0.7), 3, qi)),
+        ("MIXED4", _pres(_random_ops(rnd, ring, QQ, 2, 0.7), 2, ring)),
+        ("S5", _pres(_random_ops(rnd, ring, QQ, 4, 0.3), 4, ring)),
+    ):
+        assert all(_integer_ops(alg, clause) is None for clause in SCAN_CLAUSES[name]), name
+        assert _assert_scans_agree(name, alg), name
 
 
 @pytest.mark.parametrize("base", [QQ, QI], ids=["Q", "Qi"])

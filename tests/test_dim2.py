@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_dots, circ_family, normal_form_grid, np_pair
+from test_algebra import reference_failures
 from test_linalg import dense_solve_affine
 from tpalg import dim2
 from tpalg.algebra import (
+    IDENTITIES,
     AlgebraPresentation,
     BilinearOp,
     LinearMap,
@@ -264,6 +266,40 @@ def test_random_novikov_family_matches_dense_system(ring, data):
     _assert_matches_dense_system(_novikov_bracket(ring, coeffs))
 
 
+def _lie2_bracket(a, b):
+    """[e1, e2] = a e1 + b e2: the bracket [e1, e2] = e2 in another basis."""
+    return BilinearOp.from_entries(2, QQ, {(0, 1, 0): a, (0, 1, 1): b, (1, 0, 0): -a, (1, 0, 1): -b})
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [euler_gelfand(n).op("bracket") for n in range(2, 7)]
+    + [BilinearOp.from_entries(3, QQ, SL2), _lie2_bracket(F(0), F(1))]
+    + [_lie2_bracket(a, b) for a, b in ((F(-3, 2), F(4)), (F(2, 3), F(-1, 3)), (F(1), F(0)))]
+    + [_novikov_bracket(QQ, (F(1), F(-2, 3), F(5))), _novikov_bracket(QI, (GaussianRational.of(1, 2),))],
+    ids=["euler2", "euler3", "euler4", "euler5", "euler6", "sl2", "e2"]
+    + ["lie2a", "lie2b", "lie2c", "nov4", "novQi2"],
+)
+def test_obstructions_match_per_tuple_scan(bracket):
+    """The right-commutativity obstructions of the solved family are the
+    per-tuple scan's failures on it: the same tuples in the same order,
+    with the same residuals and entry types."""
+    fam = solve_novikov_compatible(bracket)
+    if not fam.feasible:
+        assert fam.obstructions == ()
+        return
+    pres = AlgebraPresentation(fam.op.dim, fam.op.ring, default_labels(fam.op.dim), {"circ": fam.op})
+    want = tuple(
+        (tuple(i + 1 for i in t), tuple(res))
+        for _, t, res in reference_failures(pres, IDENTITIES["NOV_RIGHTCOMM"][0])
+    )
+    assert fam.obstructions == want
+    assert repr(fam.obstructions) == repr(want)
+    assert [[type(x) for x in res] for _, res in fam.obstructions] == [
+        [type(x) for x in res] for _, res in want
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Mixed compatibility of a dot with a circ
 # ---------------------------------------------------------------------------
@@ -287,6 +323,39 @@ def test_np_compatibility_joins_two_parameter_rings():
     report = np_compatibility(dot, fam.op)
     assert report.passed
     assert report.identity_name == "NP1+NP2"
+
+
+@pytest.mark.parametrize(
+    "r1, r2, joined",
+    [
+        (QQ, QI, QI),
+        (QQ, QQ, QQ),
+        (PolynomialRing(QQ, ("a",)), QI, PolynomialRing(QI, ("a",))),
+        (PolynomialRing(QI, ("a",)), QQ, PolynomialRing(QI, ("a",))),
+        (PolynomialRing(QQ, ("a", "b")), PolynomialRing(QI, ("b", "c")), PolynomialRing(QI, ("a", "b", "c"))),
+        (PolynomialRing(QQ, ("a",)), PolynomialRing(QQ, ("b",)), PolynomialRing(QQ, ("a", "b"))),
+    ],
+    ids=["field", "same-field", "poly-Q-field-Qi", "poly-Qi-field-Q", "poly-poly-Qi", "poly-poly-Q"],
+)
+def test_join_rings_takes_the_larger_field_in_either_order(r1, r2, joined):
+    assert _join_rings(r1, r2) == joined
+    swapped = _join_rings(r2, r1)
+    assert swapped.tag == joined.tag
+    assert set(getattr(swapped, "variables", ())) == set(getattr(joined, "variables", ()))
+
+
+def test_np_compatibility_over_q_and_qi_operands():
+    """A Q operand against a Q(i) one is checked over Q(i), whichever of dot
+    and circ is the Q(i) one."""
+    lam_dot = catalog()[2].algebra.op("dot")  # over Q[lam]
+    for dot, circ in (
+        (BilinearOp.from_entries(2, QQ, {(0, 0, 0): F(1)}), circ_family(F(0), F(0))),
+        (catalog_dots()["A01"], circ_family(F(1), F(-2))),
+        (lam_dot, circ_family(F(0), F(1))),
+    ):
+        over_qi = np_compatibility(dot.coerce_to(_join_rings(dot.ring, QI)), circ.coerce_to(QI))
+        assert np_compatibility(dot.coerce_to(_join_rings(dot.ring, QI)), circ) == over_qi
+        assert np_compatibility(dot, circ.coerce_to(QI)) == over_qi
 
 
 def test_np_compatibility_failure_carries_clause():
