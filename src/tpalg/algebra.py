@@ -575,8 +575,8 @@ def _integer_ops(alg, clause):
       (p_s p_t and p_t p_s) meet there.
 
     None unless the ring is one of these and every entry is a Fraction, a
-    TruncSeries of order N over Fractions, or an affine ParamPoly in the
-    ring's variables over Fractions."""
+    TruncSeries of order N over Fractions, or an affine ParamPoly of the
+    ring over Fractions."""
     ring, n, degrees = alg.ring, alg.dim, clause.degrees
     series = isinstance(ring, SeriesRing)
     affine = isinstance(ring, PolynomialRing) and sum(degrees) <= 2
@@ -584,8 +584,8 @@ def _integer_ops(alg, clause):
     if {type(base.zero()), type(base.one())} != {Fraction}:
         return None
     if affine:
-        variables, zero = ring.variables, Fraction(0)
-        keys = [()] + [((t, 1),) for t in range(len(variables))]
+        zero = base.zero()
+        keys = [()] + [((t, 1),) for t in range(len(ring.variables))]
     scaled, scale, bound = {}, 1, sum(abs(c) for c, _ in clause.signed_terms())
     for label, degree in zip(OPS, degrees):
         if not degree:
@@ -597,7 +597,7 @@ def _integer_ops(alg, clause):
             entries = [c for layer in zip(*[x.coeffs for x in entries]) for c in layer]
         elif affine:
             if not {*map(type, entries)} <= {ParamPoly} or not all(
-                x.variables == variables and x.is_affine() for x in entries
+                (x.ring is ring or x.ring == ring) and x.is_affine() for x in entries
             ):
                 return None
             entries = [x.sparse.get(key, zero) for key in keys for x in entries]
@@ -607,7 +607,7 @@ def _integer_ops(alg, clause):
         lcm, scaled[label], top = integral
         scale, bound = scale * lcm**degree, bound * top**degree
     bound *= (n * order) ** (sum(degrees) - 1) * (2 if affine else 1)
-    packing = Packing(order, bound, scale, series, variables if affine else None)
+    packing = Packing(order, bound, scale, series, ring if affine else None)
     cubes = {}
     for label, ints in scaled.items():
         flat = packing.pack(ints)

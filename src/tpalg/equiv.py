@@ -272,7 +272,7 @@ class _ParamConstraints:
         # pivot on the newest symbol so older choices stay free
         pivot = max(linear, key=self.pring.variables.index)
         coeff = linear[pivot]
-        expr = (ParamPoly.var(self.pring.variables, pivot) * coeff - r) / coeff
+        expr = (self.pring.var(pivot) * coeff - r) / coeff
         self.solved = {
             name: rhs.subs({pivot: expr}) for name, rhs in self.solved.items()
         }
@@ -349,14 +349,14 @@ def _residual_terms(k, m1, m2, cols, one):
     return out
 
 
-def _poly_sum(names, terms):
-    """sum x * c over (x, c) pairs, x a ParamPoly over ``names`` and c a
+def _poly_sum(ring, terms):
+    """sum x * c over (x, c) pairs, x a ParamPoly in ``ring`` and c a
     field scalar, collected term by term."""
     acc = {}
     for x, c in terms:
         for mono, coeff in x.sparse.items():
             acc[mono] = acc.get(mono, 0) + coeff * c
-    return ParamPoly.from_sparse(names, acc)
+    return ParamPoly(ring, acc)
 
 
 def _solve(d1, d2, field, amat, symbolic):
@@ -381,7 +381,7 @@ def _solve(d1, d2, field, amat, symbolic):
     for k in range(1, order):
         terms = _residual_terms(k, m1, m2, cols, one)
         if symbolic:
-            rhs = [constraints.reduce(_poly_sum(names, t)) for t in terms]
+            rhs = [constraints.reduce(_poly_sum(ring, t)) for t in terms]
         else:
             rhs = [sum(starmap(mul, t), zero) for t in terms]
         sol = solve_affine(amat, rhs)

@@ -4,12 +4,14 @@ Four layers, each closed under +, -, *:
 
 * ``Fraction`` (stdlib) -- rationals, printed ``p/q`` or ``p``.
 * ``GaussianRational`` -- pairs of rationals re + im*i.
-* ``ParamPoly`` -- sparse polynomials in a fixed tuple of named parameters
-  with rational or Gaussian coefficients.  A monomial is a sorted tuple of
+* ``ParamPoly`` -- sparse polynomials over a ``PolynomialRing``, which
+  names the parameters and the base field (Q or Q(i)) and decides the type
+  of every coefficient, zero and one.  A monomial is a sorted tuple of
   ``(index, power)`` pairs, so a product costs the variables its terms
   use; ``.terms`` is the dense view, one exponent slot per parameter.
 * ``TruncSeries`` -- truncated power series in ``h`` over any of the above;
-  all arithmetic is modulo h^order and mixing orders is an error.
+  all arithmetic is modulo h^order and mixing orders is an error.  The
+  ring of its coefficients is read from the first one.
 
 Ring descriptors (``RationalField``, ``GaussianField``, ``PolynomialRing``,
 ``SeriesRing``) bundle zero/one/coerce with a shared string parser and
@@ -132,35 +134,30 @@ GAUSS_I = GaussianRational.of(0, 1)
 
 
 class ParamPoly:
-    """Polynomial in a fixed ordered tuple of parameter names.
+    """Polynomial over a ``PolynomialRing``: its base field and its ordered
+    tuple of parameter names.
 
-    ``sparse`` maps monomials to nonzero coefficients.  A monomial is a
-    tuple of ``(index, power)`` pairs sorted by variable index, with ``()``
-    for the constant monomial, so every operation costs the variables a
-    term uses, not every declared name.  ``terms`` is the dense view (one
-    exponent slot per variable), built on demand; the constructor takes
-    dense terms.  Two polynomials combine only when their variable tuples
-    agree; plain numbers are lifted to constants.
+    ``sparse`` maps monomials to nonzero coefficients of the base field.  A
+    monomial is a tuple of ``(index, power)`` pairs sorted by variable
+    index, with ``()`` for the constant monomial, so every operation costs
+    the variables a term uses, not every declared name.  ``terms`` is the
+    dense view (one exponent slot per variable), built on demand.  Two
+    polynomials combine only over equal rings; a number lifts to a
+    constant, or scales the coefficients, through the base field's
+    ``coerce``.  Build one with ``ParamPoly(ring, sparse)`` or with the
+    ring's ``zero``, ``one``, ``var`` and ``coerce``.
     """
 
-    __slots__ = ("variables", "sparse")
+    __slots__ = ("ring", "sparse")
 
-    def __init__(self, variables, terms):
-        self.variables = tuple(variables)
-        self.sparse = {}
-        for expo, coeff in terms.items():
-            if len(expo) != len(self.variables):
-                raise ValueError("exponent tuple has wrong length")
-            if coeff != 0:
-                self.sparse[tuple((i, e) for i, e in enumerate(expo) if e)] = coeff
-
-    @classmethod
-    def from_sparse(cls, variables, sparse):
+    def __init__(self, ring, sparse):
         """From ``{monomial: coefficient}``; zero coefficients are dropped."""
-        poly = cls.__new__(cls)
-        poly.variables = tuple(variables)
-        poly.sparse = {m: c for m, c in sparse.items() if c != 0}
-        return poly
+        self.ring = ring
+        self.sparse = {m: c for m, c in sparse.items() if c != 0}
+
+    @property
+    def variables(self):
+        return self.ring.variables
 
     @property
     def terms(self):
@@ -173,19 +170,6 @@ class ParamPoly:
             out[tuple(expo)] = coeff
         return out
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, variables, value):
-        return cls.from_sparse(variables, {(): value})
-
-    @classmethod
-    def var(cls, variables, name):
-        variables = tuple(variables)
-        if name not in variables:
-            raise MissingSymbol(f"unknown parameter {name!r}")
-        return cls.from_sparse(variables, {((variables.index(name), 1),): Fraction(1)})
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self):
@@ -195,27 +179,24 @@ class ParamPoly:
         return all(not m for m in self.sparse)
 
     def constant_value(self):
-        """The constant term; with none, a zero of the coefficients' type
-        (Gaussian if any coefficient is, ``Fraction`` for the zero polynomial)."""
+        """The constant term; the base field's zero when there is none."""
         if () in self.sparse:
             return self.sparse[()]
-        return sum((c * 0 for c in self.sparse.values()), Fraction(0))
+        return self.ring.base.zero()
 
     def used_variables(self):
-        return {self.variables[i] for mono in self.sparse for i, _ in mono}
+        names = self.variables
+        return {names[i] for mono in self.sparse for i, _ in mono}
 
     # -- arithmetic --------------------------------------------------------
 
     def _lift(self, other):
         if isinstance(other, ParamPoly):
-            if other.variables != self.variables:
-                raise ValueError("parameter polynomials over different variables")
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError("parameter polynomials over different rings")
             return other
-        if isinstance(other, (int, Fraction)):
-            # to the coefficients' type, as ``constant_value`` reads it
-            return ParamPoly.constant(self.variables, self.constant_value() * 0 + other)
-        if isinstance(other, GaussianRational):
-            return ParamPoly.constant(self.variables, other)
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            return ParamPoly(self.ring, {(): self.ring.base.coerce(other)})
         return None
 
     def __add__(self, other):
@@ -225,12 +206,12 @@ class ParamPoly:
         terms = dict(self.sparse)
         for mono, coeff in o.sparse.items():
             terms[mono] = terms.get(mono, 0) + coeff
-        return ParamPoly.from_sparse(self.variables, terms)
+        return ParamPoly(self.ring, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly.from_sparse(self.variables, {m: -c for m, c in self.sparse.items()})
+        return ParamPoly(self.ring, {m: -c for m, c in self.sparse.items()})
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -247,9 +228,8 @@ class ParamPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             # a number scales the coefficients
-            return ParamPoly.from_sparse(
-                self.variables, {m: c * other for m, c in self.sparse.items()}
-            )
+            other = self.ring.base.coerce(other)
+            return ParamPoly(self.ring, {m: c * other for m, c in self.sparse.items()})
         o = self._lift(other)
         if o is None:
             return NotImplemented
@@ -258,23 +238,20 @@ class ParamPoly:
             for m2, c2 in o.sparse.items():
                 mono = _mono_mul(m1, m2)
                 terms[mono] = terms.get(mono, 0) + c1 * c2
-        return ParamPoly.from_sparse(self.variables, terms)
+        return ParamPoly(self.ring, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        return _power(_one_like(self) if n == 0 else None, self, n)
+        return _power(self.ring.one() if n == 0 else None, self, n)
 
     def __truediv__(self, other):
-        if isinstance(other, ParamPoly):
-            if not other.is_constant():
-                raise NotInvertible("cannot divide by a non-constant polynomial")
-            other = other.constant_value()
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * _invert_base(other)
-        return NotImplemented
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * _invert_base(o, self.ring)
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
@@ -304,17 +281,17 @@ class ParamPoly:
         return self.constant_value(), linear
 
     def subs(self, mapping):
-        """Replace some variables by polynomials (same variable tuple);
-        variables absent from the mapping stay symbolic."""
-        terms = {}
+        """Replace some variables by polynomials of the same ring, or by
+        numbers; variables absent from the mapping stay symbolic."""
+        names, terms = self.variables, {}
         for mono, coeff in self.sparse.items():
             kept, image = [], None  # image: product of the replaced powers
             for i, e in mono:
-                rep = mapping.get(self.variables[i])
+                rep = mapping.get(names[i])
                 if rep is None:
                     kept.append((i, e))
                 else:
-                    rep = rep**e
+                    rep = self._lift(rep) ** e
                     image = rep if image is None else image * rep
             kept = tuple(kept)
             if image is None:
@@ -323,22 +300,23 @@ class ParamPoly:
             for m, c in image.sparse.items():
                 m = _mono_mul(kept, m)
                 terms[m] = terms.get(m, 0) + coeff * c
-        return ParamPoly.from_sparse(self.variables, terms)
+        return ParamPoly(self.ring, terms)
 
     def substitute(self, assignment):
-        """Evaluate with every variable bound; see ``substitute_params``."""
+        """Evaluate with every variable bound; see ``substitute_params``.
+        The zero polynomial evaluates to the base field's zero."""
         missing = self.used_variables() - set(assignment)
         if missing:
             raise MissingSymbol(f"no value for parameter(s) {sorted(missing)}")
-        total = None
+        names, total = self.variables, None
         for mono, coeff in self.sparse.items():
             term = coeff
             for i, e in mono:
-                value = assignment[self.variables[i]]
+                value = assignment[names[i]]
                 for _ in range(e):
                     term = term * value
             total = term if total is None else total + term
-        return Fraction(0) if total is None else total
+        return self.ring.base.zero() if total is None else total
 
     def __str__(self):
         return format_scalar(self)
@@ -447,7 +425,8 @@ class TruncSeries:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("series powers must be nonnegative integers")
-        return _power(_one_like(self) if k == 0 else None, self, k)
+        one = TruncSeries.constant(self.order, _ring_of(self.coeffs[0]).one()) if k == 0 else None
+        return _power(one, self, k)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -492,21 +471,18 @@ class TruncSeries:
 # ---------------------------------------------------------------------------
 
 
-def _zero_like(coeffs):
-    """The zero of the coefficients' ring; ``Fraction(0)`` for none."""
-    if not coeffs or type(coeffs[0]) is Fraction:
-        return Fraction(0)
-    return coeffs[0] * 0
-
-
-def _one_like(x):
-    """The one of the ring x lives in, coefficients of the same type."""
-    if isinstance(x, TruncSeries):
-        lead = next((c for c in x.coeffs if c != 0), x.coeffs[0])
-        return TruncSeries.constant(x.order, _one_like(lead))
+def _ring_of(x):
+    """The ring of a series coefficient: a polynomial's own ring, else the
+    field its type names."""
     if isinstance(x, ParamPoly):
-        return ParamPoly.constant(x.variables, _one_like(x.constant_value()))
-    return x * 0 + 1
+        return x.ring
+    return QI if isinstance(x, GaussianRational) else QQ
+
+
+def _zero_like(coeffs):
+    """The zero of the coefficients' ring, read from the first one;
+    ``Fraction(0)`` for none."""
+    return _ring_of(coeffs[0]).zero() if coeffs else Fraction(0)
 
 
 def _power(one, base, n):
@@ -523,20 +499,19 @@ def _power(one, base, n):
     return one if out is None else out
 
 
-def _invert_base(c):
-    if isinstance(c, int):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        if not c:
-            raise NotInvertible("division by zero")
-        return Fraction(1) / c
+def _invert_base(c, ring):
+    """1/c in ``ring``: a field, or a polynomial ring, where c must be a
+    nonzero constant."""
+    if isinstance(ring, PolynomialRing):
+        if not c.is_constant():
+            raise NotInvertible("cannot divide by a non-constant polynomial")
+        return ParamPoly(ring, {(): _invert_base(c.constant_value(), ring.base)})
+    c = ring.coerce(c)
     if isinstance(c, GaussianRational):
         return c.inverse()
-    if isinstance(c, ParamPoly):
-        if not c.is_constant() or c.constant_value() == 0:
-            raise NotInvertible("constant term is not an invertible constant")
-        return ParamPoly.constant(c.variables, _invert_base(c.constant_value()))
-    raise NotInvertible(f"cannot invert {c!r}")
+    if not c:
+        raise NotInvertible("division by zero")
+    return 1 / c
 
 
 def series_invert(s: TruncSeries) -> TruncSeries:
@@ -547,14 +522,13 @@ def series_invert(s: TruncSeries) -> TruncSeries:
     """
     if not isinstance(s, TruncSeries):
         raise TypeError("series_invert expects a TruncSeries")
-    inv0 = _invert_base(s.coeffs[0])
+    inv0 = _invert_base(s.coeffs[0], _ring_of(s.coeffs[0]))
     out = [inv0]
     for k in range(1, s.order):
-        acc = None
-        for j in range(1, k + 1):
-            piece = s.coeffs[j] * out[k - j]
-            acc = piece if acc is None else acc + piece
-        out.append(-(acc * inv0) if acc is not None else inv0 * 0)
+        acc = s.coeffs[1] * out[k - 1]
+        for j in range(2, k + 1):
+            acc = acc + s.coeffs[j] * out[k - j]
+        out.append(-(acc * inv0))
     return TruncSeries(s.order, out)
 
 
@@ -606,7 +580,7 @@ class Packing:
     * Q (order 1, ``series`` false) and series over Q, where c_t is the
       coefficient of h^t and e_t = t: x is zero mod h^order exactly when
       x & mask, its low ``order`` digits, is 0;
-    * affine polynomials over Q in ``variables`` p1..pm, where c_0 is the
+    * affine polynomials in ``ring``, over Q in p1..pm, where c_0 is the
       constant term, c_t the coefficient of p_t, and e_0 < ... < e_m a
       Sidon set: a product of two packed values holds the coefficient of
       p_s p_t (p_0 = 1) in digit e_s + e_t and in no other digit, so it
@@ -617,17 +591,18 @@ class Packing:
     strictly inside +-2^(B-1), and ``read`` takes the signed digits over
     ``scale``: a TruncSeries, a Fraction, or a ParamPoly of degree <= 2."""
 
-    __slots__ = ("order", "bits", "mask", "scale", "series", "variables", "positions", "monomials")
+    __slots__ = ("order", "bits", "mask", "scale", "series", "ring", "positions", "monomials")
 
-    def __init__(self, order, bound, scale, series, variables=None):
-        self.order, self.scale, self.series, self.variables = order, scale, series, variables
+    def __init__(self, order, bound, scale, series, ring=None):
+        self.order, self.scale, self.series, self.ring = order, scale, series, ring
         self.bits = bound.bit_length() + 1
-        if variables is None:
+        if ring is None:
             self.positions, self.monomials = range(order), None
             self.mask = (1 << self.bits * order) - 1
             return
-        e = self.positions = _sidon(len(variables) + 1)
-        powers = [()] + [((t, 1),) for t in range(len(variables))]
+        m = len(ring.variables)
+        e = self.positions = _sidon(m + 1)
+        powers = [()] + [((t, 1),) for t in range(m)]
         self.monomials = {
             e[s] + e[t]: _mono_mul(powers[s], powers[t])
             for t in range(len(e))
@@ -656,8 +631,8 @@ class Packing:
             digits.append(((x & (2 * half - 1)) ^ half) - half)
             x = (x - digits[-1]) >> self.bits
         if self.monomials is not None:
-            return ParamPoly.from_sparse(
-                self.variables,
+            return ParamPoly(
+                self.ring,
                 {self.monomials[p]: Fraction(d, self.scale) for p, d in enumerate(digits) if d},
             )
         coeffs = tuple(Fraction(d, self.scale) for d in digits)
@@ -708,9 +683,9 @@ def _poly_term_key(item):
 def _format_poly(p: ParamPoly) -> str:
     if not p.sparse:
         return "0"
-    pieces = []
+    names, pieces = p.variables, []
     for mono, coeff in sorted(p.sparse.items(), key=_poly_term_key):
-        factors = [p.variables[i] if e == 1 else f"{p.variables[i]}^{e}" for i, e in mono]
+        factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
         if isinstance(coeff, GaussianRational) and coeff.re != 0 and coeff.im != 0:
             coeff_str = f"({_format_gaussian(coeff)})"
             sign = "+"
@@ -1039,38 +1014,42 @@ class PolynomialRing(_Ring):
         return self.base.tag
 
     def zero(self):
-        return ParamPoly.from_sparse(self.variables, {})
+        return ParamPoly(self, {})
 
     def one(self):
-        return ParamPoly.constant(self.variables, self.base.one())
+        return ParamPoly(self, {(): self.base.one()})
 
     def var(self, name):
         """The parameter ``name``, with the base field's one as coefficient."""
-        return ParamPoly.var(self.variables, name) * self.base.one()
+        if name not in self.variables:
+            raise MissingSymbol(f"unknown parameter {name!r}")
+        return ParamPoly(self, {((self.variables.index(name), 1),): self.base.one()})
 
     def coerce(self, x):
+        """x in this ring: a number, or a polynomial whose parameters are
+        among this ring's (or that is constant), with its coefficients
+        moved into the base field."""
         if isinstance(x, ParamPoly):
-            if x.variables == self.variables:
+            if x.ring is self or x.ring == self:
                 return x
-            if x.is_constant():
-                return ParamPoly.constant(self.variables, x.constant_value())
-            if set(x.variables) <= set(self.variables):
-                # remap variable indices into the larger variable tuple
-                slots = [self.variables.index(v) for v in x.variables]
-                terms = {
-                    tuple(sorted((slots[i], e) for i, e in mono)): coeff
-                    for mono, coeff in x.sparse.items()
-                }
-                return ParamPoly.from_sparse(self.variables, terms)
-            raise BadScalar("polynomial over a different parameter tuple")
+            if not (x.is_constant() or set(x.variables) <= set(self.variables)):
+                raise BadScalar("polynomial over a different parameter tuple")
+            # remap variable indices into this ring's variable tuple
+            index = {v: t for t, v in enumerate(self.variables)}
+            slots = [index.get(v) for v in x.variables]
+            terms = {
+                tuple(sorted((slots[i], e) for i, e in mono)): self.base.coerce(coeff)
+                for mono, coeff in x.sparse.items()
+            }
+            return ParamPoly(self, terms)
         if isinstance(x, (int, Fraction, GaussianRational)):
-            return ParamPoly.constant(self.variables, self.base.coerce(x))
+            return ParamPoly(self, {(): self.base.coerce(x)})
         raise BadScalar(f"not a polynomial scalar: {x!r}")
 
     def _env(self):
-        env = {"__const__": lambda q: ParamPoly.constant(self.variables, self.base.coerce(q))}
+        env = {"__const__": self.coerce}
         if isinstance(self.base, GaussianField):
-            env["i"] = ParamPoly.constant(self.variables, GAUSS_I)
+            env["i"] = self.coerce(GAUSS_I)
         for name in self.variables:
             env[name] = self.var(name)
         return env

@@ -12,7 +12,7 @@ import pytest
 
 from tpalg.algebra import AlgebraPresentation, BilinearOp, default_labels
 from tpalg.corpus import AB_POINTS, catalog_dots, circ_family, np_structures  # noqa: F401 (tests import them from here)
-from tpalg.scalars import QQ
+from tpalg.scalars import QQ, ParamPoly
 
 F = Fraction
 
@@ -38,6 +38,16 @@ RIGHTCOMM_NOT_NOVIKOV = {
     (1, 0, 1): F(1),
     (1, 1, 0): F(1),
 }
+
+
+def dense_poly(ring, terms):
+    """The polynomial of ``ring`` with dense terms {exponent tuple:
+    coefficient}, one exponent per parameter, each coefficient coerced into
+    the base field."""
+    return ParamPoly(ring, {
+        tuple((i, e) for i, e in enumerate(expo) if e): ring.base.coerce(c)
+        for expo, c in terms.items()
+    })
 
 
 def rightcomm_only_op(ring=QQ):

@@ -607,7 +607,7 @@ def test_affine_packing_gate():
     ring, qi = PolynomialRing(QQ, variables), PolynomialRing(QI, variables)
     ops = _random_ops(rnd, ring, QQ, 3, 0.7)
     packing = _integer_ops(_pres(ops, 3, ring), IDENTITIES["NP2"][0])[1]
-    assert packing.variables == variables and packing.positions == [0, 1, 3, 7]
+    assert packing.ring is ring and packing.positions == [0, 1, 3, 7]
 
     def with_circ_entry(x):
         """The ops with x as the e3-coordinate of e1 o e2."""
@@ -617,7 +617,7 @@ def test_affine_packing_gate():
         return _pres({**ops, "circ": circ}, 3, ring)
 
     square = with_circ_entry(ring.var("p1") ** 2 - ring.var("p3"))
-    integer = with_circ_entry(ParamPoly.from_sparse(variables, {(): 1, ((1, 1),): -2}))
+    integer = with_circ_entry(ParamPoly(ring, {(): 1, ((1, 1),): -2}))
     for name, alg in (
         ("NOV_RIGHTCOMM", square),
         ("NP1", square),

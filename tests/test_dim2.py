@@ -47,6 +47,7 @@ from tpalg.errors import (
 )
 from tpalg.linalg import matvec
 from tpalg.scalars import (
+    GAUSS_I,
     QI,
     QQ,
     GaussianRational,
@@ -356,6 +357,23 @@ def test_np_compatibility_over_q_and_qi_operands():
         over_qi = np_compatibility(dot.coerce_to(_join_rings(dot.ring, QI)), circ.coerce_to(QI))
         assert np_compatibility(dot.coerce_to(_join_rings(dot.ring, QI)), circ) == over_qi
         assert np_compatibility(dot, circ.coerce_to(QI)) == over_qi
+
+
+def test_q_polynomial_op_coerced_into_qi_holds_gaussian_coefficients():
+    """Coercing the Q[lam] dot into Q(i)[lam] moves its coefficients into
+    Q(i); the report of a Q[lam] dot against a Q(i) circ, recorded before
+    they moved, stays the same."""
+    ring = PolynomialRing(QI, ("lam",))
+    lam_dot = catalog()[2].algebra.op("dot")
+    coerced = lam_dot.coerce_to(ring)
+    entries = [x for row in coerced.c for col in row for x in col]
+    assert all(x.ring == ring for x in entries)
+    assert {type(c) for x in entries for c in x.sparse.values()} == {GaussianRational}
+    report = np_compatibility(lam_dot, BilinearOp.from_entries(2, QI, {(1, 1, 0): GAUSS_I}))
+    cex = report.counterexample
+    assert (report.passed, cex.clause, cex.indices) == (False, "left-mixed-assoc", (2, 1, 2))
+    assert [str(x) for x in cex.residual] == ["i*lam", "0"]
+    assert {type(c) for x in cex.residual for c in x.sparse.values()} == {GaussianRational}
 
 
 def test_np_compatibility_failure_carries_clause():

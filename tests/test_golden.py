@@ -8,7 +8,8 @@ route of ``normalize`` on a deformation seen through a basis change, and
 ``solve-compatible`` on a family with obstructions.  Five more run over
 Q(i): two ``family2d --field Qi`` files, the second with an ``i`` in b_h,
 ``check`` of that file, and ``equiv`` of the two by the family route and
-by ``--method solver``.
+by ``--method solver``.  ``catalog --field Qi`` leaves the third entry's
+parameter symbolic, so its report prints the polynomial family over Q(i).
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -51,6 +52,7 @@ COMMANDS = [
     ("normalize_sheared", ["normalize", "sheared.json"], None),
     ("solve_compatible", ["solve-compatible", "bracket.json"], None),
     ("catalog", ["catalog", "--lam", "2"], None),
+    ("catalog_qi", ["catalog", "--field", "Qi"], None),
     ("gelfand", ["gelfand", "--dim", "4"], None),
     ("gelfand_check_s5", ["check", "-", "--identity", "s5"], "gelfand"),
     ("gelfand_3", ["gelfand", "--dim", "3"], None),
@@ -77,6 +79,7 @@ WITH_FORMAT = {
     "solve_compatible",
     "gelfand_3_solve_compatible",
     "catalog",
+    "catalog_qi",
     "gelfand_check_s5",
     "operad_dims",
     "check_qi_nov_leftsym",

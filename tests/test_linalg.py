@@ -9,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_poly
 from tpalg.linalg import (
     FactoredMatrix,
     LinearSolveResult,
@@ -19,7 +20,7 @@ from tpalg.linalg import (
     rank,
     solve_affine,
 )
-from tpalg.scalars import GAUSS_I, GaussianRational, ParamPoly
+from tpalg.scalars import GAUSS_I, QI, QQ, GaussianRational, PolynomialRing
 
 F = Fraction
 
@@ -191,7 +192,7 @@ def dense_solve_affine(matrix, rhs, one=Fraction(1)):
 SMALL = sorted({F(p, q) for p in range(-3, 4) for q in (1, 2, 3)})
 NONZERO_Q = [x for x in SMALL if x]
 NONZERO_QI = [GaussianRational(x, y) for x in SMALL[::3] for y in SMALL[::3] if x or y]
-PARAMS = ("s", "t")
+PARAMS = {base: PolynomialRing(base, ("s", "t")) for base in (QQ, QI)}
 
 
 def _sparse(nonzero, zero):
@@ -199,9 +200,9 @@ def _sparse(nonzero, zero):
     return st.sampled_from([zero] * (4 * len(nonzero)) + nonzero)
 
 
-def _params(coeffs):
+def _params(ring, coeffs):
     expo = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    return st.dictionaries(expo, coeffs, max_size=3).map(lambda terms: ParamPoly(PARAMS, terms))
+    return st.dictionaries(expo, coeffs, max_size=3).map(lambda terms: dense_poly(ring, terms))
 
 
 @st.composite
@@ -209,7 +210,8 @@ def right_hand_sides(draw, matrix, one):
     """A right-hand side for ``matrix`` over Q, Q(i) or parameter
     polynomials, either consistent by construction or drawn at random."""
     rationals, gaussians = st.sampled_from(SMALL), st.sampled_from(NONZERO_QI)
-    rhs_entries = draw(st.sampled_from((rationals, gaussians, _params(st.sampled_from(NONZERO_Q)))))
+    params = _params(PARAMS[QQ if isinstance(one, F) else QI], st.sampled_from(NONZERO_Q))
+    rhs_entries = draw(st.sampled_from((rationals, gaussians, params)))
     if draw(st.booleans()):
         x = draw(st.lists(rhs_entries, min_size=len(matrix[0]), max_size=len(matrix[0])))
         return [sum((a * v for a, v in zip(r, x)), one * 0) for r in matrix]

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_poly
 from tpalg.errors import (
     BadScalar,
     MissingSymbol,
@@ -25,11 +26,9 @@ from tpalg.scalars import (
     QI,
     QQ,
     GaussianRational,
-    ParamPoly,
     PolynomialRing,
     SeriesRing,
     TruncSeries,
-    _invert_base,
     _power,
     format_scalar,
     h_valuation,
@@ -171,11 +170,31 @@ def test_gaussian_poly_parameters_hold_gaussian_coefficients():
         1 - a,
         a * ring.var("b") + F(1, 2),
         (SeriesRing(ring, 2).h() ** 0).coeffs[0],
+        ring.zero() + 1,
+        ring.zero() ** 0,
+        (a - a) + 1,
+        (SeriesRing(ring, 3).zero() ** 0).coeffs[0],
     ):
         assert all(type(c) is GaussianRational for c in p.sparse.values()), p
         assert p.sparse
+    assert type(ring.zero().substitute({})) is GaussianRational
     assert ring.parse("a") == ring.var("a") == PolynomialRing(QQ, ("a", "b")).var("a")
     assert all(type(c) is F for c in AB.parse("a").sparse.values())
+
+
+def test_polys_combine_only_over_equal_rings():
+    qa, ia = AB.var("a"), PolynomialRing(QI, ("a", "b")).var("a")
+    for other in (ia, ia * 0):
+        with pytest.raises(ValueError):
+            qa + other
+        with pytest.raises(ValueError):
+            qa * other
+    with pytest.raises(BadScalar):
+        qa * GAUSS_I
+    with pytest.raises(BadScalar):
+        qa + GAUSS_I
+    # an equal ring built apart combines
+    assert qa + PolynomialRing(QQ, ("a", "b")).var("b") == AB.parse("a+b")
 
 
 def test_poly_division_by_constant_only():
@@ -186,14 +205,12 @@ def test_poly_division_by_constant_only():
 
 
 def _poly_strategy():
-    names = ("a", "b")
-
     def build(coeffs):
         terms = {}
         for (ea, eb), c in coeffs:
             if c:
                 terms[(ea, eb)] = terms.get((ea, eb), F(0)) + c
-        return ParamPoly(names, {e: c for e, c in terms.items() if c})
+        return dense_poly(AB, terms)
 
     expo = st.tuples(st.integers(0, 3), st.integers(0, 3))
     return st.builds(build, st.lists(st.tuples(expo, small_rationals), max_size=5))
@@ -342,7 +359,8 @@ class DenseParamPoly:
                 raise NotInvertible("cannot divide by a non-constant polynomial")
             other = other.constant_value()
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return self * _invert_base(other)
+            inverse = other.inverse() if isinstance(other, GaussianRational) else 1 / Fraction(other)
+            return self * inverse
         return NotImplemented
 
     def __eq__(self, other):
@@ -457,12 +475,14 @@ small_gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
 @st.composite
 def _sparse_cases(draw):
     """Dense term dicts over a ring of up to 130 names, each polynomial in
-    1-8 symbols set far apart, with rational or Gaussian coefficients."""
+    1-8 symbols set far apart, with rational or Gaussian coefficients; the
+    ring is over Q(i) when the coefficients or the number are Gaussian."""
     size = draw(st.integers(1, 130))
     names = tuple(f"s{i}" for i in range(size))
     coeffs = draw(st.sampled_from([small_rationals, small_gaussians]))
     # a number the polynomials meet in the ring: an int, a Fraction or a Gaussian
     number = draw(st.one_of(st.integers(-3, 3), small_rationals, small_gaussians))
+    gaussian = coeffs is small_gaussians or isinstance(number, GaussianRational)
 
     def poly():
         slots = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8, unique=True))
@@ -475,7 +495,7 @@ def _sparse_cases(draw):
             terms[tuple(expo)] = c
         return terms
 
-    return names, poly(), poly(), poly(), number
+    return PolynomialRing(QI if gaussian else QQ, names), poly(), poly(), poly(), number
 
 
 def _same(sparse, dense):
@@ -495,8 +515,9 @@ def _same(sparse, dense):
 @given(_sparse_cases(), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
 def test_sparse_poly_matches_dense_reference(case, k):
-    names, tp, tq, tr, c = case
-    p, q, r = (ParamPoly(names, t) for t in (tp, tq, tr))
+    ring, tp, tq, tr, c = case
+    names = ring.variables
+    p, q, r = (dense_poly(ring, t) for t in (tp, tq, tr))
     dp, dq, dr = (DenseParamPoly(names, t) for t in (tp, tq, tr))
     pairs = [
         (p, dp),
@@ -512,7 +533,7 @@ def test_sparse_poly_matches_dense_reference(case, k):
     ]
     if c:
         pairs.append((p / c, dp / c))
-        pairs.append((p / ParamPoly.constant(names, c), dp / DenseParamPoly.constant(names, c)))
+        pairs.append((p / ring.coerce(c), dp / DenseParamPoly.constant(names, c)))
     # partial substitution: two of p's symbols go to polynomial images
     used = sorted(dp.used_variables())
     pairs.append((
@@ -520,29 +541,35 @@ def test_sparse_poly_matches_dense_reference(case, k):
         dp.subs(dict(zip(used[::2], (dq, dr + c)))),
     ))
     for sparse, dense in pairs:
+        assert sparse.ring == ring
         _same(sparse, dense)
     for name in used[:2]:
-        _same(ParamPoly.var(names, name), DenseParamPoly.var(names, name))
-    _same(ParamPoly.constant(names, c), DenseParamPoly.constant(names, c))
+        _same(ring.var(name), DenseParamPoly.var(names, name))
+    _same(ring.coerce(c), DenseParamPoly.constant(names, c))
+    # coerced into Q(i): the same polynomial, its coefficients Gaussian
+    iring = PolynomialRing(QI, names)
+    assert ring.coerce(p) is p and iring.coerce(p).ring == iring
+    assert all(type(x) is GaussianRational for x in iring.coerce(p).sparse.values())
+    _same(iring.coerce(p), dp)
 
 
 @given(_sparse_cases())
 @settings(max_examples=60, deadline=None)
 def test_equal_polys_hash_equal(case):
-    names, tp, tq, _, c = case
-    p, q = ParamPoly(names, tp), ParamPoly(names, tq)
+    ring, tp, tq, _, c = case
+    p, q = dense_poly(ring, tp), dense_poly(ring, tq)
     rebuilt = (p + q) - q
     assert rebuilt == p and hash(rebuilt) == hash(p)
     # the same terms inserted in another order
-    backwards = ParamPoly(names, dict(reversed(list(tp.items()))))
+    backwards = dense_poly(ring, dict(reversed(list(tp.items()))))
     assert backwards == p and hash(backwards) == hash(p)
     assert p + q == q + p and hash(p + q) == hash(q + p)
     assert (p * q) * 2 == p * (q * 2) and hash((p * q) * 2) == hash(p * (q * 2))
-    const = ParamPoly.constant(names, c)
+    const = ring.coerce(c)
     assert const == c and hash(const) == hash(c)
-    half = ParamPoly.constant(names, GaussianRational.of(F(1, 2)))
+    half = PolynomialRing(QI, ring.variables).coerce(F(1, 2))
     assert half == F(1, 2) and hash(half) == hash(F(1, 2))
-    assert ParamPoly(names, {}) == 0 and hash(ParamPoly(names, {})) == hash(F(0))
+    assert ring.zero() == 0 and hash(ring.zero()) == hash(F(0))
 
 
 def test_sparse_print_order_pinned():
@@ -572,11 +599,6 @@ def test_sparse_print_order_pinned():
         "ParamPoly('-s1_0^2*s3_7+s1_4^2*s2_8-1/3*s3_7^3+s1_0*s5_24+s1_4^2-s1_4*s2_8"
         "+5/2*s1_4*s4_1+2*s1_4-s2_8-5/2*s4_1+5')"
     )
-
-
-def test_dense_exponent_length_is_checked():
-    with pytest.raises(ValueError):
-        ParamPoly(("a", "b"), {(1,): F(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +706,7 @@ def _repeated_product(one, x, k):
 @settings(max_examples=60)
 def test_powers_match_repeated_products(s, p, k):
     assert s**k == _repeated_product(TruncSeries.constant(s.order, F(1)), s, k)
-    assert p**k == _repeated_product(ParamPoly.constant(p.variables, F(1)), p, k)
+    assert p**k == _repeated_product(p.ring.one(), p, k)
 
 
 def test_huge_series_power_is_cheap():
@@ -808,9 +830,9 @@ def test_series_format_parse_roundtrip(s):
 
 
 def test_substitute_params_series():
-    ring = SeriesRing(PolynomialRing(QQ, ("t",)), 3)
-    t = ParamPoly.var(("t",), "t")
-    s = TruncSeries(3, (t, t * t, ParamPoly.constant(("t",), F(1))))
+    ring = PolynomialRing(QQ, ("t",))
+    t = ring.var("t")
+    s = TruncSeries(3, (t, t * t, ring.one()))
     out = substitute_params(s, {"t": F(2)})
     assert out == TruncSeries(3, (F(2), F(4), F(1)))
     with pytest.raises(MissingSymbol):
