@@ -99,7 +99,7 @@ def _gate_entries(d1, d2, w):
         if None not in scaled:
             (l1, ints1, a1), (l2, ints2, a2), (lf, intsf, af) = scaled
             bound = lf * l2 * n * order * af * a1 + l1 * (n * order) ** 2 * af * af * a2
-            packing = Packing(order, bound, lf * lf * l1 * l2, True)
+            packing = Packing(SeriesRing(QQ, order), bound, lf * lf * l1 * l2)
             op1 = [x * lf * l2 for x in packing.pack(ints1)]
             op2 = [x * l1 for x in packing.pack(ints2)]
             return op1, op2, packing.pack(intsf), packing
@@ -135,7 +135,7 @@ def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
                     for l, z in op2[a * n + b]:
                         res[l] -= xy * z
             # every scalar type is false exactly when zero
-            if any(res) and (packing is None or any(r & packing.mask for r in res)):
+            if any(res) and (packing is None or any(r % packing.modulus for r in res)):
                 res = tuple(res if packing is None else map(packing.read, res))
                 return IdentityReport(
                     "EQUIVALENCE",

@@ -575,30 +575,41 @@ def _sidon(count):
 class Packing:
     """Kronecker substitution: a value with integer coefficients c_t packs
     as the integer sum c_t 2^(B e_t), a ring map, so packed products are
-    the untruncated products.  Three formats:
+    the untruncated products.  ``ring`` is the ring of the values, one of
+    four formats, each with the ``modulus`` M of its zero test:
 
-    * Q (order 1, ``series`` false) and series over Q, where c_t is the
-      coefficient of h^t and e_t = t: x is zero mod h^order exactly when
-      x & mask, its low ``order`` digits, is 0;
+    * Q and series over Q, where c_t is the coefficient of h^t (order 1
+      for Q) and e_t = t: x is zero mod h^order exactly when its low
+      ``order`` digits are, that is x % M with M = 2^(B order);
     * affine polynomials in ``ring``, over Q in p1..pm, where c_0 is the
       constant term, c_t the coefficient of p_t, and e_0 < ... < e_m a
       Sidon set: a product of two packed values holds the coefficient of
       p_s p_t (p_0 = 1) in digit e_s + e_t and in no other digit, so it
-      is read off ``monomials``.  Nothing is truncated, and the mask keeps
-      every bit: x is zero exactly when x is 0.
+      is read off ``monomials``.  Nothing is truncated: M = 2^(B (2 e_m
+      + 1)) lies above every digit, and x % M is 0 exactly when x is;
+    * Q(i), where a + b i packs as a + b 2^B (i = 2^B), and a product of
+      d values is a polynomial of degree d in 2^B.  M = 2^(2B) + 1, so
+      2^(2B) is -1 mod M: reducing mod M is the fold i^2 = -1, a ring map
+      Z[i] -> Z/M.  Every a + b 2^B with |a|, |b| < 2^(B-1) lies strictly
+      inside +-M/2, so x % M is 0 exactly when the value's a and b are.
 
-    B puts every digit of a value read back, at most ``bound`` in size,
-    strictly inside +-2^(B-1), and ``read`` takes the signed digits over
-    ``scale``: a TruncSeries, a Fraction, or a ParamPoly of degree <= 2."""
+    B puts every digit of a value read back, at most ``bound`` in size
+    (both parts of a Gaussian one), strictly inside +-2^(B-1), and
+    ``read`` takes the signed digits of x mod M over ``scale``: a Fraction,
+    a TruncSeries, a ParamPoly of degree <= 2 or a GaussianRational."""
 
-    __slots__ = ("order", "bits", "mask", "scale", "series", "ring", "positions", "monomials")
+    __slots__ = ("ring", "bits", "modulus", "scale", "positions", "monomials")
 
-    def __init__(self, order, bound, scale, series, ring=None):
-        self.order, self.scale, self.series, self.ring = order, scale, series, ring
-        self.bits = bound.bit_length() + 1
-        if ring is None:
-            self.positions, self.monomials = range(order), None
-            self.mask = (1 << self.bits * order) - 1
+    def __init__(self, ring, bound, scale):
+        self.ring, self.scale, self.monomials = ring, scale, None
+        bits = self.bits = bound.bit_length() + 1
+        if isinstance(ring, GaussianField):
+            self.positions = range(2)
+            self.modulus = (1 << 2 * bits) + 1
+            return
+        if not isinstance(ring, PolynomialRing):
+            self.positions = range(ring.order if isinstance(ring, SeriesRing) else 1)
+            self.modulus = 1 << bits * len(self.positions)
             return
         m = len(ring.variables)
         e = self.positions = _sidon(m + 1)
@@ -608,7 +619,7 @@ class Packing:
             for t in range(len(e))
             for s in range(t + 1)
         }
-        self.mask = -1
+        self.modulus = 1 << bits * (2 * e[-1] + 1)
 
     def pack(self, ints):
         """The entries whose coefficients c_0, c_1, ... are the successive
@@ -622,21 +633,25 @@ class Packing:
         return out
 
     def read(self, x):
-        """The scalar packed as x: its signed digits over ``scale``, the
-        low ``order`` ones, or for a polynomial all of them (a nonzero top
-        digit at 2^(B p) makes |x| > 2^(B p - 1))."""
-        digits, half = [], 1 << (self.bits - 1)
-        count = self.order if self.monomials is None else abs(x).bit_length() // self.bits + 1
-        for _ in range(count):
+        """The value packed as x: the signed digits of x mod M, taken in
+        +-M/2, over ``scale``."""
+        modulus, bits = self.modulus, self.bits
+        x %= modulus
+        if 2 * x > modulus:
+            x -= modulus
+        digits, half = [], 1 << (bits - 1)
+        for _ in range((modulus.bit_length() - 1) // bits):
             digits.append(((x & (2 * half - 1)) ^ half) - half)
-            x = (x - digits[-1]) >> self.bits
+            x = (x - digits[-1]) >> bits
         if self.monomials is not None:
             return ParamPoly(
                 self.ring,
                 {self.monomials[p]: Fraction(d, self.scale) for p, d in enumerate(digits) if d},
             )
         coeffs = tuple(Fraction(d, self.scale) for d in digits)
-        return TruncSeries(self.order, coeffs) if self.series else coeffs[0]
+        if isinstance(self.ring, GaussianField):
+            return GaussianRational(*coeffs)
+        return TruncSeries(self.ring.order, coeffs) if isinstance(self.ring, SeriesRing) else coeffs[0]
 
 
 def substitute_params(x, assignment):

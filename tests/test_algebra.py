@@ -455,11 +455,14 @@ SCAN_CLAUSES = {
 def _random_ops(rnd, ring, base, dim, density, top=3, den=6):
     """dot, circ and bracket with random entries, each nonzero with
     probability ``density``, over ``ring``, whose numbers lie in ``base``
-    (rationals with |numerator| <= top and denominator <= den)."""
+    (rationals with |numerator| <= top and denominator <= den, for both
+    parts of a Gaussian one)."""
+
+    def rational():
+        return F(rnd.randint(-top, top), rnd.randint(1, den))
 
     def number():
-        value = F(rnd.randint(-top, top), rnd.randint(1, den))
-        return value if base is QQ else GaussianRational(value, F(rnd.randint(-1, 1)))
+        return rational() if base is QQ else GaussianRational(rational(), rational())
 
     def scalar():
         if rnd.random() >= density:
@@ -491,12 +494,14 @@ def scan_cases(draw):
     ring = draw(
         st.sampled_from([base, PolynomialRing(base, ("a",)), SeriesRing(base, 2)])
     )
-    # only Q is scanned on integers; other products cost far more
+    # Q and Q(i) are scanned on plain packed integers; series and
+    # polynomial products cost far more
+    field = ring is base
     if name == "S5":  # it fails only where four head indices differ
-        dim = draw(st.integers(4, 5 if ring is QQ else 4))
+        dim = draw(st.integers(4, 5 if field else 4))
     else:
         arity = max(clause.arity for clause in SCAN_CLAUSES[name])
-        caps = {2: 5, 3: 5, 4: 3, 5: 3} if ring is QQ else {2: 4, 3: 3, 4: 2, 5: 2}
+        caps = {2: 5, 3: 5, 4: 3, 5: 3} if field else {2: 4, 3: 3, 4: 2, 5: 2}
         dim = draw(st.integers(2, caps[arity]))
     density = draw(st.sampled_from([0.3, 0.7, 1.0]))
     rnd = draw(st.randoms(use_true_random=False))
@@ -550,6 +555,87 @@ def series_scan_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_packed_series_scan_matches_per_tuple_scan(case):
     _assert_scans_agree(*case)
+
+
+@st.composite
+def gaussian_algebras(draw, name):
+    """A random algebra over Q(i) for the clauses of ``name``, with real
+    and imaginary numerators up to 10^30 and denominators up to 10^9: the
+    scan runs on packed integers, folded mod 2^(2B) + 1."""
+    if name == "S5":
+        dim = 4
+    else:
+        arity = max(clause.arity for clause in SCAN_CLAUSES[name])
+        dim = draw(st.integers(2, {2: 5, 3: 4, 4: 3, 5: 2}[arity]))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    top = draw(st.sampled_from([3, 10**30]))
+    den = draw(st.sampled_from([1, 10**9]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return _pres(_random_ops(rnd, QI, QI, dim, density, top, den), dim, QI)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CLAUSES))
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_packed_gaussian_scan_matches_per_tuple_scan(name, data):
+    alg = data.draw(gaussian_algebras(name))
+    assert all(_integer_ops(alg, clause) for clause in SCAN_CLAUSES[name])
+    _assert_scans_agree(name, alg)
+
+
+def test_gaussian_packing_fills_its_digits():
+    """With every bracket entry q = A (1 + i), each Jacobi residual entry
+    is 3 n q^2 = 6 n A^2 i.  Its imaginary part is half the bound 3 n (2A)^2,
+    the most a product of two entries with parts at most A can give
+    (|q1 q2| <= 2 A^2), so it fills its digit to within two bits: the one
+    that B keeps above the bound and the factor 2 that the fold bound gives
+    away."""
+    n, big = 3, 10**30
+    q = GaussianRational(F(big), F(big))
+    alg = _pres({"bracket": BilinearOp(QI, (((q,) * n,) * n,) * n)}, n, QI)
+    clause = IDENTITIES["LIE"][1]
+    packing = _integer_ops(alg, clause)[1]
+    assert packing.modulus == (1 << 2 * packing.bits) + 1
+    assert 1 << packing.bits - 3 <= 6 * n * big**2 < 1 << packing.bits - 2
+    assert _assert_scans_agree("LIE", alg) == n**2 + n**3
+    *_, (_, _, residual) = clause_failures(alg, clause)
+    assert residual == [GaussianRational(F(0), F(6 * n * big**2))] * n
+    # the conjugate entries give the negative digit -6 n A^2
+    q = GaussianRational(F(big), F(-big))
+    alg = _pres({"bracket": BilinearOp(QI, (((q,) * n,) * n,) * n)}, n, QI)
+    assert _assert_scans_agree("LIE", alg) == n**2 + n**3
+    *_, (_, _, residual) = clause_failures(alg, clause)
+    assert residual == [GaussianRational(F(0), F(-6 * n * big**2))] * n
+
+
+def test_gaussian_packing_gate():
+    """Only ops over Q(i) whose entries are all GaussianRationals are
+    packed; a Fraction or int entry, series over Q(i) and polynomials over
+    Q(i) are scanned on their own entries, and both scans agree on all of
+    them."""
+    rnd = random.Random(7)
+    ops = _random_ops(rnd, QI, QI, 3, 0.7)
+    packing = _integer_ops(_pres(ops, 3, QI), IDENTITIES["NP2"][0])[1]
+    assert packing.ring is QI and packing.modulus == (1 << 2 * packing.bits) + 1
+
+    def with_circ_entry(x):
+        """The ops with x as the e3-coordinate of e1 o e2."""
+        c = [[list(col) for col in row] for row in ops["circ"].c]
+        c[0][1][2] = x
+        circ = BilinearOp(QI, tuple(tuple(map(tuple, row)) for row in c))
+        return _pres({**ops, "circ": circ}, 3, QI)
+
+    series, poly = SeriesRing(QI, 2), PolynomialRing(QI, ("a",))
+    for name, alg in (
+        ("NOV_LEFTSYM", with_circ_entry(F(2, 3))),
+        ("NP1", with_circ_entry(F(-1))),
+        ("NCTPA", with_circ_entry(5)),
+        ("NOV_RIGHTCOMM", _pres(_random_ops(rnd, series, QI, 3, 0.7), 3, series)),
+        ("LIE", _pres(_random_ops(rnd, poly, QI, 3, 0.7), 3, poly)),
+        ("MIXED4", _pres(_random_ops(rnd, poly, QI, 2, 0.7), 2, poly)),
+    ):
+        assert all(_integer_ops(alg, clause) is None for clause in SCAN_CLAUSES[name]), name
+        assert _assert_scans_agree(name, alg), name
 
 
 # the clauses of at most two ops per term, which are scanned on packed

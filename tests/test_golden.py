@@ -10,6 +10,9 @@ Q(i): two ``family2d --field Qi`` files, the second with an ``i`` in b_h,
 ``check`` of that file, and ``equiv`` of the two by the family route and
 by ``--method solver``.  ``catalog --field Qi`` leaves the third entry's
 parameter symbolic, so its report prints the polynomial family over Q(i).
+Two more check plain Q(i) algebras: ``check`` of a Q(i) Novikov product
+that fails, with a residual whose entries have nonzero real and imaginary
+parts, and ``gelfand --dim 4 --field Qi`` piped into ``check --identity s5``.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -38,7 +41,8 @@ ROOT = Path(__file__).parent.parent
 # of the family2d cases.
 # The golden inputs: bracket.json is [e1, e2] = e2; sheared.json is the
 # family at (a, b) = (h, 3h), order 4, seen through f(e1) = (1+h) e1 and
-# f(e2) = e2 + 2h e1.
+# f(e2) = e2 + 2h e1; circ_qi.json is a product over Q(i) that fails
+# left-symmetry.
 COMMANDS = [
     ("family2d_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3"], None),
     ("family2d_h_h2", ["family2d", "--params", "a=h,b=h^2", "--order", "3"], None),
@@ -67,6 +71,9 @@ COMMANDS = [
     ("check_qi_nov_leftsym", ["check", "famqi2.json", "--identity", "nov_leftsym"], None),
     ("equiv_qi", ["equiv", "famqi.json", "famqi2.json"], None),
     ("equiv_qi_solver", ["equiv", "famqi.json", "famqi2.json", "--method", "solver"], None),
+    ("check_qi_fail", ["check", "circ_qi.json", "--identity", "nov_leftsym"], None),
+    ("gelfand_qi", ["gelfand", "--dim", "4", "--field", "Qi"], None),
+    ("gelfand_qi_check_s5", ["check", "-", "--identity", "s5"], "gelfand_qi"),
 ]
 WITH_FORMAT = {
     "check_nov_leftsym",
@@ -85,6 +92,8 @@ WITH_FORMAT = {
     "check_qi_nov_leftsym",
     "equiv_qi",
     "equiv_qi_solver",
+    "check_qi_fail",
+    "gelfand_qi_check_s5",
 }
 FILES = {
     "fam.json": "family2d_h_0",
@@ -93,7 +102,7 @@ FILES = {
     "famqi.json": "family2d_qi_h_0",
     "famqi2.json": "family2d_qi_h_ih2",
 }
-INPUTS = ("bracket.json", "sheared.json")
+INPUTS = ("bracket.json", "sheared.json", "circ_qi.json")
 
 
 def run_all(workdir):
