@@ -11,30 +11,21 @@ this slab treats a subtree with the last variable as n rows, and for an
 alternating clause it is the columns of one matrix of a table of
 alternating products over index subsets.  The scan is complete because
 every clause is multilinear.  Every term of a clause also uses each
-operation equally often, so the scan runs on integers (each op scaled by
-the lcm of its denominators) and scales a residual back exactly, in one of
-four entry formats (``scalars.Packing``): over Q an entry is an integer;
-over Q(i) an entry a + b i packs as a + b 2^B, and a residual is read mod
-2^(2B) + 1, where 2^(2B) is -1, so the reduction folds i^2 = -1; over
-Q[h]/(h^N) a series packs into one integer, products are untruncated, and
-only the low N digits of a residual are read; over Q[p1..pm], for a clause
-of at most two ops per term, an entry affine in the parameters packs its
-coefficients at digits e_0 < ... < e_m of a Sidon set, where every sum
-e_s + e_t holds the coefficient of p_s p_t alone, and a residual is zero
-exactly when its whole integer is.  One zero test serves all four: the
-residual mod the packing's modulus.  Other rings are scanned on their own
-structure constants; the entry format is chosen once per scan, and the
-slab readers and the scan loop are the same for both, given the cubes and
-the zero and one of their entries.  When the entries are ParamPoly values,
-"zero residual" means the identically-zero polynomial, so one check
-certifies a whole parametric family.
+operation equally often, so where the ring has a packed format
+(``scalars.Packing``) the scan runs on integers: each op scaled by the
+lcm of its denominators and packed, and a residual read back exactly.
+Other rings are scanned on their own structure constants; the entry
+format is chosen once per scan, and the slab readers and the scan loop
+are the same for both, given the cubes and the zero and one of their
+entries.  When the entries are ParamPoly values, "zero residual" means
+the identically-zero polynomial, so one check certifies a whole
+parametric family.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 
 from .errors import (
     DependentSpan,
@@ -46,10 +37,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .linalg import factor, is_identity_matrix, matmul, solve_affine
-from .scalars import (
-    QQ, GaussianField, GaussianRational, Packing, ParamPoly, PolynomialRing, SeriesRing,
-    TruncSeries, scaled_integers,
-)
+from .scalars import QQ, Packing, integer_form
 
 # ---------------------------------------------------------------------------
 # Vectors
@@ -563,76 +551,22 @@ def _alternating_slab(cubes, clause, zero, one, n):
 
 
 def _integer_ops(alg, clause):
-    """The structure-constant cubes of the ops ``clause`` uses, each scaled
-    to integers by the lcm L of its denominators, in one of four entry
-    formats, and the ``Packing`` that reads a residual back over
-    D = prod L^degree:
-
-    * over Q an entry is its integer;
-    * over Q(i) an entry a + b i packs as a + b 2^B; a product of d entries
-      folds (i^2 = -1) to parts of at most (2A)^d, A the op's largest
-      |part|, so the bound is the one over Q with each op's A doubled;
-    * over Q[h]/(h^N) an entry packs its N coefficients into one integer;
-      a term of d ops sums n^(d-1) products of d entries, with at most
-      N^(d-1) products of coefficients at each h^t;
-    * over Q[p1..pm], for a clause of at most two ops per term, an entry
-      c_0 + sum c_t p_t packs its m + 1 coefficients at the digits of a
-      Sidon set, where a product of two entries keeps each coefficient of
-      p_s p_t in its own digit; at most two products of coefficients
-      (p_s p_t and p_t p_s) meet there.  Only the nonzero coefficients
-      are scaled; a zero packs as 0.
-
-    None unless the ring is one of these and every entry is a Fraction, a
-    GaussianRational of Fractions, a TruncSeries of order N over
-    Fractions, or an affine ParamPoly of the ring over Fractions."""
-    ring, n, degrees = alg.ring, alg.dim, clause.degrees
-    gaussian = isinstance(ring, GaussianField)
-    series = isinstance(ring, SeriesRing)
-    affine = isinstance(ring, PolynomialRing) and sum(degrees) <= 2
-    order, base = (ring.order, ring.base) if series else (1, ring.base if affine else ring)
-    if not gaussian and {type(base.zero()), type(base.one())} != {Fraction}:
+    """The structure-constant cubes of the ops ``clause`` uses as packed
+    integers, and the ``scalars.Packing`` that reads a residual back; None
+    unless every op has an ``integer_form``.  A term of d ops sums n^(d-1)
+    products of d entries, degrees[f] of them from op f."""
+    ring, n = alg.ring, alg.dim
+    labels, degrees = zip(*[(label, deg) for label, deg in zip(OPS, clause.degrees) if deg])
+    d = sum(degrees)
+    forms = [
+        integer_form(ring, [x for row in alg.ops[label].c for col in row for x in col], d)
+        for label in labels
+    ]
+    if None in forms:
         return None
-    scaled, scale, bound = {}, 1, sum(abs(c) for c, _ in clause.signed_terms())
-    for label, degree in zip(OPS, degrees):
-        if not degree:
-            continue
-        entries = [x for row in alg.ops[label].c for col in row for x in col]
-        if gaussian:
-            if not {*map(type, entries)} <= {GaussianRational}:
-                return None
-            entries = [x.re for x in entries] + [x.im for x in entries]
-        elif series:
-            if not {*map(type, entries)} <= {TruncSeries} or {x.order for x in entries} - {order}:
-                return None
-            entries = [c for layer in zip(*[x.coeffs for x in entries]) for c in layer]
-        elif affine:
-            if not {*map(type, entries)} <= {ParamPoly} or not all(
-                (x.ring is ring or x.ring == ring) and x.is_affine() for x in entries
-            ):
-                return None
-            # the nonzero coefficients, and where each one sits in the
-            # layers c_0, c_1, ..., c_m of n^3 entries each
-            size = len(entries)
-            where = [
-                (mono[0][0] + 1 if mono else 0) * size + m
-                for m, x in enumerate(entries)
-                for mono in x.sparse
-            ]
-            entries = [c for x in entries for c in x.sparse.values()]
-        integral = scaled_integers(entries)
-        if integral is None:
-            return None
-        lcm, ints, top = integral
-        if affine:
-            ints, nonzero = [0] * (len(ring.variables) + 1) * size, ints
-            for m, c in zip(where, nonzero):
-                ints[m] = c
-        scaled[label] = ints
-        scale, bound = scale * lcm**degree, bound * (2 * top if gaussian else top) ** degree
-    bound *= (n * order) ** (sum(degrees) - 1) * (2 if affine else 1)
-    packing = Packing(ring, bound, scale)
-    cubes = {}
-    for label, ints in scaled.items():
+    count = sum(abs(c) for c, _ in clause.signed_terms()) * n ** (d - 1)
+    packing, cubes = Packing(ring, forms, [(count, degrees)]), {}
+    for label, (_, ints, _) in zip(labels, forms):
         flat = packing.pack(ints)
         # lists, not tuples: CPython keeps up to 2000 freed tuples of each
         # small size for reuse, and building these as tuples for every scan
@@ -646,16 +580,10 @@ def clause_failures(alg, clause):
     """Every basis tuple at which ``clause`` fails on ``alg``, as (clause
     name, 0-based tuple, residual), tuples in lexicographic order.
 
-    The entries are chosen once: the integer cubes of ``_integer_ops``
-    (over Q, over Q(i), over Q[h]/(h^N), and over Q[p1..pm] for affine
-    entries in a clause of at most two ops per term), otherwise the ring's
-    own structure constants.  A reader gives the residuals at a prefix for
-    every last index at once, on either.  A packed residual vanishes
-    exactly when it does mod the packing's modulus: 2^(B N) keeps the low
-    N digits of a series, a polynomial's modulus lies above all its digits,
-    and 2^(2B) + 1 folds i^2 = -1 into the two digits of a Gaussian value.
-    A reported one is read back to the same Fractions, GaussianRationals,
-    series or polynomials.
+    The entries are chosen once: the packed cubes of ``_integer_ops``
+    (read back by ``Packing.read``), otherwise the ring's own structure
+    constants.  A reader gives the residuals at a prefix for every last
+    index at once, on either.
     """
     integral = _integer_ops(alg, clause)
     if integral is None:
@@ -669,9 +597,10 @@ def clause_failures(alg, clause):
         sign, rows = slab_at(prefix)
         for k, res in enumerate(rows):
             # every scalar type is false exactly when zero
-            if any(res) and (packing is None or any(r % packing.modulus for r in res)):
-                res = [sign * r if packing is None else packing.read(sign * r) for r in res]
-                yield clause.name, prefix + (k,), res
+            if any(res):
+                res = [sign * r for r in res] if packing is None else packing.read(res, sign)
+                if res is not None:
+                    yield clause.name, prefix + (k,), res
 
 
 def identity_failures(alg, identity):

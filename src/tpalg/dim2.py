@@ -42,6 +42,7 @@ from .scalars import (
     SeriesRing,
     TruncSeries,
     h_valuation,
+    join_fields,
     series_invert,
 )
 
@@ -174,11 +175,10 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
 
 
 def _join_rings(r1, r2):
-    """The ring of two operands: over Q(i) when either one is, and over the
-    parameters of both, r1's first, when either one has parameters."""
+    """The ring of two operands: over ``join_fields`` of their fields, and
+    over the parameters of both, r1's first, when either one has any."""
     polys = [r for r in (r1, r2) if isinstance(r, PolynomialRing)]
-    b1, b2 = (r.base if isinstance(r, PolynomialRing) else r for r in (r1, r2))
-    base = b2 if b1 == QQ else b1
+    base = join_fields(*(r.base if isinstance(r, PolynomialRing) else r for r in (r1, r2)))
     if not polys:
         return base
     return PolynomialRing(base, tuple(dict.fromkeys(v for r in polys for v in r.variables)))

@@ -7,8 +7,8 @@ f_h(x *_h y) = f_h(x) *'_h f_h(y), exactly through h^(order-1).
 Three tools:
 
 * verify_witness     -- check a candidate f_h on all basis pairs, in one
-                        loop: on packed integers over Q, on series gathered
-                        from the layers otherwise
+                        loop: on packed integers (``scalars.Packing``) over
+                        Q, on series gathered from the layers otherwise
 * solve_equivalence  -- order-by-order linear solver in two passes over one
                         loop: over the field with every free coordinate at
                         0, which can only find a witness, then, where that
@@ -22,7 +22,6 @@ Three tools:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import starmap
 from operator import mul
 
@@ -31,8 +30,8 @@ from .deform import _family_frame, family2d_construct
 from .errors import BadScalar, DimMismatch, OrderMismatch, Record
 from .linalg import factor, general_solution, solve_affine
 from .scalars import (
-    QQ, Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation,
-    scaled_integers, series_invert, substitute_params,
+    Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation, integer_form,
+    join_fields, packed_format, series_invert, substitute_params,
 )
 
 
@@ -75,34 +74,30 @@ def _refuse_parameters(d1, d2):
 
 
 def _common_frame(d1, d2):
-    """The field of both deformations: Q(i) when either one is over Q(i)."""
+    """The field of both deformations (``scalars.join_fields``)."""
     if d1.dim != d2.dim:
         raise DimMismatch(f"deformation dims differ: {d1.dim} vs {d2.dim}")
     if d1.order != d2.order:
         raise OrderMismatch(f"deformation orders differ: {d1.order} vs {d2.order}")
-    return d2.ring if d1.ring == QQ else d1.ring
+    return join_fields(d1.ring, d2.ring)
 
 
 def _gate_entries(d1, d2, w):
     """mu1, mu2 and F's layers as flat entry lists ((i, j, k) at
     (i n + j) n + k, F's (i, j) at i n + j), and the ``Packing`` that reads
-    a defect back, or None.  Packed integers when both rings are Q and every
-    layer entry is a Fraction: mu1, mu2, F are scaled by lcms L1, L2, Lf
-    (largest scaled coefficients A1, A2, Af) and both sides by Lf^2 L1 L2;
-    at h^t the left sums n N products of two coefficients, the right n^2 N^2
-    of three.  Otherwise TruncSeries gathered from the layers."""
-    n, order = d1.dim, d1.order
+    a defect back, or None.  Packed when series over the field of d1 and d2
+    have a packed format and every entry fits it (a list holds their
+    coefficient runs): a defect sums n products F(mu1(x, y)) and n^2
+    products mu2(F x, F y).  Otherwise TruncSeries gathered from the layers."""
+    n, order, field = d1.dim, d1.order, join_fields(d1.ring, d2.ring)
     flat = [[x for op in d.mu for row in op.c for col in row for x in col] for d in (d1, d2)]
     flat.append([x for f in w.f for row in f.m for x in row])
-    if {type(x) for d in (d1, d2) for x in (d.ring.zero(), d.ring.one())} == {Fraction}:
-        scaled = [scaled_integers(v) for v in flat]
-        if None not in scaled:
-            (l1, ints1, a1), (l2, ints2, a2), (lf, intsf, af) = scaled
-            bound = lf * l2 * n * order * af * a1 + l1 * (n * order) ** 2 * af * af * a2
-            packing = Packing(SeriesRing(QQ, order), bound, lf * lf * l1 * l2)
-            op1 = [x * lf * l2 for x in packing.pack(ints1)]
-            op2 = [x * l1 for x in packing.pack(ints2)]
-            return op1, op2, packing.pack(intsf), packing
+    ring = SeriesRing(field, order)
+    forms = [integer_form(field, v, 1) for v in flat] if packed_format(ring) else [None]
+    if None not in forms:
+        packing = Packing(ring, forms, [(n, (1, 0, 1)), (n * n, (0, 1, 2))])
+        (op1, op2, fm), (m1, m2) = [packing.pack(v) for _, v, _ in forms], packing.multipliers
+        return [x * m1 for x in op1], [x * m2 for x in op2], fm, packing
     sizes = (n**3, n**3, n * n)  # entries per layer
     series = [[TruncSeries(order, v[m::s]) for m in range(s)] for v, s in zip(flat, sizes)]
     return (*series, None)
@@ -111,8 +106,8 @@ def _gate_entries(d1, d2, w):
 def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
     """Does w intertwine d1 into d2?  Checks F(e_i *_1 e_j) = F(e_i) *_2
     F(e_j) on every basis pair through the full truncation order, in one
-    loop on the entries of ``_gate_entries``: packed integers over Q,
-    TruncSeries otherwise.  It shares no code with the solver's R_k."""
+    loop on the entries of ``_gate_entries``, packed integers or
+    TruncSeries.  It shares no code with the solver's R_k."""
     _common_frame(d1, d2)
     if w.dim != d1.dim:
         raise DimMismatch(f"witness dim {w.dim} does not match deformation dim {d1.dim}")
@@ -135,13 +130,11 @@ def verify_witness(d1, d2, w: EquivalenceWitness) -> IdentityReport:
                     for l, z in op2[a * n + b]:
                         res[l] -= xy * z
             # every scalar type is false exactly when zero
-            if any(res) and (packing is None or any(r % packing.modulus for r in res)):
-                res = tuple(res if packing is None else map(packing.read, res))
-                return IdentityReport(
-                    "EQUIVALENCE",
-                    False,
-                    Counterexample((i + 1, j + 1), res, "intertwining"),
-                )
+            if any(res):
+                res = res if packing is None else packing.read(res)
+                if res is not None:
+                    hit = Counterexample((i + 1, j + 1), tuple(res), "intertwining")
+                    return IdentityReport("EQUIVALENCE", False, hit)
     return IdentityReport("EQUIVALENCE", True, None)
 
 

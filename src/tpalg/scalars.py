@@ -542,19 +542,8 @@ def h_valuation(s: TruncSeries):
 
 
 # ---------------------------------------------------------------------------
-# Series and affine polynomials over Q packed into integers
+# Values packed into integers
 # ---------------------------------------------------------------------------
-
-
-def scaled_integers(values):
-    """(L, values times L, their largest |value|) for L the lcm of the
-    denominators; None unless every value is a Fraction."""
-    if not {*map(type, values)} <= {Fraction}:
-        return None
-    dens = [x.denominator for x in values]
-    lcm = math.lcm(*dens)
-    ints = [x.numerator * (lcm // d) for x, d in zip(values, dens)]
-    return lcm, ints, max(map(abs, ints), default=0)
 
 
 def _sidon(count):
@@ -572,43 +561,70 @@ def _sidon(count):
     return terms
 
 
+def packed_format(ring):
+    """The format in which ``Packing`` packs the values of ``ring``: "Q",
+    "Qi", "series" (over Q), "affine" (polynomials over Q), or None."""
+    if isinstance(ring, (SeriesRing, PolynomialRing)) and isinstance(ring.base, RationalField):
+        return "series" if isinstance(ring, SeriesRing) else "affine"
+    return {RationalField: "Q", GaussianField: "Qi"}.get(type(ring))
+
+
 class Packing:
     """Kronecker substitution: a value with integer coefficients c_t packs
     as the integer sum c_t 2^(B e_t), a ring map, so packed products are
-    the untruncated products.  ``ring`` is the ring of the values, one of
-    four formats, each with the ``modulus`` M of its zero test:
+    the untruncated products.  The ring of the values picks the format
+    (``packed_format``), which fixes the c_t (``integer_form`` lists them),
+    the ``modulus`` M of the zero test, and g(d): the digits of a product
+    of d values with coefficients at most A are at most g(d) A^d.
 
-    * Q and series over Q, where c_t is the coefficient of h^t (order 1
-      for Q) and e_t = t: x is zero mod h^order exactly when its low
-      ``order`` digits are, that is x % M with M = 2^(B order);
-    * affine polynomials in ``ring``, over Q in p1..pm, where c_0 is the
-      constant term, c_t the coefficient of p_t, and e_0 < ... < e_m a
-      Sidon set: a product of two packed values holds the coefficient of
-      p_s p_t (p_0 = 1) in digit e_s + e_t and in no other digit, so it
-      is read off ``monomials``.  Nothing is truncated: M = 2^(B (2 e_m
-      + 1)) lies above every digit, and x % M is 0 exactly when x is;
-    * Q(i), where a + b i packs as a + b 2^B (i = 2^B), and a product of
-      d values is a polynomial of degree d in 2^B.  M = 2^(2B) + 1, so
+    * "Q" and "series" over Q of order N (N = 1 for Q): c_t is the
+      coefficient of h^t and e_t = t; x is zero mod h^N exactly when x % M
+      is, M = 2^(B N).  At most N^(d-1) products of coefficients meet at
+      each h^t: g(d) = N^(d-1).
+    * "affine", polynomials over Q in p1..pm, in products of two at most:
+      c_0 is the constant term, c_t the coefficient of p_t, and
+      e_0 < ... < e_m a Sidon set, so digit e_s + e_t of a product holds
+      the coefficient of p_s p_t (p_0 = 1) alone (``monomials``), a sum of
+      at most two products: g(d) = 2.  M = 2^(B (2 e_m + 1)) lies above
+      every digit, so x % M is 0 exactly when x is.
+    * "Qi": a + b i packs as a + b 2^B (i = 2^B).  M = 2^(2B) + 1, so
       2^(2B) is -1 mod M: reducing mod M is the fold i^2 = -1, a ring map
-      Z[i] -> Z/M.  Every a + b 2^B with |a|, |b| < 2^(B-1) lies strictly
-      inside +-M/2, so x % M is 0 exactly when the value's a and b are.
+      Z[i] -> Z/M, and a product of d values folds to parts of at most
+      (2A)^d: g(d) = 2^d.  Every a + b 2^B with |a|, |b| < 2^(B-1) lies
+      strictly inside +-M/2, so x % M is 0 exactly when a and b are.
 
-    B puts every digit of a value read back, at most ``bound`` in size
-    (both parts of a Gaussian one), strictly inside +-2^(B-1), and
-    ``read`` takes the signed digits of x mod M over ``scale``: a Fraction,
-    a TruncSeries, a ParamPoly of degree <= 2 or a GaussianRational."""
+    ``forms`` come from ``integer_form``.  A kind (count, degrees) of
+    ``kinds`` is count products of degrees[f] values of form f each, at
+    scale prod L_f^degrees[f]; its ``multipliers`` entry brings it to
+    ``scale`` D = prod L_f^(the most degrees[f] of any kind).  B puts the
+    sum over kinds of count g(sum(degrees)) multiplier prod top_f^degrees[f]
+    strictly inside +-2^(B-1), and so every digit read back."""
 
-    __slots__ = ("ring", "bits", "modulus", "scale", "positions", "monomials")
+    __slots__ = (
+        "ring", "format", "bits", "modulus", "scale", "multipliers", "positions", "monomials"
+    )
 
-    def __init__(self, ring, bound, scale):
-        self.ring, self.scale, self.monomials = ring, scale, None
+    def __init__(self, ring, forms, kinds):
+        self.ring, self.monomials, scale = ring, None, 1
+        form = self.format = packed_format(ring)
+        for (lcm, _, _), degree in zip(forms, map(max, zip(*(degrees for _, degrees in kinds)))):
+            scale *= lcm**degree
+        bound, self.scale, self.multipliers = 0, scale, []
+        for count, degrees in kinds:
+            d, size, kind_scale = sum(degrees), count, 1
+            for (lcm, _, top), degree in zip(forms, degrees):
+                size, kind_scale = size * top**degree, kind_scale * lcm**degree
+            # g(d), N^(d-1) over a series ring
+            growth = {"Q": 1, "Qi": 1 << d, "affine": 2}.get(form) or ring.order ** (d - 1)
+            self.multipliers.append(scale // kind_scale)
+            bound += size * growth * self.multipliers[-1]
         bits = self.bits = bound.bit_length() + 1
-        if isinstance(ring, GaussianField):
+        if form == "Qi":
             self.positions = range(2)
             self.modulus = (1 << 2 * bits) + 1
             return
-        if not isinstance(ring, PolynomialRing):
-            self.positions = range(ring.order if isinstance(ring, SeriesRing) else 1)
+        if form != "affine":
+            self.positions = range(ring.order if form == "series" else 1)
             self.modulus = 1 << bits * len(self.positions)
             return
         m = len(ring.variables)
@@ -632,26 +648,80 @@ class Packing:
             out = [(x << shift) + c for x, c in zip(out, ints[t * size : (t + 1) * size])]
         return out
 
-    def read(self, x):
-        """The value packed as x: the signed digits of x mod M, taken in
-        +-M/2, over ``scale``."""
-        modulus, bits = self.modulus, self.bits
-        x %= modulus
-        if 2 * x > modulus:
-            x -= modulus
-        digits, half = [], 1 << (bits - 1)
-        for _ in range((modulus.bit_length() - 1) // bits):
-            digits.append(((x & (2 * half - 1)) ^ half) - half)
-            x = (x - digits[-1]) >> bits
-        if self.monomials is not None:
-            return ParamPoly(
-                self.ring,
-                {self.monomials[p]: Fraction(d, self.scale) for p, d in enumerate(digits) if d},
-            )
-        coeffs = tuple(Fraction(d, self.scale) for d in digits)
-        if isinstance(self.ring, GaussianField):
-            return GaussianRational(*coeffs)
-        return TruncSeries(self.ring.order, coeffs) if isinstance(self.ring, SeriesRing) else coeffs[0]
+    def read(self, row, sign=1):
+        """The values packed as ``sign`` times the entries of ``row`` (the
+        signed digits of each mod M, taken in +-M/2, over ``scale``: a
+        Fraction, a TruncSeries, a ParamPoly of degree <= 2 or a
+        GaussianRational), or None when every entry is zero mod M."""
+        modulus, bits, form, scale = self.modulus, self.bits, self.format, self.scale
+        if not any(x % modulus for x in row):
+            return None
+        values, half = [], 1 << (bits - 1)
+        for x in row:
+            x = sign * x % modulus
+            if 2 * x > modulus:
+                x -= modulus
+            digits = []
+            for _ in range((modulus.bit_length() - 1) // bits):
+                digits.append(((x & (2 * half - 1)) ^ half) - half)
+                x = (x - digits[-1]) >> bits
+            if form == "affine":
+                terms = {self.monomials[p]: Fraction(d, scale) for p, d in enumerate(digits) if d}
+                values.append(ParamPoly(self.ring, terms))
+                continue
+            coeffs = [Fraction(d, scale) for d in digits]
+            if form == "Qi":
+                values.append(GaussianRational(*coeffs))
+            elif form == "series":
+                values.append(TruncSeries(self.ring.order, coeffs))
+            else:
+                values.append(coeffs[0])
+        return values
+
+
+def integer_form(ring, values, degree):
+    """(L, ints, top): ``values``, all of ``ring``, as the coefficients of
+    their ``Packing`` format run by run (c_0 of every value, then c_1, ...)
+    times the lcm L of their denominators, and the largest |int|; None
+    unless the ring has a format for products of ``degree`` values and
+    every value fits it with Fraction coefficients."""
+    form = packed_format(ring)
+    if form is None:
+        return None
+    if form == "Qi":
+        if not {*map(type, values)} <= {GaussianRational}:
+            return None
+        values = [x.re for x in values] + [x.im for x in values]
+    elif form == "series":
+        if not {*map(type, values)} <= {TruncSeries} or {x.order for x in values} - {ring.order}:
+            return None
+        values = [c for layer in zip(*[x.coeffs for x in values]) for c in layer]
+    elif form == "affine":
+        if degree > 2 or not {*map(type, values)} <= {ParamPoly} or not all(
+            (x.ring is ring or x.ring == ring) and x.is_affine() for x in values
+        ):
+            return None
+        # only the nonzero coefficients, and where each one sits in the runs
+        # c_0, c_1, ..., c_m of len(values) entries each; a zero packs as 0
+        size = len(values)
+        where = [
+            (mono[0][0] + 1 if mono else 0) * size + m
+            for m, x in enumerate(values)
+            for mono in x.sparse
+        ]
+        values = [c for x in values for c in x.sparse.values()]
+    if not {*map(type, values)} <= {Fraction}:
+        return None
+    # one call per value for both parts; the lcm of distinct denominators
+    ratios = [x.as_integer_ratio() for x in values]
+    lcm = math.lcm(*{d for _, d in ratios})
+    ints = [n * (lcm // d) for n, d in ratios]
+    top = max(map(abs, ints), default=0)
+    if form == "affine":
+        ints, nonzero = [0] * (len(ring.variables) + 1) * size, ints
+        for m, c in zip(where, nonzero):
+            ints[m] = c
+    return lcm, ints, top
 
 
 def substitute_params(x, assignment):
@@ -1124,6 +1194,11 @@ class SeriesRing(_Ring):
 
 QQ = RationalField()
 QI = GaussianField()
+
+
+def join_fields(f1, f2):
+    """The field of values from two fields: Q(i) when either one is."""
+    return f2 if f1 == QQ else f1
 
 
 def field_by_tag(tag):

@@ -608,6 +608,31 @@ def test_gaussian_packing_fills_its_digits():
     assert residual == [GaussianRational(F(0), F(-6 * n * big**2))] * n
 
 
+@pytest.mark.parametrize("order", [None, 4, 6], ids=["Q", "series4", "series6"])
+def test_rational_and_series_packing_fill_their_digits(order):
+    """With every bracket entry q = A (1 + h + ... + h^(N-1)), or q = A
+    over plain Q (N = 1), each Jacobi residual entry is 3 n q^2, whose
+    coefficient of h^(N-1) is 3 n N A^2: the bound itself, three terms of
+    n products of two entries, each with N products of coefficients at
+    most A at h^(N-1).  So it fills its digit to within the one bit that B
+    keeps above the bound.  With q = A (1 - h + h^2 - ...) that coefficient
+    is (-1)^(N-1) 3 n N A^2, a negative digit for even N."""
+    n, big = 3, 10**30
+    ring, N = (QQ, 1) if order is None else (SeriesRing(QQ, order), order)
+    clause = IDENTITIES["LIE"][1]
+    for sign in (1,) if order is None else (1, -1):
+        q = F(big) if order is None else TruncSeries(N, tuple(F(sign**t * big) for t in range(N)))
+        alg = _pres({"bracket": BilinearOp(ring, (((q,) * n,) * n,) * n)}, n, ring)
+        packing = _integer_ops(alg, clause)[1]
+        assert packing.modulus == 1 << packing.bits * N
+        assert 1 << packing.bits - 2 <= 3 * n * N * big**2 < 1 << packing.bits - 1
+        assert _assert_scans_agree("LIE", alg) == n**2 + n**3
+        *_, (_, _, residual) = clause_failures(alg, clause)
+        assert residual == [3 * n * q * q] * n
+        top = residual[0] if order is None else residual[0].coeffs[-1]
+        assert top == (1 if order is None else sign ** (N - 1)) * 3 * n * N * big**2
+
+
 def test_gaussian_packing_gate():
     """Only ops over Q(i) whose entries are all GaussianRationals are
     packed; a Fraction or int entry, series over Q(i) and polynomials over

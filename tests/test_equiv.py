@@ -32,6 +32,7 @@ from tpalg.equiv import (
     EquivVerdict,
     _common_frame,
     _delta_matrix,
+    _gate_entries,
     _ParamConstraints,
     _solve,
     _verified,
@@ -257,6 +258,25 @@ def aligned_case(n, order, a):
     return d1, d2, w
 
 
+def filled_case(n, order, a1, a2):
+    """A failing pair whose defect comes within 4x of the bound the packed
+    gate sizes its digits by, at h^(N-1): mu1 = (a1/L1)(1 + h + ...),
+    mu2 = -(a2/L2)(1 + h + ...) and F = 1 + (1 - 1/Lf) J (h + h^2 + ...),
+    J all ones, for three distinct primes L1, L2, Lf.  Every product on
+    both sides has the same sign, and a1 or a2 picks which side holds the
+    most of the defect."""
+    lf, l1, l2 = 10**9 + 7, 10**9 + 9, 998244353
+
+    def constant(value):
+        return BilinearOp(QQ, tuple(tuple((value,) * n for _ in range(n)) for _ in range(n)))
+
+    u = LinearMap(QQ, tuple((F(lf - 1, lf),) * n for _ in range(n)))
+    w = EquivalenceWitness(order, (LinearMap.identity(n, QQ),) + (u,) * (order - 1))
+    d1 = _deformation([constant(F(a1, l1))] * order)
+    d2 = _deformation([constant(F(-a2, l2))] * order)
+    return d1, d2, w
+
+
 POLY = PolynomialRing(QQ, ("a", "b"))
 
 
@@ -350,6 +370,60 @@ def test_packed_gate_matches_series_gate(case):
         assert list(map(scalar_types, residual)) == list(
             map(scalar_types, want.counterexample.residual)
         )
+
+
+@pytest.mark.parametrize(
+    "n, order, a1, a2",
+    [(1, 4, 10**30 + 1, 10**30 + 1), (2, 6, 10**30 + 1, 1), (1, 6, 1, 10**30 + 1)],
+    ids=["both", "left", "right"],
+)
+def test_packed_gate_fills_its_digits(n, order, a1, a2):
+    """The defect's coefficient of h^(N-1), at the packing's scale, lies
+    within 4x of the bound (at least 2^(B-3), and the bound is below
+    2^(B-1)), and reads back as the series gate does.  "left" and "right"
+    put the most of it on F(mu1(x, y)) and on mu2(F x, F y) in turn."""
+    d1, d2, w = filled_case(n, order, a1, a2)
+    packing = _gate_entries(d1, d2, w)[3]
+    got, want = verify_witness(d1, d2, w), series_verify_witness(d1, d2, w)
+    assert got == want and repr(got) == repr(want)
+    residual = got.counterexample.residual
+    top = max(abs(s.coeffs[-1]) * packing.scale for s in residual)
+    assert top == max(abs(c) * packing.scale for s in residual for c in s.coeffs)
+    assert 1 << packing.bits - 3 <= top < 1 << packing.bits - 1
+
+
+def _as_field(x, field):
+    """A deformation or a witness with its entries coerced into ``field``."""
+    if isinstance(x, EquivalenceWitness):
+        return EquivalenceWitness(x.order, tuple(
+            LinearMap(field, tuple(tuple(map(field.coerce, row)) for row in f.m)) for f in x.f
+        ))
+    return _deformation([op.coerce_to(field) for op in x.mu])
+
+
+def test_packed_gate_ring_choice():
+    """The gate packs integers only when both deformations and the witness
+    are over Q.  A Q pair with a Q(i) witness, a Q(i) pair with a Q
+    witness, and a Q deformation against a Q(i) one run on series, and all
+    agree with the series reference, passing and failing."""
+    d1, d2 = family2d_construct(S("h"), S("0")), family2d_construct(S("h"), S("h^2"))
+    v = family2d_equiv(S("h"), S("0"), S("h"), S("h^2"))
+    assert _gate_entries(d1, d2, v.witness)[3] is not None
+    ident = EquivalenceWitness.identity(2, 4, QQ)
+    cases = [
+        (d1, d2, _as_field(v.witness, QI), True),
+        (d1, d1, _as_field(ident, QI), True),
+        (d1, d2, _as_field(ident, QI), False),
+        (_as_field(d1, QI), _as_field(d2, QI), v.witness, True),
+        (_as_field(d1, QI), _as_field(d2, QI), ident, False),
+        (d1, _as_field(d2, QI), v.witness, True),
+        (_as_field(d1, QI), d2, ident, False),
+    ]
+    for d1, d2, w, passed in cases:
+        assert _gate_entries(d1, d2, w)[3] is None
+        got, want = verify_witness(d1, d2, w), series_verify_witness(d1, d2, w)
+        assert got == want and repr(got) == repr(want)
+        assert got.passed == passed
 
 
 # ---------------------------------------------------------------------------

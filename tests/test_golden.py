@@ -2,10 +2,12 @@
 
 Every command in the README's *Command line* section, and its ``equiv``
 command once more through ``--method solver``, runs through ``cli.main`` in
-text and, where the subcommand has ``--format``, in JSON.  Three more cases
+text and, where the subcommand has ``--format``, in JSON.  Four more cases
 pin routes the README does not show: a NOT-EQUIVALENT verdict, the file
-route of ``normalize`` on a deformation seen through a basis change, and
-``solve-compatible`` on a family with obstructions.  Five more run over
+route of ``normalize`` on a deformation seen through a basis change,
+``solve-compatible`` on a family with obstructions, and ``check`` of a
+family file against COMM_ASSOC, which fails with a series residual over
+Q.  Five more run over
 Q(i): two ``family2d --field Qi`` files, the second with an ``i`` in b_h,
 ``check`` of that file, and ``equiv`` of the two by the family route and
 by ``--method solver``.  ``catalog --field Qi`` leaves the third entry's
@@ -47,6 +49,7 @@ COMMANDS = [
     ("family2d_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3"], None),
     ("family2d_h_h2", ["family2d", "--params", "a=h,b=h^2", "--order", "3"], None),
     ("check_nov_leftsym", ["check", "fam.json", "--identity", "nov_leftsym"], None),
+    ("check_comm_assoc", ["check", "fam.json", "--identity", "comm_assoc"], None),
     ("limit", ["limit", "fam.json"], None),
     ("equiv", ["equiv", "fam.json", "fam2.json"], None),
     ("equiv_solver", ["equiv", "fam.json", "fam2.json", "--method", "solver"], None),
@@ -77,6 +80,7 @@ COMMANDS = [
 ]
 WITH_FORMAT = {
     "check_nov_leftsym",
+    "check_comm_assoc",
     "limit",
     "equiv",
     "equiv_solver",
