@@ -656,6 +656,28 @@ def is_derivation(dot: BilinearOp, deriv: LinearMap) -> IdentityReport:
     return IdentityReport("DERIVATION", True, None)
 
 
+def derivation_rows(op: BilinearOp, weight):
+    """weight f(e_p * e_q) - f(e_p) * e_q - e_p * f(e_q) as linear rows in f,
+    one dict row per (p, q; coordinate l) in that order, with f[i][j] in
+    column i*n + j (the ``LinearMap`` layout).  Weight 1 gives derivations
+    of ``op``, weight 2 its 1/2-derivations."""
+    n, c, zero = op.dim, op.c, op.ring.zero()
+    rows = []
+    for p in range(n):
+        for q in range(n):
+            v = c[p][q] if weight == 1 else [weight * x for x in c[p][q]]
+            for l in range(n):
+                row = {l * n + j: x for j, x in enumerate(v) if x}
+                for i in range(n):
+                    x, y = c[i][q][l], c[p][i][l]
+                    if x:
+                        row[i * n + p] = row.get(i * n + p, zero) - x
+                    if y:
+                        row[i * n + q] = row.get(i * n + q, zero) - y
+                rows.append(row)
+    return rows
+
+
 def gelfand_construct(dot: BilinearOp, deriv: LinearMap) -> BilinearOp:
     """The product x o y = x . D(y) built from a commutative associative
     product and one of its derivations; the result satisfies both Novikov

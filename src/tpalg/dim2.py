@@ -1,7 +1,8 @@
 """The complete two-dimensional story.
 
 * the catalog of 2-dim transposed Poisson algebras with bracket [e1,e2]=e2
-* the linear solver for products compatible with a given bracket
+* the linear solver for products whose right multiplications are
+  1/2-derivations of a given bracket
 * basis normalization of dim-2 deformations into the two-parameter family
 * the normal-form classifier for that family, with verified witnesses
 """
@@ -18,6 +19,7 @@ from .algebra import (
     check_identity,
     commutator,
     default_labels,
+    derivation_rows,
     failure_report,
     identity_failures,
 )
@@ -29,13 +31,14 @@ from .deform import (
     family_layer,
 )
 from .errors import (
+    BadScalar,
     NotAQuantization,
     NotLie,
     OutOfRange,
     PreconditionViolated,
     Record,
 )
-from .linalg import general_solution, matvec, solve_affine
+from .linalg import factor, general_solution, matvec, solve_affine
 from .scalars import (
     QQ,
     PolynomialRing,
@@ -107,8 +110,16 @@ class NovikovCompatibleFamily(Record):
 
 def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
     """Solve {commutator(o) = bracket, bracket-compatibility} for the n^3
-    structure constants of o, over the bracket's field."""
+    structure constants of o, over the bracket's field, Q or Q(i).
+    Compatibility says each R_k = o(-, e_k) is a 1/2-derivation of the
+    bracket: one block of rows in R_k, factored once, whose reduced rows
+    span its row space and join the commutator rows for every k."""
     field = bracket.ring
+    if isinstance(field, PolynomialRing):
+        raise BadScalar(
+            "compatible products are solved over Q or Q(i), but the bracket carries "
+            f"parameters {', '.join(field.variables)}"
+        )
     pres = AlgebraPresentation(
         bracket.dim, field, default_labels(bracket.dim), {"bracket": bracket}
     )
@@ -124,35 +135,18 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
         return (i * n + j) * n + k
 
     br = bracket.c
-    # the nonzeros of each bracket fibre, read once: [e_i, e_j] = sum_m x e_m
-    # in out_of[i][j], and the (m, x) of [e_m, e_j]_l in left[j][l] and of
-    # [e_i, e_m]_l in right[i][l]
-    out_of = [[[(m, x) for m, x in enumerate(br[i][j]) if x] for j in range(n)] for i in range(n)]
-    left = [[[(m, br[m][j][l]) for m in range(n) if br[m][j][l]] for l in range(n)] for j in range(n)]
-    right = [[[(m, br[i][m][l]) for m in range(n) if br[i][m][l]] for l in range(n)] for i in range(n)]
-
     rows, rhs = [], []
     for i in range(n):
         for j in range(i + 1, n):
             for l in range(n):
                 rows.append({idx(i, j, l): one, idx(j, i, l): -one})
                 rhs.append(br[i][j][l])
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    row = {}
-                    for m, x in out_of[i][j]:
-                        c = idx(m, k, l)
-                        row[c] = row.get(c, zero) + 2 * x
-                    for m, x in left[j][l]:
-                        c = idx(i, k, m)
-                        row[c] = row.get(c, zero) - x
-                    for m, x in right[i][l]:
-                        c = idx(j, k, m)
-                        row[c] = row.get(c, zero) - x
-                    rows.append(row)
-                    rhs.append(zero)
+    # column l*n + a of the block holds R_k[l][a] = o[a][k][l]
+    half = factor(derivation_rows(bracket, 2), one, n * n).reduced
+    for k in range(n):
+        cols = [idx(a, k, l) for l in range(n) for a in range(n)]
+        rows += ({cols[c]: x for c, x in row.items()} for row in half)
+    rhs += [zero] * (len(rows) - len(rhs))
 
     sol = solve_affine(rows, rhs, one, nun)
     if not sol.feasible:

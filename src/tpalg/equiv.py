@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import starmap
 from operator import mul
 
-from .algebra import BilinearOp, Counterexample, IdentityReport, LinearMap
+from .algebra import BilinearOp, Counterexample, IdentityReport, LinearMap, derivation_rows
 from .deform import _family_frame, family2d_construct
 from .errors import BadScalar, DimMismatch, OrderMismatch, Record
 from .linalg import factor, general_solution, solve_affine
@@ -287,24 +287,9 @@ class _ParamConstraints:
 
 def _delta_matrix(dot: BilinearOp):
     """The linearized intertwining operator in the n^2 unknowns m[i][j]
-    (flattened i*n+j), one row per (pair p,q; coordinate l), factored once
-    for the solves at every order."""
-    n = dot.dim
-    zero = dot.ring.zero()
-    rows = []
-    for p in range(n):
-        for q in range(n):
-            v = dot.col(p, q)
-            for l in range(n):
-                row = {l * n + j: x for j, x in enumerate(v) if x}
-                for i in range(n):
-                    x, y = dot.c[i][q][l], dot.c[p][i][l]
-                    if x:
-                        row[i * n + p] = row.get(i * n + p, zero) - x
-                    if y:
-                        row[i * n + q] = row.get(i * n + q, zero) - y
-                rows.append(row)
-    return factor(rows, dot.ring.one(), n * n)
+    (flattened i*n+j): the Leibniz rows of ``dot``, one per (pair p,q;
+    coordinate l), factored once for the solves at every order."""
+    return factor(derivation_rows(dot, 1), dot.ring.one(), dot.dim**2)
 
 
 def _residual_terms(k, m1, m2, cols, one):

@@ -50,10 +50,6 @@ def _dot(row, col):
     return acc
 
 
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
-
-
 def is_identity_matrix(rows):
     return all(
         (x == 1 if i == j else x == 0) for i, row in enumerate(rows) for j, x in enumerate(row)
@@ -265,5 +261,5 @@ def invert_series_matrix(layers):
         for j in range(1, k + 1):
             piece = matmul(layers[j], out[k - j])
             acc = piece if acc is None else [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, piece)]
-        out.append(mat_neg(acc))
+        out.append([[-x for x in row] for row in acc])
     return out

@@ -33,6 +33,7 @@ from tpalg.algebra import (
     commutator,
     default_labels,
     derivation_bracket,
+    derivation_rows,
     euler_derivation,
     euler_gelfand,
     failure_report,
@@ -823,6 +824,73 @@ def test_is_derivation():
     bad = LinearMap(QQ, ((F(0), F(0), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(0))))
     rep = is_derivation(dot, bad)
     assert not rep.passed and rep.counterexample.clause == "leibniz"
+
+
+def rows_at(rows, vec, zero):
+    """Each dict row's value at the vector ``vec``."""
+    return [sum((x * vec[c] for c, x in row.items()), zero) for row in rows]
+
+
+@st.composite
+def derivation_cases(draw):
+    """A product over Q or Q(i) and a linear map, drawn so that both
+    outcomes of the Leibniz check occur: the Euler derivation and its
+    multiples on K[t]/(t^n), inner derivations ad_e_k of the Euler bracket,
+    and these with one entry changed, against random products and maps."""
+    ring = draw(st.sampled_from((QQ, QI)))
+    n = draw(st.integers(1, 4))
+    rnd = draw(st.randoms(use_true_random=False))
+    small = st.sampled_from((F(1), F(-1), F(2), F(1, 2), F(-3, 2)))
+    scalar = small.map(ring.coerce) if ring is QQ else st.builds(GaussianRational, small, small)
+    kind = draw(st.sampled_from(("euler", "inner", "random")))
+    if kind == "euler":
+        dot = truncated_poly_dot(n, ring)
+        m = [[draw(scalar) * x for x in row] for row in euler_derivation(n, ring).m]
+    elif kind == "inner":
+        dot = euler_gelfand(n, ring).op("bracket")
+        k = draw(st.integers(0, n - 1))
+        m = [[dot.c[k][j][l] for j in range(n)] for l in range(n)]
+    else:
+        dot = _random_ops(rnd, ring, ring, n, draw(st.sampled_from((0.3, 0.7))))["dot"]
+        m = [[ring.zero()] * n for _ in range(n)]
+    if kind == "random" or draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = m[i][j] + draw(scalar)
+    return dot, LinearMap(ring, tuple(tuple(row) for row in m))
+
+
+@given(derivation_cases())
+@settings(max_examples=80, deadline=None)
+def test_derivation_rows_vanish_exactly_on_derivations(case):
+    """The weight-1 rows at vec(D) are zero exactly when is_derivation
+    passes; otherwise the first pair with a nonzero row is the check's
+    counterexample, and its n rows are the check's residual."""
+    dot, deriv = case
+    n = dot.dim
+    rows = derivation_rows(dot, 1)
+    assert len(rows) == n**3
+    assert all(0 <= c < n * n for row in rows for c in row)
+    values = rows_at(rows, [deriv.m[i][j] for i in range(n) for j in range(n)], dot.ring.zero())
+    rep = is_derivation(dot, deriv)
+    assert rep.passed == all(x == 0 for x in values)
+    if not rep.passed:
+        pair = next(t for t, x in enumerate(values) if x != 0) // n
+        assert rep.counterexample.indices == (pair // n + 1, pair % n + 1)
+        assert tuple(values[pair * n : (pair + 1) * n]) == rep.counterexample.residual
+
+
+@pytest.mark.parametrize("ring", [QQ, QI])
+def test_identity_map_is_a_half_derivation(ring):
+    """At vec(I) a row of weight w reads (w - 2) (e_p * e_q)_l, so the
+    identity map satisfies the weight-2 rows of every product."""
+    rnd = random.Random(3)
+    for n in (1, 2, 3, 4):
+        dot = _random_ops(rnd, ring, ring, n, 0.7)["dot"]
+        ident = [ring.one() if i == j else ring.zero() for i in range(n) for j in range(n)]
+        fibres = [x for p in range(n) for q in range(n) for x in dot.c[p][q]]
+        for weight in (1, 2):
+            values = rows_at(derivation_rows(dot, weight), ident, ring.zero())
+            assert values == [(weight - 2) * x for x in fibres]
 
 
 def test_derivation_bracket_matches_commutator():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catalog_dots, circ_family, normal_form_grid, np_pair
-from test_algebra import reference_failures
+from test_algebra import reference_failures, rows_at
 from test_linalg import dense_solve_affine
 from tpalg import dim2
 from tpalg.algebra import (
@@ -23,6 +23,7 @@ from tpalg.algebra import (
     check_identity,
     commutator,
     default_labels,
+    derivation_rows,
     euler_gelfand,
     gelfand_construct,
     truncated_poly_dot,
@@ -40,6 +41,7 @@ from tpalg.dim2 import (
 )
 from tpalg.equiv import family2d_equiv, verify_witness
 from tpalg.errors import (
+    BadScalar,
     NotAQuantization,
     NotLie,
     OutOfRange,
@@ -163,6 +165,18 @@ def test_compatible_family_dim1_abelian():
     assert fam.op.entry(0, 0, 0) == fam.op.ring.var("p1")
 
 
+@pytest.mark.parametrize("scale", ["1", "a"], ids=["constant", "parametric"])
+def test_compatible_solver_refuses_parameters(scale):
+    """A bracket over a polynomial ring is refused up front, whether or not
+    its entries hold a parameter."""
+    ring = PolynomialRing(QQ, ("a", "b"))
+    x = ring.var(scale) if scale == "a" else ring.one()
+    bracket = BilinearOp.from_entries(2, ring, {(0, 1, 1): x, (1, 0, 1): -x})
+    message = r"^compatible products are solved over Q or Q\(i\), but the bracket carries parameters a, b$"
+    with pytest.raises(BadScalar, match=message):
+        solve_novikov_compatible(bracket)
+
+
 def test_compatible_solver_requires_lie():
     not_lie = BilinearOp.from_entries(2, QQ, {(0, 1, 1): F(1)})  # not antisymmetric
     with pytest.raises(NotLie):
@@ -247,11 +261,30 @@ def _novikov_bracket(ring, coeffs):
 SL2 = {(0, 1, 2): F(1), (1, 0, 2): F(-1), (2, 0, 0): F(2), (0, 2, 0): F(-2), (2, 1, 1): F(-2), (1, 2, 1): F(2)}
 
 
+# Lie brackets that are not Novikov commutators, so that the 1/2-derivation
+# block of the compatibility rows takes other ranks: gl2 is the commutator of
+# the 2x2 matrix product on E11, E12, E21, E22; sl2 + K adds a central e4; the
+# zero brackets give a block of rank 0.
+GL2 = {
+    (2 * i + j, 2 * k + l, 2 * i + l): F(1)
+    for i, j, k, l in itertools.product(range(2), repeat=4)
+    if j == k
+}
+HEISENBERG = {(0, 1, 2): F(1), (1, 0, 2): F(-1)}
+
+
+def _gl2_bracket():
+    return commutator(BilinearOp.from_entries(4, QQ, GL2))
+
+
 @pytest.mark.parametrize(
     "bracket",
     [euler_gelfand(n).op("bracket") for n in range(2, 6)]
-    + [BilinearOp.from_entries(3, QQ, SL2), BilinearOp.from_entries(2, QQ, {(0, 1, 1): F(1), (1, 0, 1): F(-1)})],
-    ids=["euler2", "euler3", "euler4", "euler5", "sl2", "e2"],
+    + [BilinearOp.from_entries(3, QQ, SL2), BilinearOp.from_entries(2, QQ, {(0, 1, 1): F(1), (1, 0, 1): F(-1)})]
+    + [_gl2_bracket(), BilinearOp.from_entries(3, QQ, HEISENBERG), BilinearOp.from_entries(4, QQ, SL2)]
+    + [BilinearOp.zero(2, QQ), BilinearOp.zero(3, QQ), BilinearOp.from_entries(3, QI, SL2)],
+    ids=["euler2", "euler3", "euler4", "euler5", "sl2", "e2"]
+    + ["gl2", "heisenberg", "sl2+K", "zero2", "zero3", "sl2Qi"],
 )
 def test_compatible_family_matches_dense_system(bracket):
     _assert_matches_dense_system(bracket)
@@ -265,6 +298,30 @@ def test_random_novikov_family_matches_dense_system(ring, data):
     scalar = st.builds(GaussianRational.of, small, small) if ring is QI else small.map(F)
     coeffs = data.draw(st.lists(scalar, min_size=n - 1, max_size=n - 1))
     _assert_matches_dense_system(_novikov_bracket(ring, coeffs))
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [euler_gelfand(n).op("bracket") for n in range(2, 5)]
+    + [BilinearOp.from_entries(3, QQ, HEISENBERG), BilinearOp.zero(2, QQ), BilinearOp.zero(1, QQ)]
+    + [BilinearOp.from_entries(2, QQ, {(0, 1, 1): F(1), (1, 0, 1): F(-1)})]
+    + [_novikov_bracket(QQ, (F(1), F(-2, 3), F(5))), _novikov_bracket(QI, (GaussianRational.of(1, 2), F(1)))],
+    ids=["euler2", "euler3", "euler4", "heisenberg", "zero2", "zero1", "e2", "nov4", "novQi3"],
+)
+def test_right_multiplications_are_half_derivations(bracket):
+    """With every parameter at 0 and with every parameter at 1, each right
+    multiplication R_k = o(-, e_k) of the solved family satisfies the
+    weight-2 rows of the bracket."""
+    fam = solve_novikov_compatible(bracket)
+    assert fam.feasible
+    n, field = bracket.dim, bracket.ring
+    rows = derivation_rows(bracket, 2)
+    for value in (0, 1):
+        assign = {name: field.coerce(value) for name in fam.param_names}
+        c = [[[x.substitute(assign) for x in col] for col in row] for row in fam.op.c]
+        for k in range(n):
+            vec = [c[a][k][l] for l in range(n) for a in range(n)]
+            assert rows_at(rows, vec, field.zero()) == [0] * len(rows), (value, k)
 
 
 def _lie2_bracket(a, b):

@@ -540,6 +540,25 @@ def test_solve_compatible_infeasible_sl2(capsys, tmp_path):
     assert "feasible: no" in out
 
 
+@pytest.mark.parametrize("entry", ["1", "a"], ids=["constant", "parametric"])
+def test_solve_compatible_refuses_parameters_on_one_line(capsys, tmp_path, entry):
+    doc = {
+        "dim": 2,
+        "field": "Q",
+        "params": ["a"],
+        "ops": {"bracket": [[1, 2, 2, entry], [2, 1, 2, f"-{entry}"]]},
+    }
+    path = write(tmp_path, "br.json", json.dumps(doc))
+    code = main(["solve-compatible", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        "tpalg: error: compatible products are solved over Q or Q(i), "
+        "but the bracket carries parameters a\n"
+    )
+
+
 def test_catalog_text(capsys):
     code, out = run_cli(capsys, "catalog")
     assert code == 0

@@ -15,6 +15,9 @@ parameter symbolic, so its report prints the polynomial family over Q(i).
 Two more check plain Q(i) algebras: ``check`` of a Q(i) Novikov product
 that fails, with a residual whose entries have nonzero real and imaginary
 parts, and ``gelfand --dim 4 --field Qi`` piped into ``check --identity s5``.
+Two more pin ``solve-compatible`` beyond e2 and Euler dim 3: sl2, which no
+product fits (``feasible: no``, exit 1), and ``gelfand --dim 3 --field Qi``
+piped into it.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -44,7 +47,7 @@ ROOT = Path(__file__).parent.parent
 # The golden inputs: bracket.json is [e1, e2] = e2; sheared.json is the
 # family at (a, b) = (h, 3h), order 4, seen through f(e1) = (1+h) e1 and
 # f(e2) = e2 + 2h e1; circ_qi.json is a product over Q(i) that fails
-# left-symmetry.
+# left-symmetry; sl2.json is the bracket of sl2 on e, f, h.
 COMMANDS = [
     ("family2d_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3"], None),
     ("family2d_h_h2", ["family2d", "--params", "a=h,b=h^2", "--order", "3"], None),
@@ -77,6 +80,9 @@ COMMANDS = [
     ("check_qi_fail", ["check", "circ_qi.json", "--identity", "nov_leftsym"], None),
     ("gelfand_qi", ["gelfand", "--dim", "4", "--field", "Qi"], None),
     ("gelfand_qi_check_s5", ["check", "-", "--identity", "s5"], "gelfand_qi"),
+    ("solve_compatible_sl2", ["solve-compatible", "sl2.json"], None),
+    ("gelfand_qi_3", ["gelfand", "--dim", "3", "--field", "Qi"], None),
+    ("gelfand_qi_3_solve_compatible", ["solve-compatible", "-"], "gelfand_qi_3"),
 ]
 WITH_FORMAT = {
     "check_nov_leftsym",
@@ -98,6 +104,8 @@ WITH_FORMAT = {
     "equiv_qi_solver",
     "check_qi_fail",
     "gelfand_qi_check_s5",
+    "solve_compatible_sl2",
+    "gelfand_qi_3_solve_compatible",
 }
 FILES = {
     "fam.json": "family2d_h_0",
@@ -106,7 +114,7 @@ FILES = {
     "famqi.json": "family2d_qi_h_0",
     "famqi2.json": "family2d_qi_h_ih2",
 }
-INPUTS = ("bracket.json", "sheared.json", "circ_qi.json")
+INPUTS = ("bracket.json", "sheared.json", "circ_qi.json", "sl2.json")
 
 
 def run_all(workdir):
