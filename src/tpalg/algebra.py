@@ -7,15 +7,16 @@ degree-5 identity is one alternating clause.  One evaluator computes a
 clause at given vectors (``identity_residual``).  The scan over all basis
 tuples in lexicographic order (``check_identity``) reads, at each prefix
 of all indices but the last, the residuals for every last index at once:
-this slab treats a subtree with the last variable as n rows, and for an
-alternating clause it is the columns of one matrix of a table of
-alternating products over index subsets.  The scan is complete because
-every clause is multilinear.  Every term of a clause also uses each
-operation equally often, so where the ring has a packed format
-(``scalars.Packing``) the scan runs on integers: each op scaled by the
-lcm of its denominators and packed, and a residual read back exactly.
+this slab treats a subtree with the last variable as n rows.  An
+alternating clause is read as its signed sum of chains at sorted heads
+only: any other head gives zero, or the sign of its sort times the slab at
+its sorted head.  The scan is complete because every clause is
+multilinear.  Every term of a clause also uses each operation equally
+often, so where the ring has a packed format (``scalars.Packing``) the
+scan runs on integers: each op scaled by the lcm of its denominators and
+packed, and a residual read back exactly.
 Other rings are scanned on their own structure constants; the entry
-format is chosen once per scan, and the slab readers and the scan loop
+format is chosen once per scan, and the slab reader and the scan loop
 are the same for both, given the cubes and the zero and one of their
 entries.  When the entries are ParamPoly values, "zero residual" means
 the identically-zero polynomial, so one check certifies a whole
@@ -36,7 +37,7 @@ from .errors import (
     Record,
     UnknownIdentity,
 )
-from .linalg import factor, is_identity_matrix, matmul, solve_affine
+from .linalg import factor, is_identity_matrix, solve_affine
 from .scalars import QQ, Packing, integer_form
 
 # ---------------------------------------------------------------------------
@@ -78,9 +79,10 @@ class BilinearOp(Record):
     @classmethod
     def from_entries(cls, dim, ring, entries):
         """Build from a sparse {(i, j, k): scalar} dict with 0-based indices."""
-        c = [[[ring.zero() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        z = ring.zero()
+        c = [[[z] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k), value in entries.items():
-            c[i][j][k] = c[i][j][k] + ring.coerce(value)
+            c[i][j][k] = ring.coerce(value)
         return cls(ring, tuple(tuple(tuple(col) for col in row) for row in c))
 
     def entry(self, i, j, k):
@@ -405,10 +407,9 @@ def _canonical_identity(alg, identity):
         raise UnknownIdentity(
             f"unknown identity {identity!r}; expected one of {', '.join(identity_names())}"
         )
-    clauses = IDENTITIES[name]
-    used = {node[0] for clause in clauses for _, tree in clause.terms for node in _nodes(tree)}
-    for label in OPS:
-        if label in used:
+    degrees = [clause.degrees for clause in IDENTITIES[name]]
+    for label, used in zip(OPS, zip(*degrees)):
+        if any(used):
             alg.op(label)
     return name
 
@@ -457,15 +458,20 @@ def _sparse(row):
 
 
 def _tree_slab(cubes, clause, zero, one, n):
-    """Slab reader for a signed sum of trees: at a prefix (the indices of
-    every variable but the last), the residual rows at prefix + (k,) for
+    """Slab reader for a clause: at a prefix (the indices of every variable
+    but the last), the sign and residual rows at prefix + (k,) for
     k = 0..n-1.  A subtree's value is its n sparse rows, row k its value at
     last = k; one without the last variable is one vector repeated, and it
     is memoized per scan by its shape and indices, so subtrees of one shape
     (such as x o y and y o x) share their values.  e_i * e_j, e_i * last and
     last * e_j are table lookups, and each term's root product is added
-    straight into the slab rows with the term's coefficient."""
+    straight into the slab rows with the term's coefficient.  An
+    alternating clause is read as its signed chains, only at sorted heads
+    of distinct indices and once each: any other head is a repeat, whose
+    slab is zero, or a permutation of one, whose slab is the sign of the
+    permutation that sorts it times the slab at the sorted head."""
     repeat = itertools.repeat
+    terms = clause.signed_terms()
     tables = {
         label: [[_sparse(col) for col in row] for row in cubes[label]]
         for label, degree in zip(OPS, clause.degrees)
@@ -476,7 +482,7 @@ def _tree_slab(cubes, clause, zero, one, n):
     shared = {}
     memo = {  # a subtree's indices in t, and the values of its shape
         sub: (operator.itemgetter(*_leaves(sub)), shared.setdefault(_shape(sub), {}))
-        for _, tree in clause.terms
+        for _, tree in terms
         for sub in _nodes(tree)[1:]
     }
 
@@ -509,45 +515,26 @@ def _tree_slab(cubes, clause, zero, one, n):
                     for m, x in ti[j]:
                         acc[m] = acc[m] + w * x
 
-    def slab_at(prefix):
+    def rows_at(prefix):
         t = prefix + (None,)  # the last variable's index is the row
         rows = [[zero] * n for _ in range(n)]
-        for coeff, tree in clause.terms:
+        for coeff, tree in terms:
             product(rows, coeff, tree, t)
-        return 1, rows
+        return rows
 
-    return slab_at
+    if not clause.alternating:
+        return lambda prefix: (1, rows_at(prefix))
+    sorted_rows = {}
 
-
-def _subset_matrix(table, s):
-    """A(s) = sum_i (-1)^i ad(s_i) A(s - s_i) for a sorted index tuple s,
-    memoized in ``table``, which starts with ad(a) under (a,)."""
-    if s not in table:
-        products = [
-            matmul(table[(a,)], _subset_matrix(table, s[:i] + s[i + 1 :])) for i, a in enumerate(s)
-        ]
-        mat = products[0]
-        for i, prod in enumerate(products[1:], 1):
-            mat = [(vsub if i % 2 else vadd)(ra, rb) for ra, rb in zip(mat, prod)]
-        table[s] = mat
-    return table[s]
-
-
-def _alternating_slab(cubes, clause, zero, one, n):
-    """Slab reader for an alternating clause, read off the subset table
-    A(S) over sorted index subsets S, where ad(a) is the matrix of
-    op(e_a, -).  A(S) e_k is the clause at the sorted head S and last index
-    k, so a prefix's slab is the columns of A(sorted head), with the sign
-    of the permutation that sorts it; a repeated index gives zero."""
-    cube = cubes[clause.terms[0][1][0]]
-    table = {(a,): [[cube[a][j][k] for j in range(n)] for k in range(n)] for a in range(n)}
-
-    def slab_at(head):
+    def alternating_at(head):
         if len(set(head)) < len(head):
             return 1, ()
-        return _sign(head), zip(*_subset_matrix(table, tuple(sorted(head))))
+        key = tuple(sorted(head))
+        if key not in sorted_rows:
+            sorted_rows[key] = rows_at(key)
+        return _sign(head), sorted_rows[key]
 
-    return slab_at
+    return alternating_at
 
 
 def _integer_ops(alg, clause):
@@ -582,8 +569,8 @@ def clause_failures(alg, clause):
 
     The entries are chosen once: the packed cubes of ``_integer_ops``
     (read back by ``Packing.read``), otherwise the ring's own structure
-    constants.  A reader gives the residuals at a prefix for every last
-    index at once, on either.
+    constants.  The slab reader gives the residuals at a prefix for every
+    last index at once, on either.
     """
     integral = _integer_ops(alg, clause)
     if integral is None:
@@ -591,8 +578,7 @@ def clause_failures(alg, clause):
         zero, one = alg.ring.zero(), alg.ring.one()
     else:
         (cubes, packing), zero, one = integral, 0, 1
-    reader = _alternating_slab if clause.alternating else _tree_slab
-    slab_at = reader(cubes, clause, zero, one, alg.dim)
+    slab_at = _tree_slab(cubes, clause, zero, one, alg.dim)
     for prefix in itertools.product(range(alg.dim), repeat=clause.arity - 1):
         sign, rows = slab_at(prefix)
         for k, res in enumerate(rows):
@@ -624,7 +610,8 @@ def failure_report(name, hit):
 def check_identity(alg: AlgebraPresentation, identity) -> IdentityReport:
     """Exhaustively verify a multilinear identity on all basis tuples."""
     name = _canonical_identity(alg, identity)
-    return failure_report(name, next(identity_failures(alg, name), None))
+    hits = (hit for clause in IDENTITIES[name] for hit in clause_failures(alg, clause))
+    return failure_report(name, next(hits, None))
 
 
 # ---------------------------------------------------------------------------

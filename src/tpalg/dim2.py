@@ -40,6 +40,7 @@ from .errors import (
 )
 from .linalg import factor, general_solution, matvec, solve_affine
 from .scalars import (
+    QI,
     QQ,
     PolynomialRing,
     SeriesRing,
@@ -115,10 +116,14 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
     bracket: one block of rows in R_k, factored once, whose reduced rows
     span its row space and join the commutator rows for every k."""
     field = bracket.ring
-    if isinstance(field, PolynomialRing):
-        raise BadScalar(
-            "compatible products are solved over Q or Q(i), but the bracket carries "
+    if field not in (QQ, QI):
+        carried = (
             f"parameters {', '.join(field.variables)}"
+            if isinstance(field, PolynomialRing)
+            else f"series truncated at order {field.order}"
+        )
+        raise BadScalar(
+            f"compatible products are solved over Q or Q(i), but the bracket carries {carried}"
         )
     pres = AlgebraPresentation(
         bracket.dim, field, default_labels(bracket.dim), {"bracket": bracket}

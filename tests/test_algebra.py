@@ -1,5 +1,6 @@
 """Identity checking on structure constants, the derivation-product
-construction, subalgebras, and the subset table for the degree-5 identity.
+construction, subalgebras, and the degree-5 identity against a table of
+alternating products over index subsets.
 
 The hand-written residual functions below are the independent reference
 for the engine's data catalog, and the per-tuple scan further down is the
@@ -26,7 +27,6 @@ from tpalg.algebra import (
     _shape,
     _sign,
     _signed_sum,
-    _subset_matrix,
     bounded_ddt_bracket,
     check_identity,
     clause_failures,
@@ -55,6 +55,7 @@ from tpalg.errors import (
     OutOfRange,
     UnknownIdentity,
 )
+from tpalg.linalg import matmul
 from tpalg.scalars import (
     QI, QQ, GaussianRational, ParamPoly, PolynomialRing, SeriesRing, TruncSeries,
 )
@@ -408,10 +409,25 @@ def _tree_reader(ops, clause, basis):
     return residual_at
 
 
+def _subset_matrix(table, s):
+    """A(s) = sum_i (-1)^i ad(s_i) A(s - s_i) for a sorted index tuple s,
+    memoized in ``table``, which starts with ad(a) under (a,)."""
+    if s not in table:
+        products = [
+            matmul(table[(a,)], _subset_matrix(table, s[:i] + s[i + 1 :])) for i, a in enumerate(s)
+        ]
+        mat = products[0]
+        for i, prod in enumerate(products[1:], 1):
+            mat = [(vsub if i % 2 else vadd)(ra, rb) for ra, rb in zip(mat, prod)]
+        table[s] = mat
+    return table[s]
+
+
 def _alternating_reader(ops, clause, basis):
-    """Residual at a basis tuple, read off the subset table: A(S) e_last is
-    the clause at the sorted tuple; a repeated index gives zero, a permuted
-    tuple the permutation's sign."""
+    """Residual at a basis tuple, read off a table of alternating products
+    over sorted index subsets S, where ad(a) is the matrix of op(e_a, -):
+    A(S) e_last is the clause at the sorted tuple; a repeated index gives
+    zero, a permuted tuple the permutation's sign."""
     op = ops[clause.terms[0][1][0]]
     n = op.dim
     table = {(a,): [[op.c[a][j][k] for j in range(n)] for k in range(n)] for a in range(n)}
@@ -952,7 +968,7 @@ def test_subalgebra_not_closed():
 
 
 # ---------------------------------------------------------------------------
-# S5: the subset table against a direct 24-term evaluation
+# S5: the slab scan against a direct 24-term evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -1012,6 +1028,24 @@ def test_s5_catches_sl2_semidirect_v2():
     # 24-term evaluation (test below re-derives it)
     assert ce.indices == (1, 2, 3, 4, 2)
     assert tuple(ce.residual) == (F(0), F(0), F(0), F(0), F(5))
+
+
+@pytest.mark.parametrize("ring, entry", [(QQ, int), (QI, F)], ids=["Q-int", "Qi-Fraction"])
+def test_s5_residuals_carry_the_ring_type(ring, entry):
+    """On an op whose entries are not of its ring's type (all int over Q,
+    all Fraction over Q(i)), S5 residuals carry the ring's type, as every
+    other clause's do, and equal ``identity_residual`` at their tuple."""
+    sl2_v2 = _sl2_semidirect_v2()
+    bracket = sl2_v2.ops["bracket"].map_entries(entry, ring)
+    assert {type(x) for row in bracket.c for col in row for x in col} == {entry}
+    alg = AlgebraPresentation(5, ring, sl2_v2.basis_labels, {"bracket": bracket})
+    failures = list(clause_failures(alg, IDENTITIES["S5"][0]))
+    assert failures[0][1] == (0, 1, 2, 3, 1) and len(failures) > 20
+    for _, t, res in failures:
+        args = [_basis_vector(5, i, ring) for i in t]
+        assert res == identity_residual(alg, "S5", args)[0][1], t
+        assert {type(x) for x in res} == {type(ring.zero())}, t
+    assert check_identity(alg, "S5") == failure_report("S5", failures[0])
 
 
 def test_s5_agrees_with_direct_scan():

@@ -177,6 +177,17 @@ def test_compatible_solver_refuses_parameters(scale):
         solve_novikov_compatible(bracket)
 
 
+@pytest.mark.parametrize("base", [QQ, QI], ids=["Q", "Qi"])
+def test_compatible_solver_refuses_series(base):
+    """A bracket over truncated series is refused up front, with one line
+    that names the series, not from inside the family build."""
+    ring = SeriesRing(base, 3)
+    bracket = BilinearOp.from_entries(2, ring, {(0, 1, 1): ring.one(), (1, 0, 1): -ring.one()})
+    message = r"^compatible products are solved over Q or Q\(i\), but the bracket carries series truncated at order 3$"
+    with pytest.raises(BadScalar, match=message):
+        solve_novikov_compatible(bracket)
+
+
 def test_compatible_solver_requires_lie():
     not_lie = BilinearOp.from_entries(2, QQ, {(0, 1, 1): F(1)})  # not antisymmetric
     with pytest.raises(NotLie):

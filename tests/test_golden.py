@@ -17,7 +17,9 @@ that fails, with a residual whose entries have nonzero real and imaginary
 parts, and ``gelfand --dim 4 --field Qi`` piped into ``check --identity s5``.
 Two more pin ``solve-compatible`` beyond e2 and Euler dim 3: sl2, which no
 product fits (``feasible: no``, exit 1), and ``gelfand --dim 3 --field Qi``
-piped into it.
+piped into it.  One more fails ``check --identity s5``: a dim-4
+antisymmetric bracket over Q(i) that is not Lie, whose residual has
+entries with nonzero real and imaginary parts.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -47,7 +49,8 @@ ROOT = Path(__file__).parent.parent
 # The golden inputs: bracket.json is [e1, e2] = e2; sheared.json is the
 # family at (a, b) = (h, 3h), order 4, seen through f(e1) = (1+h) e1 and
 # f(e2) = e2 + 2h e1; circ_qi.json is a product over Q(i) that fails
-# left-symmetry; sl2.json is the bracket of sl2 on e, f, h.
+# left-symmetry; sl2.json is the bracket of sl2 on e, f, h; bracket_qi.json
+# is an antisymmetric bracket over Q(i) on e1..e4 that fails Jacobi and S5.
 COMMANDS = [
     ("family2d_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3"], None),
     ("family2d_h_h2", ["family2d", "--params", "a=h,b=h^2", "--order", "3"], None),
@@ -83,6 +86,7 @@ COMMANDS = [
     ("solve_compatible_sl2", ["solve-compatible", "sl2.json"], None),
     ("gelfand_qi_3", ["gelfand", "--dim", "3", "--field", "Qi"], None),
     ("gelfand_qi_3_solve_compatible", ["solve-compatible", "-"], "gelfand_qi_3"),
+    ("check_qi_s5_fail", ["check", "bracket_qi.json", "--identity", "s5"], None),
 ]
 WITH_FORMAT = {
     "check_nov_leftsym",
@@ -106,6 +110,7 @@ WITH_FORMAT = {
     "gelfand_qi_check_s5",
     "solve_compatible_sl2",
     "gelfand_qi_3_solve_compatible",
+    "check_qi_s5_fail",
 }
 FILES = {
     "fam.json": "family2d_h_0",
@@ -114,7 +119,7 @@ FILES = {
     "famqi.json": "family2d_qi_h_0",
     "famqi2.json": "family2d_qi_h_ih2",
 }
-INPUTS = ("bracket.json", "sheared.json", "circ_qi.json", "sl2.json")
+INPUTS = ("bracket.json", "sheared.json", "circ_qi.json", "sl2.json", "bracket_qi.json")
 
 
 def run_all(workdir):
