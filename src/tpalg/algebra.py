@@ -17,10 +17,17 @@ scan runs on integers: each op scaled by the lcm of its denominators and
 packed, and a residual read back exactly.
 Other rings are scanned on their own structure constants; the entry
 format is chosen once per scan, and the slab reader and the scan loop
-are the same for both, given the cubes and the zero and one of their
-entries.  When the entries are ParamPoly values, "zero residual" means
-the identically-zero polynomial, so one check certifies a whole
-parametric family.
+are the same for both, given the sparse tables of the ops and the zero
+and one of their entries.  When the entries are ParamPoly values, "zero
+residual" means the identically-zero polynomial, so one check certifies a
+whole parametric family.
+What a scan reads off a clause or an op alone is built once, in one
+cache of ``_CACHE_CAP`` entries (enough for the checks of one
+presentation) that drops the oldest first: each clause's plan (its
+signed terms and subtrees), each op's integer form, keyed by op, ring and
+whether the clause has more than two ops per term, and each op's sparse
+tables, keyed by op, ring and the clause's digit width B (none in a
+one-digit format, nor on the ring's own entries).
 """
 
 from __future__ import annotations
@@ -457,13 +464,68 @@ def _sparse(row):
     return [(m, x) for m, x in enumerate(row) if x != 0]
 
 
-def _tree_slab(cubes, clause, zero, one, n):
+# The scan's cache (see the module docstring): one presentation's checks
+# make up to 3 ops x (2 forms + a few tables) + 11 clause plans of entries.
+# An entry keeps its owners, whose id()s key it, so no id is reused early.
+_CACHE_CAP = 32
+_cache = {}
+
+
+def _cached(kind, owners, detail, build):
+    """``build()``, memoized under ``kind``, the ids of ``owners`` and
+    ``detail``."""
+    key = (kind, *map(id, owners), detail)
+    hit = _cache.get(key)
+    if hit is not None and all(map(operator.is_, hit[0], owners)):
+        return hit[1]
+    value = build()
+    if key not in _cache and len(_cache) >= _CACHE_CAP:
+        del _cache[next(iter(_cache))]
+    _cache[key] = owners, value
+    return value
+
+
+def _plan(clause):
+    """What a scan reads off ``clause`` alone, built once (``_cached``):
+    its signed terms, the ops it uses and how often, and for each subtree
+    below a root the getter of its indices and its shape."""
+
+    def build():
+        terms = clause.signed_terms()
+        labels, degrees = zip(*[(label, deg) for label, deg in zip(OPS, clause.degrees) if deg])
+        subtrees = {
+            sub: (operator.itemgetter(*_leaves(sub)), _shape(sub))
+            for _, tree in terms
+            for sub in _nodes(tree)[1:]
+        }
+        return terms, labels, degrees, subtrees
+
+    return _cached("plan", (clause,), None, build)
+
+
+def _flat(op):
+    """The entries c[i][j][k] of ``op``, at (i n + j) n + k."""
+    return [x for row in op.c for col in row for x in col]
+
+
+def _sparse_tables(flat, n):
+    """For an op laid out as ``_flat`` gives it: the table whose entry
+    [i][j] holds the nonzero (k, c[i][j][k]), and its columns, so that
+    e_i * e_j, e_i * last and last * e_j are lookups."""
+    products = [_sparse(flat[k : k + n]) for k in range(0, len(flat), n)]
+    table = [products[i * n : i * n + n] for i in range(n)]
+    return table, list(zip(*table))
+
+
+def _tree_slab(tables, clause, zero, one, n):
     """Slab reader for a clause: at a prefix (the indices of every variable
     but the last), the sign and residual rows at prefix + (k,) for
-    k = 0..n-1.  A subtree's value is its n sparse rows, row k its value at
-    last = k; one without the last variable is one vector repeated, and it
-    is memoized per scan by its shape and indices, so subtrees of one shape
-    (such as x o y and y o x) share their values.  e_i * e_j, e_i * last and
+    k = 0..n-1.  ``tables`` holds the ``_sparse_tables`` of each op the
+    clause uses, and the clause's ``_plan`` its terms and subtrees.  A
+    subtree's value is its n sparse rows, row k its value at last = k; one
+    without the last variable is one vector repeated, and it is memoized
+    per scan by its shape and indices, so subtrees of one shape (such as
+    x o y and y o x) share their values.  e_i * e_j, e_i * last and
     last * e_j are table lookups, and each term's root product is added
     straight into the slab rows with the term's coefficient.  An
     alternating clause is read as its signed chains, only at sorted heads
@@ -471,19 +533,11 @@ def _tree_slab(cubes, clause, zero, one, n):
     slab is zero, or a permutation of one, whose slab is the sign of the
     permutation that sorts it times the slab at the sorted head."""
     repeat = itertools.repeat
-    terms = clause.signed_terms()
-    tables = {
-        label: [[_sparse(col) for col in row] for row in cubes[label]]
-        for label, degree in zip(OPS, clause.degrees)
-        if degree
-    }
-    columns = {label: list(zip(*table)) for label, table in tables.items()}
+    terms, _, _, subtrees = _plan(clause)
     units = [[(k, one)] for k in range(n)]  # the identity's rows
     shared = {}
     memo = {  # a subtree's indices in t, and the values of its shape
-        sub: (operator.itemgetter(*_leaves(sub)), shared.setdefault(_shape(sub), {}))
-        for _, tree in terms
-        for sub in _nodes(tree)[1:]
+        sub: (indices, shared.setdefault(shape, {})) for sub, (indices, shape) in subtrees.items()
     }
 
     def value(tree, t):
@@ -492,9 +546,10 @@ def _tree_slab(cubes, clause, zero, one, n):
         label, left, right = tree
         if isinstance(left, int) and isinstance(right, int):
             i, j = t[left], t[right]
+            table, columns = tables[label]
             if i is None:
-                return columns[label][j]
-            return tables[label][i] if j is None else repeat(tables[label][i][j])
+                return columns[j]
+            return table[i] if j is None else repeat(table[i][j])
         indices, cache = memo[tree]
         key = indices(t)
         if key not in cache:
@@ -505,7 +560,7 @@ def _tree_slab(cubes, clause, zero, one, n):
 
     def product(rows, coeff, tree, t):
         """Add coeff times the root product of ``tree`` into ``rows``."""
-        table = tables[tree[0]]
+        table = tables[tree[0]][0]
         for acc, u, v in zip(rows, value(tree[1], t), value(tree[2], t)):
             for i, ui in u:
                 wi = ui if coeff == 1 else coeff * ui
@@ -538,47 +593,59 @@ def _tree_slab(cubes, clause, zero, one, n):
 
 
 def _integer_ops(alg, clause):
-    """The structure-constant cubes of the ops ``clause`` uses as packed
+    """The ``_sparse_tables`` of the ops ``clause`` uses as packed
     integers, and the ``scalars.Packing`` that reads a residual back; None
     unless every op has an ``integer_form``.  A term of d ops sums n^(d-1)
-    products of d entries, degrees[f] of them from op f."""
+    products of d entries, degrees[f] of them from op f.  The packing, and
+    so its digit width B, is the clause's own; the cache (``_cached``)
+    holds each op's form per (op, ring, d > 2), as the affine format's
+    limit of degree 2 is the one way a form reads the clause, and its
+    tables per (op, ring, B), or per (op, ring) in a one-digit format,
+    where packing leaves the ints as they are."""
     ring, n = alg.ring, alg.dim
-    labels, degrees = zip(*[(label, deg) for label, deg in zip(OPS, clause.degrees) if deg])
+    terms, labels, degrees, _ = _plan(clause)
     d = sum(degrees)
+    ops = [alg.ops[label] for label in labels]
     forms = [
-        integer_form(ring, [x for row in alg.ops[label].c for col in row for x in col], d)
-        for label in labels
+        _cached("form", (op, ring), d > 2, lambda: integer_form(ring, _flat(op), d)) for op in ops
     ]
     if None in forms:
         return None
-    count = sum(abs(c) for c, _ in clause.signed_terms()) * n ** (d - 1)
-    packing, cubes = Packing(ring, forms, [(count, degrees)]), {}
-    for label, (_, ints, _) in zip(labels, forms):
-        flat = packing.pack(ints)
-        # lists, not tuples: CPython keeps up to 2000 freed tuples of each
-        # small size for reuse, and building these as tuples for every scan
-        # kept about 1 MB more resident over repeated checks
-        cube = [[flat[(i * n + j) * n : (i * n + j + 1) * n] for j in range(n)] for i in range(n)]
-        cubes[label] = cube
-    return cubes, packing
+    count = sum(abs(c) for c, _ in terms) * n ** (d - 1)
+    packing = Packing(ring, forms, [(count, degrees)])
+    bits = packing.bits if len(packing.positions) > 1 else 0
+    tables = {
+        label: _cached("tables", (op, ring), bits, lambda: _sparse_tables(packing.pack(ints), n))
+        for label, op, (_, ints, _) in zip(labels, ops, forms)
+    }
+    return tables, packing
 
 
 def clause_failures(alg, clause):
     """Every basis tuple at which ``clause`` fails on ``alg``, as (clause
     name, 0-based tuple, residual), tuples in lexicographic order.
 
-    The entries are chosen once: the packed cubes of ``_integer_ops``
-    (read back by ``Packing.read``), otherwise the ring's own structure
-    constants.  The slab reader gives the residuals at a prefix for every
-    last index at once, on either.
+    The entries are chosen once: the packed tables of ``_integer_ops``
+    (read back by ``Packing.read``), otherwise the tables of the ring's
+    own structure constants, cached per (op, ring).  The slab reader gives
+    the residuals at a prefix for every last index at once, on either.  An
+    alternating clause in more variables than the dimension plus one has
+    no head of distinct indices, and so nothing to scan.
     """
+    if clause.alternating and alg.dim < clause.arity - 1:
+        return
     integral = _integer_ops(alg, clause)
     if integral is None:
-        cubes, packing = {label: op.c for label, op in alg.ops.items()}, None
-        zero, one = alg.ring.zero(), alg.ring.one()
+        ring, n = alg.ring, alg.dim
+        ops = {label: alg.ops[label] for label in _plan(clause)[1]}
+        tables = {
+            label: _cached("tables", (op, ring), None, lambda: _sparse_tables(_flat(op), n))
+            for label, op in ops.items()
+        }
+        packing, zero, one = None, ring.zero(), ring.one()
     else:
-        (cubes, packing), zero, one = integral, 0, 1
-    slab_at = _tree_slab(cubes, clause, zero, one, alg.dim)
+        (tables, packing), zero, one = integral, 0, 1
+    slab_at = _tree_slab(tables, clause, zero, one, alg.dim)
     for prefix in itertools.product(range(alg.dim), repeat=clause.arity - 1):
         sign, rows = slab_at(prefix)
         for k, res in enumerate(rows):

@@ -7,6 +7,7 @@ for the engine's data catalog, and the per-tuple scan further down is the
 reference for the engine's prefix-slab scan."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,12 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpalg.algebra import (
+    _CACHE_CAP,
     IDENTITIES,
     AlgebraPresentation,
     BilinearOp,
     Clause,
     LinearMap,
     _basis_vector,
+    _cache,
     _integer_ops,
     _leaves,
     _nodes,
@@ -38,6 +41,7 @@ from tpalg.algebra import (
     euler_gelfand,
     failure_report,
     gelfand_construct,
+    identity_failures,
     identity_names,
     identity_residual,
     is_derivation,
@@ -763,6 +767,86 @@ def test_slab_scan_matches_on_dense_s5_failures(base):
     """A dense random bracket fails S5 at heads of both signs."""
     alg = _pres(_random_ops(random.Random(5), base, base, 5, 1.0), 5, base)
     assert _assert_scans_agree("S5", alg) > 500
+
+
+# presentations with all three ops, one per way the scan reads entries:
+# packed over Q, Q(i), series over Q and affine families, and on the
+# ring's own entries for a Q(i) op with Fraction entries, for polynomials
+# over Q(i), and for the clauses that use an op over Q with int entries
+CACHE_CASES = {
+    "Q": (QQ, QQ),
+    "Qi": (QI, QI),
+    "series": (SeriesRing(QQ, 3), QQ),
+    "affine": (PolynomialRing(QQ, ("a", "b")), QQ),
+    "Qi-Fraction": (QI, QQ),
+    "poly-Qi": (PolynomialRing(QI, ("a",)), QI),
+    "Q-int-circ": (QQ, QQ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_CASES))
+def test_cache_state_changes_no_failure(case):
+    """Every catalog identity gives the same failures, reprs included,
+    whether the scan's cache starts empty or holds what earlier checks of
+    the same presentation built, in catalog order or reversed."""
+    ring, base = CACHE_CASES[case]
+    ops = _random_ops(random.Random(11), ring, base, 4, 0.7)
+    if case == "Q-int-circ":  # clauses with circ run on Fractions, the others packed
+        ops["circ"] = ops["circ"].map_entries(lambda x: int(60 * x))
+    alg = _pres(ops, 4, ring)
+    if case in ("Qi-Fraction", "Q-int-circ"):
+        assert _integer_ops(alg, IDENTITIES["NP2"][0]) is None
+    cold = {}
+    for name in IDENTITIES:
+        _cache.clear()
+        cold[name] = repr(list(identity_failures(alg, name)))
+    assert sum(text != "[]" for text in cold.values()) > 5
+    for names in (list(IDENTITIES), list(reversed(IDENTITIES))):
+        _cache.clear()
+        assert {name: repr(list(identity_failures(alg, name))) for name in names} == cold
+
+
+def test_cache_is_bounded():
+    """Checks of more presentations than the cap leave at most the cap of
+    entries, and the first presentation's ops are no longer held."""
+    rnd = random.Random(2)
+    first = None
+    for _ in range(_CACHE_CAP + 1):
+        alg = _pres(_random_ops(rnd, QI, QI, 2, 0.7), 2, QI)
+        first = first or list(alg.ops.values())
+        for name in IDENTITIES:
+            check_identity(alg, name)
+        assert len(_cache) <= _CACHE_CAP
+    assert len(_cache) == _CACHE_CAP
+    held = [owner for owners, _ in _cache.values() for owner in owners]
+    assert not any(owner is op for owner in held for op in first)
+
+
+def test_vacuous_s5_builds_nothing():
+    """Below dimension four no head of S5 has distinct indices: the scan
+    yields nothing and builds nothing."""
+    _cache.clear()
+    alg = _pres(_random_ops(random.Random(6), QQ, QQ, 3, 1.0), 3, QQ)
+    assert list(clause_failures(alg, IDENTITIES["S5"][0])) == []
+    assert _cache == {}
+
+
+def test_checks_leave_their_records_as_they_were():
+    """The cache shows in no op or presentation: repr, ==, hash and a
+    pickle round trip are the same after every catalog check."""
+    alg = _pres(_random_ops(random.Random(4), QI, QI, 3, 0.7), 3, QI)
+    records = [alg, *alg.ops.values()]
+    copies = [pickle.loads(pickle.dumps(x)) for x in records]
+
+    def state():
+        return [(repr(x), hash(x), pickle.dumps(x)) for x in records]
+
+    before = state()
+    for name in IDENTITIES:
+        check_identity(alg, name)
+    assert state() == before
+    assert [repr(pickle.loads(pickle.dumps(x))) for x in records] == [repr(x) for x in copies]
+    assert records[1:] == copies[1:]  # ops compare by value, presentations by identity
 
 
 def test_catalog_refuses_malformed_clauses():
