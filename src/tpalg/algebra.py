@@ -15,19 +15,23 @@ multilinear.  Every term of a clause also uses each operation equally
 often, so where the ring has a packed format (``scalars.Packing``) the
 scan runs on integers: each op scaled by the lcm of its denominators and
 packed, and a residual read back exactly.
-Other rings are scanned on their own structure constants; the entry
-format is chosen once per scan, and the slab reader and the scan loop
-are the same for both, given the sparse tables of the ops and the zero
-and one of their entries.  When the entries are ParamPoly values, "zero
-residual" means the identically-zero polynomial, so one check certifies a
-whole parametric family.
+Other rings are scanned on their own structure constants.  One set-up
+step (``_entries``) chooses a scan's entries: the clause's plan, the
+sparse tables of its ops, the packing (none on the ring's own entries)
+and the zero and one of the entries; the slab reader and the scan loop
+are the same for both formats.  When the entries are ParamPoly values,
+"zero residual" means the identically-zero polynomial, so one check
+certifies a whole parametric family.
 What a scan reads off a clause or an op alone is built once, in one
 cache of ``_CACHE_CAP`` entries (enough for the checks of one
-presentation) that drops the oldest first: each clause's plan (its
-signed terms and subtrees), each op's integer form, keyed by op, ring and
-whether the clause has more than two ops per term, and each op's sparse
-tables, keyed by op, ring and the clause's digit width B (none in a
-one-digit format, nor on the ring's own entries).
+presentation) that drops the least recently used entry, so the catalog's
+clause plans, read by every check, stay.  Its keys: each clause's plan
+(its signed terms and subtrees) per clause; each op's integer form per
+(op, ring, d > 2), d the ops per term, as the affine format's limit of
+degree 2 is the one way a form reads the clause; and each op's sparse
+tables per (op, ring, B), B the clause's digit width, 0 in a one-digit
+format (Q, series of order 1), where packing leaves the ints as they
+are, and None on the ring's own entries.
 """
 
 from __future__ import annotations
@@ -473,16 +477,16 @@ _cache = {}
 
 def _cached(kind, owners, detail, build):
     """``build()``, memoized under ``kind``, the ids of ``owners`` and
-    ``detail``."""
+    ``detail``; a hit moves to the end, and the least recently used entry
+    is dropped."""
     key = (kind, *map(id, owners), detail)
-    hit = _cache.get(key)
-    if hit is not None and all(map(operator.is_, hit[0], owners)):
-        return hit[1]
-    value = build()
-    if key not in _cache and len(_cache) >= _CACHE_CAP:
-        del _cache[next(iter(_cache))]
-    _cache[key] = owners, value
-    return value
+    hit = _cache.pop(key, None)
+    if hit is None or not all(map(operator.is_, hit[0], owners)):
+        hit = owners, build()
+        if len(_cache) >= _CACHE_CAP:
+            del _cache[next(iter(_cache))]
+    _cache[key] = hit
+    return hit[1]
 
 
 def _plan(clause):
@@ -517,23 +521,22 @@ def _sparse_tables(flat, n):
     return table, list(zip(*table))
 
 
-def _tree_slab(tables, clause, zero, one, n):
+def _tree_slab(tables, plan, alternating, zero, one, n):
     """Slab reader for a clause: at a prefix (the indices of every variable
     but the last), the sign and residual rows at prefix + (k,) for
-    k = 0..n-1.  ``tables`` holds the ``_sparse_tables`` of each op the
-    clause uses, and the clause's ``_plan`` its terms and subtrees.  A
-    subtree's value is its n sparse rows, row k its value at last = k; one
-    without the last variable is one vector repeated, and it is memoized
-    per scan by its shape and indices, so subtrees of one shape (such as
-    x o y and y o x) share their values.  e_i * e_j, e_i * last and
-    last * e_j are table lookups, and each term's root product is added
-    straight into the slab rows with the term's coefficient.  An
-    alternating clause is read as its signed chains, only at sorted heads
-    of distinct indices and once each: any other head is a repeat, whose
-    slab is zero, or a permutation of one, whose slab is the sign of the
-    permutation that sorts it times the slab at the sorted head."""
+    k = 0..n-1, given what ``_entries`` chose.  A subtree's value is its n
+    sparse rows, row k its value at last = k; one without the last
+    variable is one vector repeated, and it is memoized per scan by its
+    shape and indices, so subtrees of one shape (such as x o y and y o x)
+    share their values.  e_i * e_j, e_i * last and last * e_j are table
+    lookups, and each term's root product is added straight into the slab
+    rows with the term's coefficient.  An alternating clause is read as
+    its signed chains, only at sorted heads of distinct indices and once
+    each: any other head is a repeat, whose slab is zero, or a permutation
+    of one, whose slab is the sign of the permutation that sorts it times
+    the slab at the sorted head."""
     repeat = itertools.repeat
-    terms, _, _, subtrees = _plan(clause)
+    terms, _, _, subtrees = plan
     units = [[(k, one)] for k in range(n)]  # the identity's rows
     shared = {}
     memo = {  # a subtree's indices in t, and the values of its shape
@@ -577,7 +580,7 @@ def _tree_slab(tables, clause, zero, one, n):
             product(rows, coeff, tree, t)
         return rows
 
-    if not clause.alternating:
+    if not alternating:
         return lambda prefix: (1, rows_at(prefix))
     sorted_rows = {}
 
@@ -592,60 +595,52 @@ def _tree_slab(tables, clause, zero, one, n):
     return alternating_at
 
 
-def _integer_ops(alg, clause):
-    """The ``_sparse_tables`` of the ops ``clause`` uses as packed
-    integers, and the ``scalars.Packing`` that reads a residual back; None
-    unless every op has an ``integer_form``.  A term of d ops sums n^(d-1)
-    products of d entries, degrees[f] of them from op f.  The packing, and
-    so its digit width B, is the clause's own; the cache (``_cached``)
-    holds each op's form per (op, ring, d > 2), as the affine format's
-    limit of degree 2 is the one way a form reads the clause, and its
-    tables per (op, ring, B), or per (op, ring) in a one-digit format,
-    where packing leaves the ints as they are."""
+def _entries(alg, clause):
+    """What a scan of ``clause`` on ``alg`` reads: its ``_plan``, the
+    ``_sparse_tables`` of each op it uses, the ``scalars.Packing`` that
+    reads a residual back (None unless every op has an ``integer_form``,
+    when the tables hold the ring's own entries) and the tables' zero and
+    one.  A term of d ops sums n^(d-1) products of d entries, degrees[f]
+    of them from op f.  The packing, and so its digit width B, is the
+    clause's own; the cache keys are in the module docstring."""
     ring, n = alg.ring, alg.dim
-    terms, labels, degrees, _ = _plan(clause)
+    plan = terms, labels, degrees, _ = _plan(clause)
     d = sum(degrees)
     ops = [alg.ops[label] for label in labels]
     forms = [
         _cached("form", (op, ring), d > 2, lambda: integer_form(ring, _flat(op), d)) for op in ops
     ]
     if None in forms:
-        return None
-    count = sum(abs(c) for c, _ in terms) * n ** (d - 1)
-    packing = Packing(ring, forms, [(count, degrees)])
-    bits = packing.bits if len(packing.positions) > 1 else 0
+        packing, bits, zero, one = None, None, ring.zero(), ring.one()
+    else:
+        count = sum(abs(c) for c, _ in terms) * n ** (d - 1)
+        packing = Packing(ring, forms, [(count, degrees)])
+        bits, zero, one = packing.bits if len(packing.positions) > 1 else 0, 0, 1
     tables = {
-        label: _cached("tables", (op, ring), bits, lambda: _sparse_tables(packing.pack(ints), n))
-        for label, op, (_, ints, _) in zip(labels, ops, forms)
+        label: _cached(
+            "tables",
+            (op, ring),
+            bits,
+            lambda: _sparse_tables(_flat(op) if packing is None else packing.pack(form[1]), n),
+        )
+        for label, op, form in zip(labels, ops, forms)
     }
-    return tables, packing
+    return plan, tables, packing, zero, one
 
 
 def clause_failures(alg, clause):
     """Every basis tuple at which ``clause`` fails on ``alg``, as (clause
     name, 0-based tuple, residual), tuples in lexicographic order.
 
-    The entries are chosen once: the packed tables of ``_integer_ops``
-    (read back by ``Packing.read``), otherwise the tables of the ring's
-    own structure constants, cached per (op, ring).  The slab reader gives
-    the residuals at a prefix for every last index at once, on either.  An
-    alternating clause in more variables than the dimension plus one has
-    no head of distinct indices, and so nothing to scan.
+    The entries are chosen once (``_entries``), and the slab reader gives
+    the residuals at a prefix for every last index at once, on either
+    format.  An alternating clause in more variables than the dimension
+    plus one has no head of distinct indices, and so nothing to scan.
     """
     if clause.alternating and alg.dim < clause.arity - 1:
         return
-    integral = _integer_ops(alg, clause)
-    if integral is None:
-        ring, n = alg.ring, alg.dim
-        ops = {label: alg.ops[label] for label in _plan(clause)[1]}
-        tables = {
-            label: _cached("tables", (op, ring), None, lambda: _sparse_tables(_flat(op), n))
-            for label, op in ops.items()
-        }
-        packing, zero, one = None, ring.zero(), ring.one()
-    else:
-        (tables, packing), zero, one = integral, 0, 1
-    slab_at = _tree_slab(tables, clause, zero, one, alg.dim)
+    plan, tables, packing, zero, one = _entries(alg, clause)
+    slab_at = _tree_slab(tables, plan, clause.alternating, zero, one, alg.dim)
     for prefix in itertools.product(range(alg.dim), repeat=clause.arity - 1):
         sign, rows = slab_at(prefix)
         for k, res in enumerate(rows):

@@ -299,9 +299,9 @@ def _cmd_equiv(args):
     d1 = _load_deformation(args.file1)
     d2 = _load_deformation(args.file2)
     _refuse_parameters(d1, d2)
-    fam1 = family2d_parameters(d1)
-    fam2 = family2d_parameters(d2)
     method = args.method
+    if method != "solver":  # only auto and family read the family shape
+        fam1, fam2 = family2d_parameters(d1), family2d_parameters(d2)
     if method == "auto":
         method = "family" if (fam1 and fam2) else "solver"
     if method == "family":

@@ -81,14 +81,6 @@ class TruncatedDeformation(Record):
         )
         return BilinearOp(ring, c)
 
-    def series_presentation(self, label="circ") -> AlgebraPresentation:
-        return AlgebraPresentation(
-            self.dim,
-            self.series_ring(),
-            self.base.basis_labels,
-            {label: self.series_op()},
-        )
-
 
 def deformation_from_series(op: BilinearOp, labels=None) -> TruncatedDeformation:
     """Split an op over a series ring back into layer ops."""
@@ -112,7 +104,9 @@ def deformation_from_series(op: BilinearOp, labels=None) -> TruncatedDeformation
 def check_novikov_deformation(d: TruncatedDeformation) -> IdentityReport:
     """Left-symmetry and right-commutativity of the deformed product, exact
     through h^(order-1).  The counterexample clause names the failing half."""
-    pres = d.series_presentation()
+    pres = AlgebraPresentation(
+        d.dim, d.series_ring(), d.base.basis_labels, {"circ": d.series_op()}
+    )
     for identity in ("NOV_LEFTSYM", "NOV_RIGHTCOMM"):
         report = check_identity(pres, identity)
         if not report.passed:

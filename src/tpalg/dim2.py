@@ -38,7 +38,7 @@ from .errors import (
     PreconditionViolated,
     Record,
 )
-from .linalg import factor, general_solution, matvec, solve_affine
+from .linalg import factor, general_solution, solve_affine
 from .scalars import (
     QI,
     QQ,
@@ -250,10 +250,10 @@ def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
     e1_new = [nu_inv, sring.zero()]
     e2_new = [nu_inv * mu, sring.one()]
     tmat = [[e1_new[0], e2_new[0]], [e1_new[1], e2_new[1]]]
-    tinv = [[nu, -mu], [sring.zero(), sring.one()]]
-    # the e2-coordinates of e2'.e1' and e1'.e1' in the new basis
-    a_h = matvec(tinv, op.apply(e2_new, e1_new))[1]
-    b_h = matvec(tinv, op.apply(e1_new, e1_new))[1]
+    # the e2-coordinates of e2'.e1' and e1'.e1' in the new basis, which
+    # are their e2-coordinates in the old one: T^-1 has second row (0, 1)
+    a_h = op.apply(e2_new, e1_new)[1]
+    b_h = op.apply(e1_new, e1_new)[1]
 
     maps = (
         LinearMap(d.ring, tuple(tuple(t.coeffs[k] for t in row) for row in tmat))

@@ -24,7 +24,7 @@ from tpalg.algebra import (
     LinearMap,
     _basis_vector,
     _cache,
-    _integer_ops,
+    _entries,
     _leaves,
     _nodes,
     _shape,
@@ -600,7 +600,7 @@ def gaussian_algebras(draw, name):
 @settings(max_examples=6, deadline=None)
 def test_packed_gaussian_scan_matches_per_tuple_scan(name, data):
     alg = data.draw(gaussian_algebras(name))
-    assert all(_integer_ops(alg, clause) for clause in SCAN_CLAUSES[name])
+    assert all(_entries(alg, clause)[2] is not None for clause in SCAN_CLAUSES[name])
     _assert_scans_agree(name, alg)
 
 
@@ -615,7 +615,7 @@ def test_gaussian_packing_fills_its_digits():
     q = GaussianRational(F(big), F(big))
     alg = _pres({"bracket": BilinearOp(QI, (((q,) * n,) * n,) * n)}, n, QI)
     clause = IDENTITIES["LIE"][1]
-    packing = _integer_ops(alg, clause)[1]
+    packing = _entries(alg, clause)[2]
     assert packing.modulus == (1 << 2 * packing.bits) + 1
     assert 1 << packing.bits - 3 <= 6 * n * big**2 < 1 << packing.bits - 2
     assert _assert_scans_agree("LIE", alg) == n**2 + n**3
@@ -644,7 +644,7 @@ def test_rational_and_series_packing_fill_their_digits(order):
     for sign in (1,) if order is None else (1, -1):
         q = F(big) if order is None else TruncSeries(N, tuple(F(sign**t * big) for t in range(N)))
         alg = _pres({"bracket": BilinearOp(ring, (((q,) * n,) * n,) * n)}, n, ring)
-        packing = _integer_ops(alg, clause)[1]
+        packing = _entries(alg, clause)[2]
         assert packing.modulus == 1 << packing.bits * N
         assert 1 << packing.bits - 2 <= 3 * n * N * big**2 < 1 << packing.bits - 1
         assert _assert_scans_agree("LIE", alg) == n**2 + n**3
@@ -661,7 +661,7 @@ def test_gaussian_packing_gate():
     them."""
     rnd = random.Random(7)
     ops = _random_ops(rnd, QI, QI, 3, 0.7)
-    packing = _integer_ops(_pres(ops, 3, QI), IDENTITIES["NP2"][0])[1]
+    packing = _entries(_pres(ops, 3, QI), IDENTITIES["NP2"][0])[2]
     assert packing.ring is QI and packing.modulus == (1 << 2 * packing.bits) + 1
 
     def with_circ_entry(x):
@@ -680,7 +680,7 @@ def test_gaussian_packing_gate():
         ("LIE", _pres(_random_ops(rnd, poly, QI, 3, 0.7), 3, poly)),
         ("MIXED4", _pres(_random_ops(rnd, poly, QI, 2, 0.7), 2, poly)),
     ):
-        assert all(_integer_ops(alg, clause) is None for clause in SCAN_CLAUSES[name]), name
+        assert all(_entries(alg, clause)[2] is None for clause in SCAN_CLAUSES[name]), name
         assert _assert_scans_agree(name, alg), name
 
 
@@ -713,7 +713,7 @@ def affine_scan_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_packed_affine_scan_matches_per_tuple_scan(case):
     name, alg = case
-    assert all(_integer_ops(alg, clause) for clause in SCAN_CLAUSES[name])
+    assert all(_entries(alg, clause)[2] is not None for clause in SCAN_CLAUSES[name])
     _assert_scans_agree(name, alg)
 
 
@@ -738,7 +738,7 @@ def test_affine_packing_gate():
     variables = ("p1", "p2", "p3")
     ring, qi = PolynomialRing(QQ, variables), PolynomialRing(QI, variables)
     ops = _random_ops(rnd, ring, QQ, 3, 0.7)
-    packing = _integer_ops(_pres(ops, 3, ring), IDENTITIES["NP2"][0])[1]
+    packing = _entries(_pres(ops, 3, ring), IDENTITIES["NP2"][0])[2]
     assert packing.ring is ring and packing.positions == [0, 1, 3, 7]
 
     def with_circ_entry(x):
@@ -758,7 +758,7 @@ def test_affine_packing_gate():
         ("MIXED4", _pres(_random_ops(rnd, ring, QQ, 2, 0.7), 2, ring)),
         ("S5", _pres(_random_ops(rnd, ring, QQ, 4, 0.3), 4, ring)),
     ):
-        assert all(_integer_ops(alg, clause) is None for clause in SCAN_CLAUSES[name]), name
+        assert all(_entries(alg, clause)[2] is None for clause in SCAN_CLAUSES[name]), name
         assert _assert_scans_agree(name, alg), name
 
 
@@ -795,7 +795,7 @@ def test_cache_state_changes_no_failure(case):
         ops["circ"] = ops["circ"].map_entries(lambda x: int(60 * x))
     alg = _pres(ops, 4, ring)
     if case in ("Qi-Fraction", "Q-int-circ"):
-        assert _integer_ops(alg, IDENTITIES["NP2"][0]) is None
+        assert _entries(alg, IDENTITIES["NP2"][0])[2] is None
     cold = {}
     for name in IDENTITIES:
         _cache.clear()
@@ -820,6 +820,30 @@ def test_cache_is_bounded():
     assert len(_cache) == _CACHE_CAP
     held = [owner for owners, _ in _cache.values() for owner in owners]
     assert not any(owner is op for owner in held for op in first)
+
+
+def test_cache_keeps_the_catalog_plans(monkeypatch):
+    """The catalog's clause plans are read by every check, so scans of more
+    presentations than the cap build each plan once and keep all of them;
+    each build is one ``Clause.signed_terms`` call."""
+    builds = []
+    signed_terms = Clause.signed_terms
+
+    def counted(clause):
+        builds.append(clause)
+        return signed_terms(clause)
+
+    monkeypatch.setattr(Clause, "signed_terms", counted)
+    _cache.clear()
+    rnd = random.Random(8)
+    for _ in range(_CACHE_CAP + 1):
+        alg = _pres(_random_ops(rnd, QQ, QQ, 4, 0.7), 4, QQ)
+        for name in IDENTITIES:
+            list(identity_failures(alg, name))
+    catalog = [clause for clauses in IDENTITIES.values() for clause in clauses]
+    assert len(catalog) == 11
+    assert sorted(map(id, builds)) == sorted(map(id, catalog))
+    assert all(("plan", id(clause), None) in _cache for clause in catalog)
 
 
 def test_vacuous_s5_builds_nothing():

@@ -509,6 +509,33 @@ def test_normalize_basis_over_gaussians_keeps_gaussian_coefficients():
         assert all(isinstance(c, GaussianRational) for c in s.coeffs), repr(s.coeffs)
 
 
+def test_normalize_basis_undoes_a_gaussian_basis_change():
+    # the family at (a, b) = (i h, (2-i) h^2), order 4, seen through
+    # f(e1) = (1 + i h) e1 and f(e2) = e2 + 2h e1: normalization finds the
+    # new basis f^-1(e1), f^-1(e2) and recovers (a, b) with Gaussian
+    # coefficients
+    order = 4
+    a, b = parse_series("i*h", QI, order), parse_series("(2-i)h^2", QI, order)
+    op = family2d_construct(a, b, QI).series_op()
+    sring = op.ring
+    h = sring.h()
+    lam_inv = series_invert(sring.one() + h * GAUSS_I)
+    fmat = [[sring.one() + h * GAUSS_I, h * 2], [sring.zero(), sring.one()]]
+    finv = [[lam_inv, -(h * 2) * lam_inv], [sring.zero(), sring.one()]]
+    cols = [[fmat[r][j] for r in range(2)] for j in range(2)]
+    c = tuple(
+        tuple(tuple(matvec(finv, op.apply(cols[i], cols[j]))) for j in range(2))
+        for i in range(2)
+    )
+    seen = deformation_from_series(BilinearOp(sring, c))
+    norm = normalize_basis(seen)
+    assert norm.a_h == a and norm.b_h == b
+    assert norm.basis == tuple(tuple(finv[r][j] for r in range(2)) for j in range(2))
+    for s in (norm.a_h, norm.b_h):
+        assert all(isinstance(x, GaussianRational) for x in s.coeffs), repr(s.coeffs)
+    assert verify_witness(family2d_construct(norm.a_h, norm.b_h, QI), seen, norm.witness).passed
+
+
 def test_normalize_basis_requires_novikov():
     fam = family2d_construct(S("1", 3), S("0", 3))
     bad_layer = fam.mu[1] + BilinearOp.from_entries(2, QQ, {(1, 1, 0): F(1)})
