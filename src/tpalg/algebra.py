@@ -8,9 +8,14 @@ clause at given vectors (``identity_residual``).  The scan over all basis
 tuples in lexicographic order (``check_identity``) reads, at each prefix
 of all indices but the last, the residuals for every last index at once:
 this slab treats a subtree with the last variable as n rows.  An
-alternating clause is read as its signed sum of chains at sorted heads
-only: any other head gives zero, or the sign of its sort times the slab at
-its sorted head.  The scan is complete because every clause is
+alternating clause is read as its signed sum of chains at its C(n, k)
+sorted heads of k distinct indices only (``itertools.combinations``): a
+head with a repeated index gives zero, and any other is a permutation of a
+sorted head, whose slab is the sign of its sort times the sorted head's.
+A sorted head whose slab is not zero puts its permutations on a heap that
+gives them back in lexicographic order, so of the residual slabs only
+those still pending there are kept, and the subtree memo keeps a zero
+subtree as no rows at all.  The scan is complete because every clause is
 multilinear.  Every term of a clause also uses each operation equally
 often, so where the ring has a packed format (``scalars.Packing``) the
 scan runs on integers: each op scaled by the lcm of its denominators and
@@ -521,20 +526,18 @@ def _sparse_tables(flat, n):
     return table, list(zip(*table))
 
 
-def _tree_slab(tables, plan, alternating, zero, one, n):
+def _tree_slab(tables, plan, zero, one, n):
     """Slab reader for a clause: at a prefix (the indices of every variable
-    but the last), the sign and residual rows at prefix + (k,) for
-    k = 0..n-1, given what ``_entries`` chose.  A subtree's value is its n
-    sparse rows, row k its value at last = k; one without the last
-    variable is one vector repeated, and it is memoized per scan by its
-    shape and indices, so subtrees of one shape (such as x o y and y o x)
-    share their values.  e_i * e_j, e_i * last and last * e_j are table
-    lookups, and each term's root product is added straight into the slab
-    rows with the term's coefficient.  An alternating clause is read as
-    its signed chains, only at sorted heads of distinct indices and once
-    each: any other head is a repeat, whose slab is zero, or a permutation
-    of one, whose slab is the sign of the permutation that sorts it times
-    the slab at the sorted head."""
+    but the last), the residual rows at prefix + (k,) for k = 0..n-1, given
+    what ``_entries`` chose.  A subtree's value is its n sparse rows, row k
+    its value at last = k; one without the last variable is one vector
+    repeated, and it is memoized per scan by its shape and indices, so
+    subtrees of one shape (such as x o y and y o x) share their values.
+    e_i * e_j, e_i * last and last * e_j are table lookups, and each term's
+    root product is added straight into the slab rows with the term's
+    coefficient.  A subtree whose value is zero is memoized as no rows at
+    all, so a product with it stops at once, and the memo of a zero or
+    sparse op holds little beyond its keys."""
     repeat = itertools.repeat
     terms, _, _, subtrees = plan
     units = [[(k, one)] for k in range(n)]  # the identity's rows
@@ -558,7 +561,8 @@ def _tree_slab(tables, plan, alternating, zero, one, n):
         if key not in cache:
             rows = [[zero] * n for _ in range(n if None in key else 1)]
             product(rows, 1, tree, t)
-            cache[key] = [_sparse(row) for row in rows] if None in key else repeat(_sparse(rows[0]))
+            rows = [_sparse(row) for row in rows]
+            cache[key] = () if not any(rows) else rows if None in key else repeat(rows[0])
         return cache[key]
 
     def product(rows, coeff, tree, t):
@@ -580,19 +584,31 @@ def _tree_slab(tables, plan, alternating, zero, one, n):
             product(rows, coeff, tree, t)
         return rows
 
-    if not alternating:
-        return lambda prefix: (1, rows_at(prefix))
-    sorted_rows = {}
+    return rows_at
 
-    def alternating_at(head):
-        if len(set(head)) < len(head):
-            return 1, ()
-        key = tuple(sorted(head))
-        if key not in sorted_rows:
-            sorted_rows[key] = rows_at(key)
-        return _sign(head), sorted_rows[key]
 
-    return alternating_at
+def _sorted_heads(rows_at, n, length):
+    """(prefix, sign, slab) at every prefix of ``length`` distinct indices
+    whose slab is not zero, in lexicographic order, for an alternating
+    clause, whose slab is zero at a repeated index.  The slab is read at
+    each sorted head only, and one that is not zero pushes every
+    permutation of its head, with the sign of its sort, onto a heap.
+    Before the next sorted head c is read, every pending prefix below c is
+    popped: a permutation p of a later head c' has p >= sorted(p) = c' > c.
+    The heap is all that is kept, one slab per head with a pending
+    permutation."""
+    import heapq  # here, so that commands that scan no such clause never load it
+
+    pending = []
+    for head in itertools.combinations(range(n), length):
+        while pending and pending[0][0] < head:
+            yield heapq.heappop(pending)
+        rows = rows_at(head)
+        if any(map(any, rows)):
+            for perm in itertools.permutations(head):
+                heapq.heappush(pending, (perm, _sign(perm), rows))
+    while pending:
+        yield heapq.heappop(pending)
 
 
 def _entries(alg, clause):
@@ -634,15 +650,24 @@ def clause_failures(alg, clause):
 
     The entries are chosen once (``_entries``), and the slab reader gives
     the residuals at a prefix for every last index at once, on either
-    format.  An alternating clause in more variables than the dimension
-    plus one has no head of distinct indices, and so nothing to scan.
+    format.  An alternating clause is read at its sorted heads only
+    (``_sorted_heads``), and a failure at a permuted head comes out as soon
+    as every smaller prefix has, so taking the first failure reads no slab
+    past the first failing sorted head.  An alternating clause in more
+    variables than the dimension plus one has no head of distinct indices,
+    and so nothing to scan.
     """
     if clause.alternating and alg.dim < clause.arity - 1:
         return
     plan, tables, packing, zero, one = _entries(alg, clause)
-    slab_at = _tree_slab(tables, plan, clause.alternating, zero, one, alg.dim)
-    for prefix in itertools.product(range(alg.dim), repeat=clause.arity - 1):
-        sign, rows = slab_at(prefix)
+    n, length = alg.dim, clause.arity - 1
+    rows_at = _tree_slab(tables, plan, zero, one, n)
+    if clause.alternating:
+        slabs = _sorted_heads(rows_at, n, length)
+    else:
+        prefixes = itertools.product(range(n), repeat=length)
+        slabs = ((prefix, 1, rows_at(prefix)) for prefix in prefixes)
+    for prefix, sign, rows in slabs:
         for k, res in enumerate(rows):
             # every scalar type is false exactly when zero
             if any(res):

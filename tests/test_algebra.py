@@ -9,12 +9,14 @@ reference for the engine's prefix-slab scan."""
 import itertools
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tpalg import algebra
 from tpalg.algebra import (
     _CACHE_CAP,
     IDENTITIES,
@@ -1170,3 +1172,64 @@ def test_s5_agrees_with_direct_scan():
         AlgebraPresentation(5, QQ, sl2_v2.basis_labels, {"bracket": scaled}),
     ):
         _assert_same_first_failure(check_identity(alg, "S5"), _first_failure(alg, REFERENCE["S5"]))
+
+
+def _sl2_v2_inside(dim, indices, ring=QQ):
+    """The bracket of ``_sl2_semidirect_v2`` on the basis vectors at
+    ``indices`` (0-based) of a ``dim``-dimensional algebra over ``ring``,
+    every other bracket zero."""
+    c = _sl2_semidirect_v2().ops["bracket"].c
+    entries = {
+        (indices[i], indices[j], indices[k]): c[i][j][k]
+        for i, j, k in itertools.product(range(5), repeat=3)
+        if c[i][j][k]
+    }
+    return _pres({"bracket": BilinearOp.from_entries(dim, ring, entries)}, dim, ring)
+
+
+@pytest.mark.parametrize("ring", [QQ, QI], ids=["Q", "Qi"])
+def test_s5_fails_in_order_at_interleaved_heads(ring, monkeypatch):
+    """sl2 on e2, e4, e5 and its module on e1, e6 fail S5 at the sorted
+    heads (0, 1, 3, 4) and (1, 3, 4, 5) only.  Permutations of the first,
+    such as (3, 0, 1, 4), sort after the second: the failures still come
+    in lexicographic order, and the first check reads no slab past the
+    first failing head."""
+    alg = _sl2_v2_inside(6, (1, 3, 4, 0, 5), ring)
+    failures = list(clause_failures(alg, IDENTITIES["S5"][0]))
+    assert {tuple(sorted(t[:4])) for _, t, _ in failures} == {(0, 1, 3, 4), (1, 3, 4, 5)}
+    prefixes = [t[:4] for _, t, _ in failures]
+    assert prefixes.index((1, 3, 4, 5)) < prefixes.index((3, 0, 1, 4))
+    assert _assert_scans_agree("S5", alg) == len(failures)
+
+    reads = []
+    tree_slab = algebra._tree_slab
+
+    def counted(*args):
+        rows_at = tree_slab(*args)
+
+        def read(prefix):
+            reads.append(prefix)
+            return rows_at(prefix)
+
+        return read
+
+    monkeypatch.setattr(algebra, "_tree_slab", counted)
+    report = check_identity(alg, "S5")
+    assert report == failure_report("S5", failures[0])
+    assert failures[0][1][:4] == (0, 1, 3, 4)
+    heads = list(itertools.combinations(range(6), 4))
+    assert reads == heads[: heads.index((0, 1, 3, 4)) + 1]
+
+
+def test_s5_on_a_zero_bracket_keeps_no_slab():
+    """S5 on the zero bracket of dim 16 reads its C(16, 4) sorted heads,
+    keeps none of their slabs and keeps each zero subtree as no rows, so
+    the scan peaks well under 2 MB (about 0.6 MB under CPython 3.11)."""
+    alg = _pres({"bracket": BilinearOp.zero(16, QQ)}, 16, QQ)
+    tracemalloc.start()
+    try:
+        assert check_identity(alg, "S5").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6

@@ -19,7 +19,9 @@ Two more pin ``solve-compatible`` beyond e2 and Euler dim 3: sl2, which no
 product fits (``feasible: no``, exit 1), and ``gelfand --dim 3 --field Qi``
 piped into it.  One more fails ``check --identity s5``: a dim-4
 antisymmetric bracket over Q(i) that is not Lie, whose residual has
-entries with nonzero real and imaginary parts.
+entries with nonzero real and imaginary parts.  The last passes ``check
+--identity s5`` on the zero bracket of dim 20, read at its C(20, 4) sorted
+heads.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
 
@@ -50,7 +52,8 @@ ROOT = Path(__file__).parent.parent
 # family at (a, b) = (h, 3h), order 4, seen through f(e1) = (1+h) e1 and
 # f(e2) = e2 + 2h e1; circ_qi.json is a product over Q(i) that fails
 # left-symmetry; sl2.json is the bracket of sl2 on e, f, h; bracket_qi.json
-# is an antisymmetric bracket over Q(i) on e1..e4 that fails Jacobi and S5.
+# is an antisymmetric bracket over Q(i) on e1..e4 that fails Jacobi and S5;
+# zero20.json is the zero bracket of dim 20.
 COMMANDS = [
     ("family2d_h_0", ["family2d", "--params", "a=h,b=0", "--order", "3"], None),
     ("family2d_h_h2", ["family2d", "--params", "a=h,b=h^2", "--order", "3"], None),
@@ -87,6 +90,7 @@ COMMANDS = [
     ("gelfand_qi_3", ["gelfand", "--dim", "3", "--field", "Qi"], None),
     ("gelfand_qi_3_solve_compatible", ["solve-compatible", "-"], "gelfand_qi_3"),
     ("check_qi_s5_fail", ["check", "bracket_qi.json", "--identity", "s5"], None),
+    ("check_s5_zero20", ["check", "zero20.json", "--identity", "s5"], None),
 ]
 WITH_FORMAT = {
     "check_nov_leftsym",
@@ -119,7 +123,9 @@ FILES = {
     "famqi.json": "family2d_qi_h_0",
     "famqi2.json": "family2d_qi_h_ih2",
 }
-INPUTS = ("bracket.json", "sheared.json", "circ_qi.json", "sl2.json", "bracket_qi.json")
+INPUTS = (
+    "bracket.json", "sheared.json", "circ_qi.json", "sl2.json", "bracket_qi.json", "zero20.json",
+)
 
 
 def run_all(workdir):
