@@ -701,6 +701,16 @@ def check_identity(alg: AlgebraPresentation, identity) -> IdentityReport:
     return failure_report(name, next(hits, None))
 
 
+def first_failure(alg, identities, name=None):
+    """The report of the first of ``identities`` to fail, renamed ``name``
+    if given, else a pass named ``name``: one ``check_identity`` call each."""
+    for identity in identities:
+        report = check_identity(alg, identity)
+        if not report.passed:
+            return report if name is None else IdentityReport(name, False, report.counterexample)
+    return IdentityReport(name, True, None)
+
+
 # ---------------------------------------------------------------------------
 # Constructions
 # ---------------------------------------------------------------------------
@@ -757,7 +767,7 @@ def gelfand_construct(dot: BilinearOp, deriv: LinearMap) -> BilinearOp:
     product and one of its derivations; the result satisfies both Novikov
     identities."""
     alg = AlgebraPresentation(dot.dim, dot.ring, default_labels(dot.dim), {"dot": dot})
-    ca = check_identity(alg, "COMM_ASSOC")
+    ca = first_failure(alg, ("COMM_ASSOC",))
     if not ca.passed:
         raise NotCommAssoc("dot is not commutative associative", ca)
     der = is_derivation(dot, deriv)
@@ -812,8 +822,6 @@ def subalgebra_check(alg: AlgebraPresentation, span) -> SubalgebraResult:
         label: BilinearOp.from_entries(r, alg.ring, entries)
         for label, entries in induced_entries.items()
     }
-    for label in alg.ops:
-        ops.setdefault(label, BilinearOp.zero(r, alg.ring))
     induced = AlgebraPresentation(
         r, alg.ring, tuple(f"f{t + 1}" for t in range(r)), ops
     )

@@ -52,6 +52,7 @@ from .errors import (
     UnknownIdentity,
 )
 from .fileio import (
+    _load_document,
     detect_kind,
     dumps,
     op_table,
@@ -76,6 +77,7 @@ _USAGE_ERRORS = (
     OrderMismatch,
     DimMismatch,
     NotInvertible,
+    ValueError,
 )
 
 
@@ -239,7 +241,7 @@ def _family_params(args):
 
 
 def _cmd_check(args):
-    data = _read_file(args.file)
+    data = _load_document(_read_file(args.file), args.file)
     if detect_kind(data, args.file) == "deformation":
         d = parse_deformation_file(data, args.file)
         series = d.series_op()
@@ -631,9 +633,6 @@ def main(argv=None):
         print("tpalg: error: output pipe closed by the reader", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:
-        print(f"tpalg: error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
         print(f"tpalg: error: {exc}", file=sys.stderr)
         return 3
     except TpalgError as exc:

@@ -20,6 +20,7 @@ from .algebra import (
     commutator,
     default_labels,
     failure_report,
+    first_failure,
     is_zero_vector,
     vsub,
 )
@@ -107,11 +108,7 @@ def check_novikov_deformation(d: TruncatedDeformation) -> IdentityReport:
     pres = AlgebraPresentation(
         d.dim, d.series_ring(), d.base.basis_labels, {"circ": d.series_op()}
     )
-    for identity in ("NOV_LEFTSYM", "NOV_RIGHTCOMM"):
-        report = check_identity(pres, identity)
-        if not report.passed:
-            return IdentityReport("NOVIKOV", False, report.counterexample)
-    return IdentityReport("NOVIKOV", True, None)
+    return first_failure(pres, ("NOV_LEFTSYM", "NOV_RIGHTCOMM"), "NOVIKOV")
 
 
 def _commutativity_report(dot: BilinearOp) -> IdentityReport:
@@ -162,12 +159,9 @@ def deform_from_np(np: AlgebraPresentation, order: int) -> TruncatedDeformation:
     Novikov-Poisson structure (ops "dot" and "circ")."""
     if order < 2:
         raise ValueError("order must be at least 2 to carry the h-term")
-    for identity in _NP_PRECONDITIONS:
-        report = check_identity(np, identity)
-        if not report.passed:
-            raise NotNovikovPoisson(
-                f"input fails {identity}", report
-            )
+    report = first_failure(np, _NP_PRECONDITIONS)
+    if not report.passed:
+        raise NotNovikovPoisson(f"input fails {report.identity_name}", report)
     dot, circ = np.op("dot"), np.op("circ")
     zero = BilinearOp.zero(np.dim, np.ring)
     base = AlgebraPresentation(np.dim, np.ring, np.basis_labels, {"dot": dot})
@@ -180,10 +174,9 @@ def commutator_deform(nov: BilinearOp, order: int) -> TruncatedDeformation:
     if order < 2:
         raise ValueError("order must be at least 2 to carry the h-term")
     pres = AlgebraPresentation(nov.dim, nov.ring, default_labels(nov.dim), {"circ": nov})
-    for identity in ("NOV_LEFTSYM", "NOV_RIGHTCOMM"):
-        report = check_identity(pres, identity)
-        if not report.passed:
-            raise NotNovikov(f"input fails {identity}", report)
+    report = first_failure(pres, ("NOV_LEFTSYM", "NOV_RIGHTCOMM"))
+    if not report.passed:
+        raise NotNovikov(f"input fails {report.identity_name}", report)
     zero = BilinearOp.zero(nov.dim, nov.ring)
     base = AlgebraPresentation(nov.dim, nov.ring, default_labels(nov.dim), {"dot": zero})
     return TruncatedDeformation(base, order, (zero, nov) + (zero,) * (order - 2))
@@ -256,7 +249,7 @@ def unital_derivation(tpa: AlgebraPresentation, unit) -> LinearMap:
         right = dot.apply(ej, unit)
         if not is_zero_vector(vsub(left, ej)) or not is_zero_vector(vsub(right, ej)):
             raise NotUnit(f"vector is not a two-sided unit (fails at basis index {j + 1})")
-    report = check_identity(tpa, "TPA")
+    report = first_failure(tpa, ("TPA",))
     if not report.passed:
         raise NotTPA("input is not a transposed Poisson algebra", report)
     cols = [bracket.apply(unit, _basis_vector(n, j, tpa.ring)) for j in range(n)]

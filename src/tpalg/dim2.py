@@ -16,11 +16,11 @@ from .algebra import (
     BilinearOp,
     IdentityReport,
     LinearMap,
-    check_identity,
     commutator,
     default_labels,
     derivation_rows,
     failure_report,
+    first_failure,
     identity_failures,
 )
 from .deform import (
@@ -128,7 +128,7 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
     pres = AlgebraPresentation(
         bracket.dim, field, default_labels(bracket.dim), {"bracket": bracket}
     )
-    lie = check_identity(pres, "LIE")
+    lie = first_failure(pres, ("LIE",))
     if not lie.passed:
         raise NotLie("the input bracket is not a Lie bracket", lie)
 
@@ -194,11 +194,7 @@ def np_compatibility(dot: BilinearOp, circ: BilinearOp) -> IdentityReport:
         default_labels(dot.dim),
         {"dot": dot.coerce_to(ring), "circ": circ.coerce_to(ring)},
     )
-    for identity in ("NP1", "NP2"):
-        report = check_identity(pres, identity)
-        if not report.passed:
-            return IdentityReport("NP1+NP2", False, report.counterexample)
-    return IdentityReport("NP1+NP2", True, None)
+    return first_failure(pres, ("NP1", "NP2"), "NP1+NP2")
 
 
 # ---------------------------------------------------------------------------

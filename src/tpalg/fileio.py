@@ -37,6 +37,8 @@ def _load_document(data, path):
             doc = json.loads(data)
         except json.JSONDecodeError as exc:
             raise ParseError(f"not valid JSON (line {exc.lineno}): {exc.msg}", path)
+        except RecursionError:
+            raise ParseError("JSON nests too deeply", path) from None
     else:
         doc = data
     if not isinstance(doc, dict):

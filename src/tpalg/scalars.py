@@ -133,7 +133,47 @@ GAUSS_I = GaussianRational.of(0, 1)
 # ---------------------------------------------------------------------------
 
 
-class ParamPoly:
+class _Operators:
+    """Operator rules shared by ``ParamPoly`` and ``TruncSeries``, which
+    supply ``_lift``, ``+``, ``-x``, ``*``, ``__bool__``, ``_one`` (x^0),
+    ``_inverse`` and ``_noun``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o._inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"{self._noun} powers must be nonnegative integers")
+        return _power(self._one() if n == 0 else None, self, n)
+
+    def is_zero(self):
+        return not self
+
+    def __str__(self):
+        return format_scalar(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_scalar(self)!r})"
+
+
+class ParamPoly(_Operators):
     """Polynomial over a ``PolynomialRing``: its base field and its ordered
     tuple of parameter names.
 
@@ -149,6 +189,7 @@ class ParamPoly:
     """
 
     __slots__ = ("ring", "sparse")
+    _noun = "polynomial"
 
     def __init__(self, ring, sparse):
         """From ``{monomial: coefficient}``; zero coefficients are dropped."""
@@ -171,9 +212,6 @@ class ParamPoly:
         return out
 
     # -- queries -----------------------------------------------------------
-
-    def is_zero(self):
-        return not self.sparse
 
     def is_constant(self):
         return all(not m for m in self.sparse)
@@ -213,18 +251,6 @@ class ParamPoly:
     def __neg__(self):
         return ParamPoly(self.ring, {m: -c for m, c in self.sparse.items()})
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             # a number scales the coefficients
@@ -242,16 +268,11 @@ class ParamPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
-        return _power(self.ring.one() if n == 0 else None, self, n)
+    def _one(self):
+        return self.ring.one()
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * _invert_base(o, self.ring)
+    def _inverse(self):
+        return _invert_base(self, self.ring)
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
@@ -268,7 +289,7 @@ class ParamPoly:
         return hash((self.variables, frozenset(self.sparse.items())))
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.sparse)
 
     def is_affine(self):
         return all(sum(e for _, e in mono) <= 1 for mono in self.sparse)
@@ -318,12 +339,6 @@ class ParamPoly:
             total = term if total is None else total + term
         return self.ring.base.zero() if total is None else total
 
-    def __str__(self):
-        return format_scalar(self)
-
-    def __repr__(self):
-        return f"ParamPoly({format_scalar(self)!r})"
-
 
 def _mono_mul(m1, m2):
     """Product of two sparse monomials."""
@@ -340,7 +355,7 @@ def _mono_mul(m1, m2):
 # ---------------------------------------------------------------------------
 
 
-class TruncSeries:
+class TruncSeries(_Operators):
     """Element of R[h]/(h^order): ``coeffs[k]`` multiplies h^k.
 
     Arithmetic between two series insists on equal orders; there is no
@@ -348,6 +363,7 @@ class TruncSeries:
     """
 
     __slots__ = ("order", "coeffs")
+    _noun = "series"
 
     def __init__(self, order, coeffs):
         if order < 1:
@@ -392,18 +408,6 @@ class TruncSeries:
     def __neg__(self):
         return TruncSeries(self.order, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -422,17 +426,11 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers must be nonnegative integers")
-        one = TruncSeries.constant(self.order, _ring_of(self.coeffs[0]).one()) if k == 0 else None
-        return _power(one, self, k)
+    def _one(self):
+        return TruncSeries.constant(self.order, _ring_of(self.coeffs[0]).one())
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * series_invert(o)
+    def _inverse(self):
+        return series_invert(self)
 
     def __eq__(self, other):
         if isinstance(other, TruncSeries):
@@ -449,21 +447,12 @@ class TruncSeries:
     def __bool__(self):
         return any(c != 0 for c in self.coeffs)
 
-    def is_zero(self):
-        return not self
-
     def shift_down(self, k):
         """Divide by h^k, discarding the k lowest coefficients (which must
         vanish) and padding the top with zeros."""
         if any(c != 0 for c in self.coeffs[:k]):
             raise NotInvertible(f"series is not divisible by h^{k}")
         return TruncSeries(self.order, self.coeffs[k:] + (_zero_like(self.coeffs),) * k)
-
-    def __str__(self):
-        return format_scalar(self)
-
-    def __repr__(self):
-        return f"TruncSeries({format_scalar(self)!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -739,13 +728,9 @@ def substitute_params(x, assignment):
 # ---------------------------------------------------------------------------
 
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q)
-
-
 def _format_gaussian(z: GaussianRational) -> str:
     if z.im == 0:
-        return _format_fraction(z.re)
+        return str(z.re)
     if z.im == 1:
         imag = "i"
     elif z.im == -1:
@@ -838,10 +823,8 @@ def _format_series(s: TruncSeries) -> str:
 def format_scalar(x) -> str:
     if isinstance(x, bool):
         raise TypeError("booleans are not scalars")
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return str(x)
-    if isinstance(x, Fraction):
-        return _format_fraction(x)
     if isinstance(x, GaussianRational):
         return _format_gaussian(x)
     if isinstance(x, ParamPoly):
@@ -879,8 +862,11 @@ def _tokenize(text):
 
 
 # Limits on scalar strings from outside the program: a larger exponent
-# literal or deeper parentheses are refused before any work is done, so a
-# scalar string can neither hang the arithmetic nor exhaust the stack.
+# literal, nested exponents whose product is larger, or deeper parentheses
+# are refused before the power is taken, so the exponents along any chain
+# of nested powers multiply to at most MAX_EXPONENT, and parsing cannot
+# exhaust the stack.  The work is still not bounded: a power of a sum of
+# parameters expands term by term, and (a+b+c+d)^200 has about 1.4 million.
 MAX_EXPONENT = 1000
 MAX_NESTING = 100
 MAX_QUOTED = 60  # characters of outside input quoted in a BadScalar message
@@ -905,6 +891,9 @@ class _Parser:
         self.env = env
         self.text = text
         self.depth = 0
+        # the largest product of nested exponents read so far inside the
+        # innermost open parentheses
+        self.powers = 1
 
     def peek(self):
         return self.tokens[self.pos]
@@ -967,20 +956,23 @@ class _Parser:
         if kind == "name":
             if tok not in self.env:
                 self.fail(f"unknown symbol {_quoted(tok)}")
-            value = self.env[tok]
-            return self._maybe_power(value)
+            return self._maybe_power(self.env[tok], 1)
         if kind == "op" and tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 self.fail(f"parentheses nest deeper than {MAX_NESTING}")
+            outer, self.powers = self.powers, 1
             value = self.expr()
             if self.take() != ("op", ")"):
                 self.fail("expected ')'")
             self.depth -= 1
-            return self._maybe_power(value)
+            inside, self.powers = self.powers, outer
+            return self._maybe_power(value, inside)
         self.fail(f"unexpected token {_quoted(tok)}")
 
-    def _maybe_power(self, value):
+    def _maybe_power(self, value, inside):
+        """``value``, raised to the power that follows if one does; ``inside``
+        is the largest product of nested exponents within ``value``."""
         if self.peek() == ("op", "^"):
             self.take()
             kind, tok = self.take()
@@ -988,7 +980,11 @@ class _Parser:
                 self.fail("expected an integer exponent")
             if tok > MAX_EXPONENT:
                 self.fail(f"exponent {_quoted(tok)} is above {MAX_EXPONENT}")
-            return _power(self.env["__const__"](Fraction(1)), value, tok)
+            inside *= tok
+            if inside > MAX_EXPONENT:
+                self.fail(f"nested exponent product {inside} is above {MAX_EXPONENT}")
+            value = _power(self.env["__const__"](Fraction(1)), value, tok)
+        self.powers = max(self.powers, inside)
         return value
 
 
@@ -1171,12 +1167,8 @@ class SeriesRing(_Ring):
         return TruncSeries.constant(self.order, self.base.coerce(x))
 
     def _env(self):
-        env = dict(self.base._env())
-        base_env_const = env["__const__"]
-        env["__const__"] = lambda q: TruncSeries.constant(self.order, base_env_const(q))
-        for name, value in list(env.items()):
-            if name != "__const__" and not isinstance(value, TruncSeries):
-                env[name] = TruncSeries.constant(self.order, value)
+        """The base ring's names and numbers, which arithmetic lifts, and h."""
+        env = self.base._env()
         env["h"] = self.h()
         return env
 

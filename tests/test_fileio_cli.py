@@ -629,8 +629,9 @@ def test_cli_usage_errors(capsys):
     [
         ["family2d", "--params", "a=h^99999999,b=0", "--order", "2"],
         ["normalize", "--params", "a=" + "(" * 3000 + "h" + ")" * 3000 + ",b=0", "--order", "3"],
+        ["family2d", "--params", "a=((h)^40)^40,b=0", "--order", "2"],
     ],
-    ids=["huge-exponent", "deep-parentheses"],
+    ids=["huge-exponent", "deep-parentheses", "nested-exponents"],
 )
 def test_cli_refuses_oversized_scalars(capsys, argv):
     code = main(argv)
@@ -638,6 +639,16 @@ def test_cli_refuses_oversized_scalars(capsys, argv):
     assert code == 3
     assert err.startswith("tpalg: error: ") and err.count("\n") == 1
     assert len(err) < 200
+
+
+def test_cli_refuses_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code = main(["check", str(path), "--identity", "lie"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"tpalg: error: {path}: JSON nests too deeply\n"
 
 
 def test_reports_are_deterministic(capsys, a01_file):

@@ -24,6 +24,9 @@ entries with nonzero real and imaginary parts.  The last passes ``check
 heads.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
+The same table runs once more through the ``tpalg`` command on PATH, one
+process per command, when that command runs this checkout's package (as
+after ``pip install -e .``).
 
 Re-record (only on a commit whose outputs are trusted) with
 
@@ -33,6 +36,8 @@ Re-record (only on a commit whose outputs are trusted) with
 import io
 import os
 import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -128,8 +133,21 @@ INPUTS = (
 )
 
 
-def run_all(workdir):
-    """Run every README command in ``workdir``; {case: (exit code, stdout)}."""
+def run_main(argv, stdin):
+    """(exit code, stdout) of ``main(argv)`` in this process."""
+    stdout = io.StringIO()
+    saved = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(stdin), stdout
+    try:
+        code = main(argv)
+    finally:
+        sys.stdin, sys.stdout = saved
+    return code, stdout.getvalue()
+
+
+def run_all(workdir, run=run_main):
+    """Run every README command in ``workdir`` through ``run(argv, stdin
+    text)``; {case: (exit code, stdout)}."""
     workdir = Path(workdir)
     for path in INPUTS:
         (workdir / path).write_text(
@@ -141,15 +159,7 @@ def run_all(workdir):
         for fmt in formats:
             case = name if fmt == "text" else f"{name}.json"
             extra = ["--format", "json"] if fmt == "json" else []
-            stdin = io.StringIO(results[stdin_from][1] if stdin_from else "")
-            stdout = io.StringIO()
-            saved = sys.stdin, sys.stdout
-            sys.stdin, sys.stdout = stdin, stdout
-            try:
-                code = main(argv + extra)
-            finally:
-                sys.stdin, sys.stdout = saved
-            results[case] = (code, stdout.getvalue())
+            results[case] = run(argv + extra, results[stdin_from][1] if stdin_from else "")
         for path, source in FILES.items():
             if source == name:
                 (workdir / path).write_text(results[name][1], encoding="utf-8")
@@ -177,14 +187,51 @@ def run_script(argv):
     return golden_text(proc.returncode, out)
 
 
-def test_readme_commands_match_golden(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    results = run_all(tmp_path)
+def assert_golden(results):
     recorded = sorted(p.stem for p in GOLDEN.glob("*.out"))
     assert sorted(results) == recorded
     for case, (code, out) in results.items():
         expected = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
         assert golden_text(code, out) == expected, case
+
+
+def test_readme_commands_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert_golden(run_all(tmp_path))
+
+
+def installed_command(workdir):
+    """The ``tpalg`` executable on PATH, or None unless it is a script whose
+    interpreter, run in ``workdir``, imports ``tpalg`` from this checkout."""
+    exe = shutil.which("tpalg")
+    if exe is None:
+        return None
+    with open(exe, "rb") as fh:
+        first = fh.readline().decode("utf-8", "replace")
+    if not first.startswith("#!"):
+        return None
+    probe = subprocess.run(
+        [*shlex.split(first[2:]), "-c", "import tpalg; print(tpalg.__file__)"],
+        cwd=workdir, capture_output=True, text=True,
+    )
+    here = (ROOT / "src" / "tpalg" / "__init__.py").resolve()
+    if probe.returncode or Path(probe.stdout.strip()).resolve() != here:
+        return None
+    return exe
+
+
+def test_installed_command_matches_golden(tmp_path):
+    exe = installed_command(tmp_path)
+    if exe is None:
+        pytest.skip("no tpalg command on PATH that runs this checkout")
+
+    def run(argv, stdin):
+        proc = subprocess.run(
+            [exe, *argv], input=stdin, cwd=tmp_path, capture_output=True, encoding="utf-8"
+        )
+        return proc.returncode, proc.stdout
+
+    assert_golden(run_all(tmp_path, run))
 
 
 @pytest.mark.parametrize("name, argv", SCRIPTS, ids=[name for name, _ in SCRIPTS])

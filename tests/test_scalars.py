@@ -730,6 +730,21 @@ def test_parser_limits():
         parse_series(f"h^{MAX_EXPONENT + 1}", order=2)
     with pytest.raises(BadScalar, match="exponent"):
         QQ.parse(f"(2)^{MAX_EXPONENT + 1}")
+    # nested exponents are refused by their product, before any power
+    series = SeriesRing(QQ, 3)
+    for ring, text in [
+        (series, "((h)^40)^40"),
+        (QQ, "(((2)^1000)^1000)^1000"),
+        (QQ, "((2)^1000)^2"),
+        (series, "((h^2 (h^40)^1)^5)^6"),
+    ]:
+        with pytest.raises(BadScalar, match=f"nested exponent product .* is above {MAX_EXPONENT}"):
+            ring.parse(text)
+    assert series.parse("(h^10)^100").is_zero()
+    assert series.parse("(1+h)^2") == TruncSeries(3, (F(1), F(2), F(1)))
+    assert QI.parse("(1+i)^3") == GaussianRational.of(-2, 2)
+    assert QQ.parse("(2)^1000") == F(2**1000)
+    assert QQ.parse("((2)^10)^100") == F(2**1000)
 
 
 @pytest.mark.parametrize(
