@@ -86,83 +86,49 @@ _USAGE_ERRORS = (
 # ---------------------------------------------------------------------------
 
 
-def _fmt_coeff(ring, value):
-    text = ring.format(value)
-    if any(ch in text[1:] for ch in "+-") or "@" in text:
-        return f"({text})"
-    return text
+def _op_lines(rows, labels, name):
+    """``name(x, y) = ...`` lines laid out from an op's ``op_table`` rows,
+    which come in (i, j, k) order."""
+    sums = {}
+    for i, j, k, text in rows:
+        if any(ch in text[1:] for ch in "+-") or "@" in text:
+            text = f"({text})"
+        label = labels[k - 1]
+        term = {"1": label, "-1": f"-{label}"}.get(text, f"{text}*{label}")
+        sums.setdefault((i, j), []).append(term)
+    lines = [
+        f"{name}({labels[i - 1]}, {labels[j - 1]}) = {terms[0]}"
+        + "".join(f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in terms[1:])
+        for (i, j), terms in sums.items()
+    ]
+    return lines or [f"{name}: (zero)"]
 
 
-def _fmt_vector(ring, vec, labels):
-    terms = []
-    for coeff, label in zip(vec, labels):
-        if coeff == 0:
-            continue
-        text = _fmt_coeff(ring, coeff)
-        if text == "1":
-            terms.append(label)
-        elif text == "-1":
-            terms.append(f"-{label}")
-        else:
-            terms.append(f"{text}*{label}")
-    if not terms:
-        return "0"
-    out = terms[0]
-    for term in terms[1:]:
-        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-    return out
-
-
-def _op_lines(op, labels, name):
-    ring = op.ring
-    lines = []
-    for i in range(op.dim):
-        for j in range(op.dim):
-            col = op.col(i, j)
-            if any(c != 0 for c in col):
-                lines.append(
-                    f"{name}({labels[i]}, {labels[j]}) = "
-                    f"{_fmt_vector(ring, col, labels)}"
-                )
-    if not lines:
-        lines.append(f"{name}: (zero)")
-    return lines
+def _located(indices, residual, ring, labels):
+    """A residual and the basis labels it was found at."""
+    return {"at": [labels[i - 1] for i in indices], "residual": [ring.format(r) for r in residual]}
 
 
 def _report_dict(report, ring, labels):
-    doc = {"identity": report.identity_name, "passed": report.passed}
-    ce = report.counterexample
-    if ce is None:
-        doc["counterexample"] = None
-    else:
-        doc["counterexample"] = {
-            "clause": ce.clause,
-            "at": [labels[i - 1] for i in ce.indices],
-            "residual": [ring.format(r) for r in ce.residual],
-        }
-    return doc
-
-
-def _report_lines(report, ring, labels):
-    lines = [
-        f"identity: {report.identity_name}",
-        f"result: {'PASS' if report.passed else 'FAIL'}",
-    ]
     ce = report.counterexample
     if ce is not None:
-        at = ", ".join(labels[i - 1] for i in ce.indices)
-        residual = ", ".join(ring.format(r) for r in ce.residual)
-        lines += [f"clause: {ce.clause}", f"at: ({at})", f"residual: ({residual})"]
-    return lines
+        ce = {"clause": ce.clause, **_located(ce.indices, ce.residual, ring, labels)}
+    return {"identity": report.identity_name, "passed": report.passed, "counterexample": ce}
 
 
-def _witness_lines(witness):
-    ring = witness.f[0].ring
-    lines = []
-    for k, layer in enumerate(witness.f):
-        lines.append(f"witness f[{k}]:")
-        for row in layer.m:
-            lines.append("  [" + ", ".join(ring.format(v) for v in row) + "]")
+def _pass(doc):
+    return "PASS" if doc["passed"] else "FAIL"
+
+
+def _report_lines(doc):
+    lines = [f"identity: {doc['identity']}", f"result: {_pass(doc)}"]
+    ce = doc["counterexample"]
+    if ce is not None:
+        lines += [
+            f"clause: {ce['clause']}",
+            f"at: ({', '.join(ce['at'])})",
+            f"residual: ({', '.join(ce['residual'])})",
+        ]
     return lines
 
 
@@ -171,6 +137,14 @@ def _witness_doc(witness):
     return [
         [[ring.format(v) for v in row] for row in layer.m] for layer in witness.f
     ]
+
+
+def _witness_lines(layers):
+    lines = []
+    for k, layer in enumerate(layers):
+        lines.append(f"witness f[{k}]:")
+        lines += ["  [" + ", ".join(row) + "]" for row in layer]
+    return lines
 
 
 def _emit(args, text_lines, json_doc):
@@ -250,33 +224,27 @@ def _cmd_check(args):
     else:
         pres = parse_algebra_file(data, args.file)
     report = check_identity(pres, args.identity)
-    _emit(
-        args,
-        _report_lines(report, pres.ring, pres.basis_labels),
-        _report_dict(report, pres.ring, pres.basis_labels),
-    )
+    doc = _report_dict(report, pres.ring, pres.basis_labels)
+    _emit(args, _report_lines(doc), doc)
     return 0 if report.passed else 1
 
 
 def _cmd_limit(args):
     d = _load_deformation(args.file)
     lim = classical_limit(d)
-    labels = lim.algebra.basis_labels
-    ring = lim.algebra.ring
-    lines = ["limit dot:"]
-    lines += ["  " + s for s in _op_lines(lim.algebra.op("dot"), labels, "dot")]
-    lines.append("limit bracket:")
-    lines += [
-        "  " + s for s in _op_lines(lim.algebra.op("bracket"), labels, "bracket")
-    ]
-    lines.append(f"TPA: {'PASS' if lim.tpa_report.passed else 'FAIL'}")
-    lines.append(f"LIE: {'PASS' if lim.lie_report.passed else 'FAIL'}")
+    alg = lim.algebra
+    labels = alg.basis_labels
     doc = {
-        "dot": op_table(lim.algebra.op("dot")),
-        "bracket": op_table(lim.algebra.op("bracket")),
-        "tpa": _report_dict(lim.tpa_report, ring, labels),
-        "lie": _report_dict(lim.lie_report, ring, labels),
+        "dot": op_table(alg.op("dot")),
+        "bracket": op_table(alg.op("bracket")),
+        "tpa": _report_dict(lim.tpa_report, alg.ring, labels),
+        "lie": _report_dict(lim.lie_report, alg.ring, labels),
     }
+    lines = []
+    for name in ("dot", "bracket"):
+        lines.append(f"limit {name}:")
+        lines += ["  " + s for s in _op_lines(doc[name], labels, name)]
+    lines += [f"TPA: {_pass(doc['tpa'])}", f"LIE: {_pass(doc['lie'])}"]
     _emit(args, lines, doc)
     return 0 if lim.passed else 1
 
@@ -318,17 +286,17 @@ def _cmd_equiv(args):
     else:
         verdict = solve_equivalence(d1, d2)
 
-    lines = [f"verdict: {verdict.tag.upper().replace('_', '-')}", f"method: {method}"]
     doc = {"method": method, "verdict": verdict.tag}
+    lines = [f"verdict: {doc['verdict'].upper().replace('_', '-')}", f"method: {doc['method']}"]
     if verdict.is_equivalent:
-        lines += _witness_lines(verdict.witness)
         doc["witness"] = _witness_doc(verdict.witness)
+        lines += _witness_lines(doc["witness"])
     else:
         if verdict.is_not_equivalent:
-            lines.append(f"failure-order: h^{verdict.failure_order}")
             doc["failure_order"] = verdict.failure_order
-        lines.append(f"reason: {verdict.reason}")
+            lines.append(f"failure-order: h^{doc['failure_order']}")
         doc["reason"] = verdict.reason
+        lines.append(f"reason: {doc['reason']}")
     _emit(args, lines, doc)
     return _EQUIV_EXIT[verdict.tag]
 
@@ -340,28 +308,35 @@ def _cmd_family2d(args):
     return 0
 
 
-def _normal_form_output(args, nf, prefix_lines=(), prefix_doc=None):
-    lines = list(prefix_lines)
-    lines.append(f"kind: {nf.kind}")
-    if nf.m is not None:
-        lines.append(f"m: {nf.m}")
-    if nf.leading is not None:
-        lines.append(f"leading: {format_scalar(nf.leading)}")
-    lines.append(f"canonical a_h: {format_scalar(nf.canonical_a)}")
-    lines.append(f"canonical b_h: {format_scalar(nf.canonical_b)}")
-    lines += _witness_lines(nf.witness)
-    doc = dict(prefix_doc or {})
-    doc.update(
-        {
-            "kind": nf.kind,
-            "m": nf.m,
-            "leading": None if nf.leading is None else format_scalar(nf.leading),
-            "canonical_a": format_scalar(nf.canonical_a),
-            "canonical_b": format_scalar(nf.canonical_b),
-            "witness": _witness_doc(nf.witness),
-        }
-    )
-    _emit(args, lines, doc)
+# (document key, text label) of a normal form's lines, in text order
+_NORMAL_FORM_LINES = (
+    ("recovered_a", "recovered a_h"),
+    ("recovered_b", "recovered b_h"),
+    ("kind", "kind"),
+    ("m", "m"),
+    ("leading", "leading"),
+    ("canonical_a", "canonical a_h"),
+    ("canonical_b", "canonical b_h"),
+)
+
+
+def _normal_form_output(args, nf, recovered=None):
+    """Report a normal form; ``recovered`` is the (a_h, b_h) read off a
+    deformation file, if the input was one."""
+    doc = {
+        "kind": nf.kind,
+        "m": nf.m,
+        "leading": None if nf.leading is None else format_scalar(nf.leading),
+        "canonical_a": format_scalar(nf.canonical_a),
+        "canonical_b": format_scalar(nf.canonical_b),
+        "witness": _witness_doc(nf.witness),
+    }
+    if recovered is not None:
+        doc["recovered_a"], doc["recovered_b"] = map(format_scalar, recovered)
+    lines = [
+        f"{label}: {doc[key]}" for key, label in _NORMAL_FORM_LINES if doc.get(key) is not None
+    ]
+    _emit(args, lines + _witness_lines(doc["witness"]), doc)
     return 0
 
 
@@ -374,19 +349,7 @@ def _cmd_normalize(args):
         d = _load_deformation(args.file)
         nb = normalize_basis(d)
         nf = normalize_family(nb.a_h, nb.b_h, d.ring)
-        prefix = [
-            f"recovered a_h: {format_scalar(nb.a_h)}",
-            f"recovered b_h: {format_scalar(nb.b_h)}",
-        ]
-        return _normal_form_output(
-            args,
-            nf,
-            prefix,
-            {
-                "recovered_a": format_scalar(nb.a_h),
-                "recovered_b": format_scalar(nb.b_h),
-            },
-        )
+        return _normal_form_output(args, nf, (nb.a_h, nb.b_h))
     if not args.params:
         raise ParseError("need a deformation file or --params a=...,b=...", "normalize")
     a_h, b_h, field = _family_params(args)
@@ -408,31 +371,20 @@ def _cmd_solve_compatible(args):
         return 1
     labels = pres.basis_labels
     ring = fam.op.ring
-    lines = ["feasible: yes"]
-    lines.append(
-        "parameters: " + (", ".join(fam.param_names) if fam.param_names else "(none)")
-    )
-    lines += _op_lines(fam.op, labels, "circ")
-    lines.append(
-        f"right-commutativity: {'PASS' if fam.rightcomm_report.passed else 'FAIL'}"
-    )
-    for indices, residual in fam.obstructions:
-        at = ", ".join(labels[i - 1] for i in indices)
-        res = ", ".join(ring.format(r) for r in residual)
-        lines.append(f"obstruction at ({at}): ({res})")
     doc = {
         "feasible": True,
         "parameters": list(fam.param_names),
         "circ": op_table(fam.op),
         "right_commutativity": _report_dict(fam.rightcomm_report, ring, labels),
-        "obstructions": [
-            {
-                "at": [labels[i - 1] for i in indices],
-                "residual": [ring.format(r) for r in residual],
-            }
-            for indices, residual in fam.obstructions
-        ],
+        "obstructions": [_located(*ob, ring, labels) for ob in fam.obstructions],
     }
+    lines = ["feasible: yes", "parameters: " + (", ".join(doc["parameters"]) or "(none)")]
+    lines += _op_lines(doc["circ"], labels, "circ")
+    lines.append(f"right-commutativity: {_pass(doc['right_commutativity'])}")
+    lines += [
+        f"obstruction at ({', '.join(ob['at'])}): ({', '.join(ob['residual'])})"
+        for ob in doc["obstructions"]
+    ]
     _emit(args, lines, doc)
     return 0
 
@@ -450,22 +402,18 @@ def _cmd_catalog(args):
     for entry in entries:
         alg = entry.algebra
         labels = alg.basis_labels
-        report = check_identity(alg, "TPA")
-        title = entry.name
-        if entry.name == "Alam":
-            title += f" (lam = {alg.ring.format(entry.lam)})"
-        lines.append(f"{title}:")
-        lines += ["  " + s for s in _op_lines(alg.op("dot"), labels, "dot")]
-        lines += ["  " + s for s in _op_lines(alg.op("bracket"), labels, "bracket")]
-        lines.append(f"  TPA: {'PASS' if report.passed else 'FAIL'}")
-        docs.append(
-            {
-                "name": entry.name,
-                "lam": None if entry.lam is None else alg.ring.format(entry.lam),
-                "algebra": serialize_algebra(alg),
-                "tpa": _report_dict(report, alg.ring, labels),
-            }
-        )
+        doc = {
+            "name": entry.name,
+            "lam": None if entry.lam is None else alg.ring.format(entry.lam),
+            "algebra": serialize_algebra(alg),
+            "tpa": _report_dict(check_identity(alg, "TPA"), alg.ring, labels),
+        }
+        docs.append(doc)
+        lam_note = "" if doc["lam"] is None else f" (lam = {doc['lam']})"
+        lines.append(f"{entry.name}{lam_note}:")
+        for name in ("dot", "bracket"):
+            lines += ["  " + s for s in _op_lines(doc["algebra"]["ops"][name], labels, name)]
+        lines.append(f"  TPA: {_pass(doc['tpa'])}")
     _emit(args, lines, {"entries": docs})
     return 0
 

@@ -442,6 +442,9 @@ class TruncSeries(_Operators):
         return NotImplemented
 
     def __hash__(self):
+        # a constant series equals its constant term, so it hashes as one
+        if all(c == 0 for c in self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash((self.order, self.coeffs))
 
     def __bool__(self):
@@ -750,31 +753,27 @@ def _poly_term_key(item):
     return (-sum(e for _, e in mono), tuple((i, -e) for i, e in mono))
 
 
-def _format_poly(p: ParamPoly) -> str:
-    if not p.sparse:
+def _join_signed(terms):
+    """The sum of signed terms: a term not starting with "-" joins with "+";
+    no terms give "0"."""
+    if not terms:
         return "0"
-    names, pieces = p.variables, []
+    return terms[0] + "".join(t if t.startswith("-") else "+" + t for t in terms[1:])
+
+
+def _format_poly(p: ParamPoly) -> str:
+    names, terms = p.variables, []
     for mono, coeff in sorted(p.sparse.items(), key=_poly_term_key):
         factors = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in mono]
         if isinstance(coeff, GaussianRational) and coeff.re != 0 and coeff.im != 0:
             coeff_str = f"({_format_gaussian(coeff)})"
-            sign = "+"
         else:
             coeff_str = format_scalar(coeff)
-            sign = "+"
-            if coeff_str.startswith("-"):
-                sign = "-"
-                coeff_str = coeff_str[1:]
-        if factors:
-            body = "*".join(factors) if coeff_str == "1" else "*".join([coeff_str] + factors)
+        if factors and coeff_str in ("1", "-1"):  # a unit coefficient shows as its sign
+            terms.append(coeff_str[:-1] + "*".join(factors))
         else:
-            body = coeff_str
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += sign + body
-    return out
+            terms.append("*".join([coeff_str] + factors))
+    return _join_signed(terms)
 
 
 def _series_coeff_str(c, k):
@@ -806,18 +805,8 @@ def _needs_parens(c):
 
 
 def _format_series(s: TruncSeries) -> str:
-    pieces = []
-    for k, c in enumerate(s.coeffs):
-        if c == 0:
-            continue
-        pieces.append(_series_coeff_str(c, k))
-    if not pieces:
-        body = "0"
-    else:
-        body = pieces[0]
-        for piece in pieces[1:]:
-            body += piece if piece.startswith("-") else "+" + piece
-    return f"{body}@order={s.order}"
+    terms = [_series_coeff_str(c, k) for k, c in enumerate(s.coeffs) if c != 0]
+    return f"{_join_signed(terms)}@order={s.order}"
 
 
 def format_scalar(x) -> str:

@@ -1066,6 +1066,16 @@ def test_subalgebra_dependent_span():
     v = [F(1), F(0), F(0), F(0)]
     with pytest.raises(DependentSpan):
         subalgebra_check(alg, [v, [F(2), F(0), F(0), F(0)]])
+    with pytest.raises(DependentSpan, match="^empty span$"):
+        subalgebra_check(alg, [])
+
+
+def test_presentation_refuses_wrong_label_count_and_op_dimension():
+    dot = BilinearOp.zero(2, QQ)
+    with pytest.raises(ValueError, match="^need one basis label per dimension$"):
+        AlgebraPresentation(2, QQ, ("e1",), {"dot": dot})
+    with pytest.raises(ValueError, match="^op 'dot' has dim 2, expected 3$"):
+        AlgebraPresentation(3, QQ, default_labels(3), {"dot": dot})
 
 
 def test_subalgebra_not_closed():

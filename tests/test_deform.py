@@ -62,6 +62,18 @@ def test_layer_count_must_match_order():
         TruncatedDeformation(base, 0, ())
 
 
+def test_layer_dimension_must_match_base():
+    dot = BilinearOp.zero(2, QQ)
+    base = AlgebraPresentation(2, QQ, default_labels(2), {"dot": dot})
+    with pytest.raises(ValueError, match=r"^mu\[1\] has dim 3, expected 2$"):
+        TruncatedDeformation(base, 2, (dot, BilinearOp.zero(3, QQ)))
+
+
+def test_deformation_from_series_needs_a_series_op():
+    with pytest.raises(TypeError, match="^expected an op over a SeriesRing$"):
+        deformation_from_series(BilinearOp.zero(2, QQ))
+
+
 def test_layer_zero_must_be_base_dot():
     dot = BilinearOp.from_entries(2, QQ, {(0, 0, 1): F(1)})
     base = AlgebraPresentation(2, QQ, default_labels(2), {"dot": dot})

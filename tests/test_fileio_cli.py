@@ -618,6 +618,63 @@ def test_family_commands_refuse_order_one(capsys, command, params):
     assert captured.err == "tpalg: error: family needs order at least 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["family2d", "--params", "a=2$h,b=0", "--order", "3"],
+         "unexpected character '$' in '2$h'"),
+        (["family2d", "--params", "a=h h),b=0", "--order", "3"],
+         "trailing input at token ')' in scalar 'h h)'"),
+        (["family2d", "--params", "a=1/h,b=0", "--order", "3"],
+         "expected an integer denominator in scalar '1/h'"),
+        (["family2d", "--params", "a=(1+h,b=0", "--order", "3"],
+         "expected ')' in scalar '(1+h'"),
+        (["family2d", "--params", "a=h^a,b=0", "--order", "3"],
+         "expected an integer exponent in scalar 'h^a'"),
+        (["normalize", "--params", "a=h,b=h"],
+         "series literal needs an '@order=N' suffix: 'h'"),
+    ],
+    ids=["character", "trailing", "denominator", "parenthesis", "exponent", "no-order"],
+)
+def test_cli_refuses_malformed_params_on_one_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"tpalg: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dim": 2, "ops": {"": []}}, "op label '' must be a nonempty string"),
+        ({"dim": 2, "ops": {"dot": []}, "order": 1, "mu": 5},
+         "'mu' must be a list of sparse op tables"),
+    ],
+    ids=["empty-label", "mu-not-a-list"],
+)
+def test_check_refuses_malformed_documents_on_one_line(capsys, tmp_path, doc, message):
+    path = write(tmp_path, "bad.json", json.dumps(doc))
+    code = main(["check", path, "--identity", "lie"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"tpalg: error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "params, piece", [("a=1,a=2", "a=2"), ("=1,b=2", "=1")], ids=["repeated", "unnamed"]
+)
+def test_params_flag_refuses_bad_names(capsys, params, piece):
+    code = main(["family2d", "--params", params, "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    usage, error = captured.err.split("tpalg family2d: error: ")
+    assert usage.startswith("usage: tpalg family2d ") and "Traceback" not in usage
+    assert error == f"argument --params: bad parameter name in {piece!r}\n"
+
+
 def test_cli_usage_errors(capsys):
     assert run_cli(capsys)[0] == 3
     assert run_cli(capsys, "frobnicate")[0] == 3

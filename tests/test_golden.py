@@ -24,6 +24,8 @@ entries with nonzero real and imaginary parts.  The last passes ``check
 heads.
 Exit code and stdout must match the recorded file under ``tests/golden/``
 byte for byte, so a refactor that changes any printed report fails here.
+Where a case has a JSON twin, every label, residual, witness entry and
+series of the JSON report must also appear verbatim in its text report.
 The same table runs once more through the ``tpalg`` command on PATH, one
 process per command, when that command runs this checkout's package (as
 after ``pip install -e .``).
@@ -34,6 +36,7 @@ Re-record (only on a commit whose outputs are trusted) with
 """
 
 import io
+import json
 import os
 import re
 import shlex
@@ -232,6 +235,41 @@ def test_installed_command_matches_golden(tmp_path):
         return proc.returncode, proc.stdout
 
     assert_golden(run_all(tmp_path, run))
+
+
+def carried_strings(node):
+    """(kind, fragment) for every value of a JSON report that the text
+    report must show verbatim: counterexample and obstruction labels and
+    residuals, witness rows, and the recovered and canonical series."""
+    if isinstance(node, list):
+        for item in node:
+            yield from carried_strings(item)
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("at", "residual"):
+                yield key, f"({', '.join(value)})"
+            elif key == "witness":
+                for layer in value:
+                    for row in layer:
+                        yield key, "  [" + ", ".join(row) + "]"
+            elif key in ("recovered_a", "recovered_b", "canonical_a", "canonical_b"):
+                yield key, value
+            else:
+                yield from carried_strings(value)
+
+
+def test_text_shows_the_strings_of_the_json_report(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    results = run_all(tmp_path)
+    kinds = set()
+    for name in WITH_FORMAT:
+        text = results[name][1]
+        for kind, fragment in carried_strings(json.loads(results[f"{name}.json"][1])):
+            assert fragment in text, (name, kind, fragment)
+            kinds.add(kind)
+    assert kinds == {
+        "at", "residual", "witness", "recovered_a", "recovered_b", "canonical_a", "canonical_b",
+    }
 
 
 @pytest.mark.parametrize("name, argv", SCRIPTS, ids=[name for name, _ in SCRIPTS])

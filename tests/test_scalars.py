@@ -659,6 +659,44 @@ def test_series_order_mismatch():
         TruncSeries(3, (F(1),)) + TruncSeries(4, (F(1),))
 
 
+@pytest.mark.parametrize("value", [0, 5, F(-2, 3)], ids=["zero", "five", "minus-two-thirds"])
+def test_equal_constants_hash_equal(value):
+    # one value as every scalar type: all are equal, so all hash alike and
+    # a set of them keeps one
+    forms = [
+        value,
+        F(value),
+        GaussianRational.of(value),
+        PolynomialRing(QQ, ("a",)).coerce(value),
+        PolynomialRing(QI, ("a",)).coerce(value),
+        SeriesRing(QQ, 3).coerce(value),
+        SeriesRing(QI, 3).coerce(value),
+        TruncSeries.constant(3, PolynomialRing(QQ, ("a",)).coerce(value)),
+    ]
+    for x in forms:
+        for y in forms:
+            assert x == y and hash(x) == hash(y), (x, y)
+    assert len(set(forms)) == 1
+    s = TruncSeries.constant(3, F(value))
+    assert F(value) in {s} and s in {F(value)}
+
+
+def test_scalar_refusals():
+    with pytest.raises(TypeError, match="^not a scalar: <object"):
+        format_scalar(object())
+    with pytest.raises(ValueError, match="^more coefficients than the truncation order allows$"):
+        TruncSeries(2, (1, 2, 3))
+    with pytest.raises(TypeError, match="^series_invert expects a TruncSeries$"):
+        series_invert(F(1))
+    ring = PolynomialRing(QQ, ("a",))
+    with pytest.raises(BadScalar, match="^polynomial over a different parameter tuple$"):
+        ring.coerce(PolynomialRing(QQ, ("b",)).var("b"))
+    with pytest.raises(BadScalar, match="^not a polynomial scalar: 'x'$"):
+        ring.coerce("x")
+    with pytest.raises(OrderMismatch, match="^series order 2 does not match ring order 3$"):
+        SeriesRing(QQ, 3).coerce(SeriesRing(QQ, 2).one())
+
+
 def test_series_shift():
     s = TruncSeries(4, (F(0), F(0), F(3), F(5)))
     assert s.shift_down(2) == TruncSeries(4, (F(3), F(5), F(0), F(0)))
