@@ -239,6 +239,13 @@ def default_labels(dim):
     return tuple(f"e{i + 1}" for i in range(dim))
 
 
+def presentation_of(**ops):
+    """The presentation of bare ops, such as those a check scans: dim and
+    ring are the first op's, the labels the default ones."""
+    op = next(iter(ops.values()))
+    return AlgebraPresentation(op.dim, op.ring, default_labels(op.dim), ops)
+
+
 # ---------------------------------------------------------------------------
 # Identity reports
 # ---------------------------------------------------------------------------
@@ -415,14 +422,20 @@ def _basis_vector(dim, i, ring):
     return v
 
 
-def _canonical_identity(alg, identity):
-    """The catalog name of ``identity``, once ``alg`` is known to carry the
-    operations it uses."""
+def _identity_name(identity):
+    """The catalog name of ``identity``."""
     name = str(identity).upper().replace("-", "_")
     if name not in IDENTITIES:
         raise UnknownIdentity(
             f"unknown identity {identity!r}; expected one of {', '.join(identity_names())}"
         )
+    return name
+
+
+def _canonical_identity(alg, identity):
+    """The catalog name of ``identity``, once ``alg`` is known to carry the
+    operations it uses."""
+    name = _identity_name(identity)
     degrees = [clause.degrees for clause in IDENTITIES[name]]
     for label, used in zip(OPS, zip(*degrees)):
         if any(used):
@@ -696,9 +709,8 @@ def failure_report(name, hit):
 
 def check_identity(alg: AlgebraPresentation, identity) -> IdentityReport:
     """Exhaustively verify a multilinear identity on all basis tuples."""
-    name = _canonical_identity(alg, identity)
-    hits = (hit for clause in IDENTITIES[name] for hit in clause_failures(alg, clause))
-    return failure_report(name, next(hits, None))
+    hit = next(identity_failures(alg, identity), None)
+    return failure_report(_identity_name(identity), hit)
 
 
 def first_failure(alg, identities, name=None):
@@ -766,8 +778,7 @@ def gelfand_construct(dot: BilinearOp, deriv: LinearMap) -> BilinearOp:
     """The product x o y = x . D(y) built from a commutative associative
     product and one of its derivations; the result satisfies both Novikov
     identities."""
-    alg = AlgebraPresentation(dot.dim, dot.ring, default_labels(dot.dim), {"dot": dot})
-    ca = first_failure(alg, ("COMM_ASSOC",))
+    ca = first_failure(presentation_of(dot=dot), ("COMM_ASSOC",))
     if not ca.passed:
         raise NotCommAssoc("dot is not commutative associative", ca)
     der = is_derivation(dot, deriv)

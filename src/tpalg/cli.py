@@ -31,7 +31,7 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraPresentation, check_identity, commutator, euler_gelfand, identity_names
+from .algebra import check_identity, commutator, euler_gelfand, identity_names, presentation_of
 from .deform import (
     classical_limit,
     commutator_deform,
@@ -53,6 +53,7 @@ from .errors import (
 )
 from .fileio import (
     _load_document,
+    _not_utf8,
     detect_kind,
     dumps,
     op_table,
@@ -61,7 +62,7 @@ from .fileio import (
     serialize_algebra,
     serialize_deformation,
 )
-from .scalars import field_by_tag, format_scalar, parse_series
+from .scalars import _quoted, _split_order_suffix, field_by_tag, format_scalar, parse_series
 
 # dim2 and equiv stay imported in their handlers: hoisted here, every cold start compiles them
 
@@ -160,13 +161,15 @@ def _emit(args, text_lines, json_doc):
 
 
 def _read_file(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror}", path)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(exc, path)
 
 
 def _load_algebra(path):
@@ -186,8 +189,10 @@ def _params_flag(text):
             )
         name, _, value = piece.partition("=")
         name = name.strip()
-        if not name or name in out:
+        if not name:
             raise argparse.ArgumentTypeError(f"bad parameter name in {piece!r}")
+        if name in out:
+            raise argparse.ArgumentTypeError(f"parameter {name!r} is given twice")
         out[name] = value.strip()
     return out
 
@@ -204,9 +209,15 @@ def _family_params(args):
             "--params",
         )
     field = field_by_tag(args.field)
-    a_h = parse_series(params["a"], base=field, order=args.order)
-    b_h = parse_series(params["b"], base=field, order=args.order)
+    a_h, b_h = (_params_series(params[name], field, args.order) for name in "ab")
     return a_h, b_h, field
+
+
+def _params_series(text, field, order):
+    """A --params series: its order is --order, else its '@order=N' suffix."""
+    if order is None and _split_order_suffix(text)[1] is None:
+        raise BadScalar(f"series literal needs an '@order=N' suffix or --order: {_quoted(text)}")
+    return parse_series(text, base=field, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +230,7 @@ def _cmd_check(args):
     if detect_kind(data, args.file) == "deformation":
         d = parse_deformation_file(data, args.file)
         series = d.series_op()
-        ops = {"circ": series, "dot": series, "bracket": commutator(series)}
-        pres = AlgebraPresentation(d.dim, series.ring, d.base.basis_labels, ops)
+        pres = presentation_of(circ=series, dot=series, bracket=commutator(series))
     else:
         pres = parse_algebra_file(data, args.file)
     report = check_identity(pres, args.identity)

@@ -4,7 +4,7 @@ Novikov-Poisson structures built from them."""
 
 from fractions import Fraction
 
-from .algebra import AlgebraPresentation, default_labels, euler_gelfand
+from .algebra import euler_gelfand, presentation_of
 from .deform import family_layer
 from .dim2 import catalog
 from .scalars import QQ
@@ -38,8 +38,7 @@ def np_structures():
     structures = []
     for name, dot in sorted(catalog_dots().items()):
         for a, b in AB_POINTS:
-            ops = {"dot": dot, "circ": circ_family(a, b)}
-            pres = AlgebraPresentation(2, QQ, default_labels(2), ops)
+            pres = presentation_of(dot=dot, circ=circ_family(a, b))
             structures.append((f"{name} @ (a,b)=({a},{b})", pres))
     for n in range(3, 7):
         structures.append((f"euler dim {n}", euler_gelfand(n, QQ)))

@@ -22,6 +22,7 @@ from .algebra import (
     failure_report,
     first_failure,
     is_zero_vector,
+    presentation_of,
     vsub,
 )
 from .errors import (
@@ -83,38 +84,38 @@ class TruncatedDeformation(Record):
         return BilinearOp(ring, c)
 
 
+def _from_layers(ring, layers, labels=None) -> TruncatedDeformation:
+    """The deformation over ``ring`` with layer ops ``layers``, on the base
+    whose dot is the first layer; the labels default to e1..en."""
+    dot = layers[0]
+    labels = labels if labels is not None else default_labels(dot.dim)
+    base = AlgebraPresentation(dot.dim, ring, labels, {"dot": dot})
+    return TruncatedDeformation(base, len(layers), tuple(layers))
+
+
 def deformation_from_series(op: BilinearOp, labels=None) -> TruncatedDeformation:
     """Split an op over a series ring back into layer ops."""
     ring = op.ring
     if not isinstance(ring, SeriesRing):
         raise TypeError("expected an op over a SeriesRing")
-    n, order = op.dim, ring.order
-    layers = []
-    for t in range(order):
-        entries = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    entries[(i, j, k)] = op.c[i][j][k].coeffs[t]
-        layers.append(BilinearOp.from_entries(n, ring.base, entries))
-    labels = labels if labels is not None else default_labels(n)
-    base = AlgebraPresentation(n, ring.base, labels, {"dot": layers[0]})
-    return TruncatedDeformation(base, order, tuple(layers))
+    base = ring.base
+    layers = [op.map_entries(lambda s: base.coerce(s.coeffs[t]), base) for t in range(ring.order)]
+    return _from_layers(base, layers, labels)
+
+
+_NOVIKOV = ("NOV_LEFTSYM", "NOV_RIGHTCOMM")
 
 
 def check_novikov_deformation(d: TruncatedDeformation) -> IdentityReport:
     """Left-symmetry and right-commutativity of the deformed product, exact
     through h^(order-1).  The counterexample clause names the failing half."""
-    pres = AlgebraPresentation(
-        d.dim, d.series_ring(), d.base.basis_labels, {"circ": d.series_op()}
-    )
-    return first_failure(pres, ("NOV_LEFTSYM", "NOV_RIGHTCOMM"), "NOVIKOV")
+    return first_failure(presentation_of(circ=d.series_op()), _NOVIKOV, "NOVIKOV")
 
 
 def _commutativity_report(dot: BilinearOp) -> IdentityReport:
-    alg = AlgebraPresentation(dot.dim, dot.ring, default_labels(dot.dim), {"dot": dot})
     commutativity = IDENTITIES["COMM_ASSOC"][0]
-    return failure_report("COMMUTATIVITY", next(clause_failures(alg, commutativity), None))
+    hit = next(clause_failures(presentation_of(dot=dot), commutativity), None)
+    return failure_report("COMMUTATIVITY", hit)
 
 
 class ClassicalLimit(Record):
@@ -151,7 +152,7 @@ def classical_limit(d: TruncatedDeformation) -> ClassicalLimit:
     )
 
 
-_NP_PRECONDITIONS = ("COMM_ASSOC", "NOV_LEFTSYM", "NOV_RIGHTCOMM", "NP1", "NP2")
+_NP_PRECONDITIONS = ("COMM_ASSOC",) + _NOVIKOV + ("NP1", "NP2")
 
 
 def deform_from_np(np: AlgebraPresentation, order: int) -> TruncatedDeformation:
@@ -162,10 +163,9 @@ def deform_from_np(np: AlgebraPresentation, order: int) -> TruncatedDeformation:
     report = first_failure(np, _NP_PRECONDITIONS)
     if not report.passed:
         raise NotNovikovPoisson(f"input fails {report.identity_name}", report)
-    dot, circ = np.op("dot"), np.op("circ")
     zero = BilinearOp.zero(np.dim, np.ring)
-    base = AlgebraPresentation(np.dim, np.ring, np.basis_labels, {"dot": dot})
-    return TruncatedDeformation(base, order, (dot, circ) + (zero,) * (order - 2))
+    layers = (np.op("dot"), np.op("circ")) + (zero,) * (order - 2)
+    return _from_layers(np.ring, layers, np.basis_labels)
 
 
 def commutator_deform(nov: BilinearOp, order: int) -> TruncatedDeformation:
@@ -173,13 +173,11 @@ def commutator_deform(nov: BilinearOp, order: int) -> TruncatedDeformation:
     product; quantizes (0, commutator(nov))."""
     if order < 2:
         raise ValueError("order must be at least 2 to carry the h-term")
-    pres = AlgebraPresentation(nov.dim, nov.ring, default_labels(nov.dim), {"circ": nov})
-    report = first_failure(pres, ("NOV_LEFTSYM", "NOV_RIGHTCOMM"))
+    report = first_failure(presentation_of(circ=nov), _NOVIKOV)
     if not report.passed:
         raise NotNovikov(f"input fails {report.identity_name}", report)
     zero = BilinearOp.zero(nov.dim, nov.ring)
-    base = AlgebraPresentation(nov.dim, nov.ring, default_labels(nov.dim), {"dot": zero})
-    return TruncatedDeformation(base, order, (zero, nov) + (zero,) * (order - 2))
+    return _from_layers(nov.ring, (zero, nov) + (zero,) * (order - 2))
 
 
 def _family_frame(series, field=None):
@@ -215,13 +213,12 @@ def family2d_construct(a_h: TruncSeries, b_h: TruncSeries, field=None) -> Trunca
         e1 *_h e1 = a_h e1 + b_h e2,   e1 *_h e2 = (a_h + h) e2,
         e2 *_h e1 = a_h e2,            e2 *_h e2 = 0.
     """
-    order, field, (a_h, b_h) = _family_frame((a_h, b_h), field)
+    _, field, (a_h, b_h) = _family_frame((a_h, b_h), field)
     layers = [
         family_layer(a_k, b_k, field, field.one() if k == 1 else field.zero())
         for k, (a_k, b_k) in enumerate(zip(a_h.coeffs, b_h.coeffs))
     ]
-    base = AlgebraPresentation(2, field, default_labels(2), {"dot": layers[0]})
-    return TruncatedDeformation(base, order, tuple(layers))
+    return _from_layers(field, layers)
 
 
 def family2d_parameters(d: TruncatedDeformation):

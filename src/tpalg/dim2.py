@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 
 from .algebra import (
-    AlgebraPresentation,
     BilinearOp,
     IdentityReport,
     LinearMap,
     commutator,
-    default_labels,
     derivation_rows,
     failure_report,
     first_failure,
     identity_failures,
+    presentation_of,
 )
 from .deform import (
     TruncatedDeformation,
@@ -65,7 +64,7 @@ def _with_bracket_e2(dot):
     """The dim-2 presentation of ``dot`` with the bracket [e1,e2]=e2."""
     one = dot.ring.one()
     bracket = BilinearOp.from_entries(2, dot.ring, {(0, 1, 1): one, (1, 0, 1): -one})
-    return AlgebraPresentation(2, dot.ring, default_labels(2), {"dot": dot, "bracket": bracket})
+    return presentation_of(dot=dot, bracket=bracket)
 
 
 def catalog(lam=None, field=QQ):
@@ -125,10 +124,7 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
         raise BadScalar(
             f"compatible products are solved over Q or Q(i), but the bracket carries {carried}"
         )
-    pres = AlgebraPresentation(
-        bracket.dim, field, default_labels(bracket.dim), {"bracket": bracket}
-    )
-    lie = first_failure(pres, ("LIE",))
+    lie = first_failure(presentation_of(bracket=bracket), ("LIE",))
     if not lie.passed:
         raise NotLie("the input bracket is not a Lie bracket", lie)
 
@@ -166,8 +162,7 @@ def solve_novikov_compatible(bracket: BilinearOp) -> NovikovCompatibleFamily:
     if not commutator(op).entries_equal(bracket.coerce_to(pring)):
         raise AssertionError("internal error: solved family has wrong commutator")
 
-    fam_pres = AlgebraPresentation(n, pring, default_labels(n), {"circ": op})
-    failures = tuple(identity_failures(fam_pres, "NOV_RIGHTCOMM"))
+    failures = tuple(identity_failures(presentation_of(circ=op), "NOV_RIGHTCOMM"))
     report = failure_report("NOV_RIGHTCOMM", failures[0] if failures else None)
     obstructions = tuple((tuple(i + 1 for i in t), tuple(res)) for _, t, res in failures)
     return NovikovCompatibleFamily(True, names, op, report, obstructions)
@@ -188,12 +183,7 @@ def np_compatibility(dot: BilinearOp, circ: BilinearOp) -> IdentityReport:
     two mixed identities; over symbolic entries "pass" certifies the whole
     parametric family."""
     ring = _join_rings(dot.ring, circ.ring)
-    pres = AlgebraPresentation(
-        dot.dim,
-        ring,
-        default_labels(dot.dim),
-        {"dot": dot.coerce_to(ring), "circ": circ.coerce_to(ring)},
-    )
+    pres = presentation_of(dot=dot.coerce_to(ring), circ=circ.coerce_to(ring))
     return first_failure(pres, ("NP1", "NP2"), "NP1+NP2")
 
 

@@ -29,9 +29,17 @@ from .errors import BadScalar, IndexOutOfRange, ParseError
 from .scalars import PolynomialRing, field_by_tag
 
 
+def _not_utf8(exc, path):
+    """The ParseError for input that ``exc`` found not to be UTF-8."""
+    return ParseError(f"not valid UTF-8 at byte {exc.start}: {exc.reason}", path)
+
+
 def _load_document(data, path):
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, path)
     if isinstance(data, str):
         try:
             doc = json.loads(data)
@@ -137,10 +145,7 @@ def parse_deformation_file(data, path="<data>") -> TruncatedDeformation:
     )
     if not mu[0].entries_equal(base.op("dot")):
         raise ParseError("mu[0] does not match the base 'dot'", path)
-    try:
-        return TruncatedDeformation(base, order, mu)
-    except ValueError as exc:
-        raise ParseError(str(exc), path)
+    return TruncatedDeformation(base, order, mu)
 
 
 def detect_kind(data, path="<data>"):

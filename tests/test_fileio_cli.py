@@ -135,6 +135,12 @@ def test_algebra_parse_errors(text):
         parse_algebra_file(text)
 
 
+@pytest.mark.parametrize("parse", [parse_algebra_file, parse_deformation_file, detect_kind])
+def test_undecodable_bytes_raise_parse_error_naming_the_path(parse):
+    with pytest.raises(ParseError, match=r"^x\.json: not valid UTF-8 at byte 2: invalid start byte$"):
+        parse(b'{"\xff": 1}', "x.json")
+
+
 def test_index_out_of_range():
     with pytest.raises(IndexOutOfRange):
         parse_algebra_file('{"dim": 2, "ops": {"dot": [[1, 3, 1, "1"]]}}')
@@ -632,7 +638,7 @@ def test_family_commands_refuse_order_one(capsys, command, params):
         (["family2d", "--params", "a=h^a,b=0", "--order", "3"],
          "expected an integer exponent in scalar 'h^a'"),
         (["normalize", "--params", "a=h,b=h"],
-         "series literal needs an '@order=N' suffix: 'h'"),
+         "series literal needs an '@order=N' suffix or --order: 'h'"),
     ],
     ids=["character", "trailing", "denominator", "parenthesis", "exponent", "no-order"],
 )
@@ -663,16 +669,18 @@ def test_check_refuses_malformed_documents_on_one_line(capsys, tmp_path, doc, me
 
 
 @pytest.mark.parametrize(
-    "params, piece", [("a=1,a=2", "a=2"), ("=1,b=2", "=1")], ids=["repeated", "unnamed"]
+    "params, message",
+    [("a=1,a=2", "parameter 'a' is given twice"), ("=1,b=2", "bad parameter name in '=1'")],
+    ids=["repeated", "unnamed"],
 )
-def test_params_flag_refuses_bad_names(capsys, params, piece):
+def test_params_flag_refuses_bad_names(capsys, params, message):
     code = main(["family2d", "--params", params, "--order", "3"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     usage, error = captured.err.split("tpalg family2d: error: ")
     assert usage.startswith("usage: tpalg family2d ") and "Traceback" not in usage
-    assert error == f"argument --params: bad parameter name in {piece!r}\n"
+    assert error == f"argument --params: {message}\n"
 
 
 def test_cli_usage_errors(capsys):
@@ -696,6 +704,19 @@ def test_cli_refuses_oversized_scalars(capsys, argv):
     assert code == 3
     assert err.startswith("tpalg: error: ") and err.count("\n") == 1
     assert len(err) < 200
+
+
+def test_cli_refuses_undecodable_files_on_one_line(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"{}\xff"), encoding="utf-8"))
+    for source, offset in ((str(path), 0), ("-", 2)):
+        code = main(["check", source, "--identity", "lie"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        message = f"not valid UTF-8 at byte {offset}: invalid start byte"
+        assert captured.err == f"tpalg: error: {source}: {message}\n"
 
 
 def test_cli_refuses_deeply_nested_json(capsys, tmp_path):

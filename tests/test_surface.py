@@ -1,7 +1,8 @@
 """The names other code depends on: every ``tpalg.__all__`` entry, and every
 function the benchmark's layer trace wraps, must resolve.  The package loads
 them on first use, and a cold ``tpalg`` command imports only what it runs.
-No module keeps an import or a private alias it does not use."""
+No module keeps an import or a private alias it does not use, and no
+private helper goes unused."""
 
 import ast
 import importlib
@@ -83,6 +84,24 @@ def test_module_level_imports_and_aliases_are_used(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     dead = [name for name in _module_level_names(tree) if name not in used]
+    assert not dead
+
+
+def test_private_helpers_are_used():
+    """Every private module-level function and class in ``src/tpalg`` is
+    loaded by name somewhere in ``src/tpalg`` outside its own body."""
+    defined, used = [], set()
+    for path in sorted((SRC / "tpalg").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and own.startswith("_"):
+                defined.append(own)
+            for node in ast.walk(top):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    if name != own:
+                        used.add(name)
+    dead = [name for name in defined if not name.startswith("__") and name not in used]
     assert not dead
 
 
