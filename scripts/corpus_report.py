@@ -12,7 +12,6 @@ import argparse
 import time
 
 from tpalg import (
-    AlgebraPresentation,
     QQ,
     check_identity,
     check_novikov_deformation,
@@ -20,6 +19,7 @@ from tpalg import (
     deform_from_np,
     euler_gelfand,
 )
+from tpalg.algebra import presentation_of
 from tpalg.corpus import np_structures
 
 
@@ -40,10 +40,7 @@ def quantization_sweep(order):
 def s5_sweep(max_dim):
     print(f"S5 sweep on Euler commutator brackets, dims 2..{max_dim}:")
     for n in range(2, max_dim + 1):
-        pres = euler_gelfand(n, QQ)
-        alg = AlgebraPresentation(
-            n, QQ, pres.basis_labels, {"bracket": pres.op("bracket")}
-        )
+        alg = presentation_of(bracket=euler_gelfand(n, QQ).op("bracket"))
         start = time.perf_counter()
         passed = check_identity(alg, "S5").passed
         elapsed = time.perf_counter() - start

@@ -53,7 +53,6 @@ from .errors import (
 )
 from .fileio import (
     _load_document,
-    _not_utf8,
     detect_kind,
     dumps,
     op_table,
@@ -161,15 +160,14 @@ def _emit(args, text_lines, json_doc):
 
 
 def _read_file(path):
+    """The bytes of a file, or of stdin for "-" (the text of a StringIO), for fileio to decode."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
+            return getattr(sys.stdin, "buffer", sys.stdin).read()
+        with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read file: {exc.strerror}", path)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(exc, path)
 
 
 def _load_algebra(path):

@@ -14,7 +14,6 @@ import math
 from .algebra import (
     BilinearOp,
     IdentityReport,
-    LinearMap,
     commutator,
     derivation_rows,
     failure_report,
@@ -241,11 +240,8 @@ def normalize_basis(d: TruncatedDeformation) -> NormalizedBasis:
     a_h = op.apply(e2_new, e1_new)[1]
     b_h = op.apply(e1_new, e1_new)[1]
 
-    maps = (
-        LinearMap(d.ring, tuple(tuple(t.coeffs[k] for t in row) for row in tmat))
-        for k in range(d.order)
-    )
-    witness = EquivalenceWitness(d.order, tuple(maps))
+    layers = [[[t.coeffs[k] for t in row] for row in tmat] for k in range(1, d.order)]
+    witness = EquivalenceWitness.from_layers(d.ring, 2, layers)
     # T intertwines the family with d exactly when T^-1 d(T e_i, T e_j) is
     # the family product for every pair, which is the family shape
     rep = verify_witness(family2d_construct(a_h, b_h, d.ring), d, witness)

@@ -56,10 +56,14 @@ class EquivalenceWitness(Record):
         return self.f[0].dim
 
     @classmethod
+    def from_layers(cls, ring, dim, layers):
+        """id + sum_k f_k h^k, the rows of f_k at ``layers[k - 1]``."""
+        maps = [LinearMap(ring, tuple(map(tuple, rows))) for rows in layers]
+        return cls(len(maps) + 1, (LinearMap.identity(dim, ring), *maps))
+
+    @classmethod
     def identity(cls, dim, order, ring):
-        ident = LinearMap.identity(dim, ring)
-        zero = LinearMap(ring, tuple(tuple(ring.zero() for _ in range(dim)) for _ in range(dim)))
-        return cls(order, (ident,) + (zero,) * (order - 1))
+        return cls.from_layers(ring, dim, [[[ring.zero()] * dim] * dim] * (order - 1))
 
 
 def _refuse_parameters(d1, d2):
@@ -397,9 +401,7 @@ def _solve(d1, d2, field, amat, symbolic):
             [[field.coerce(substitute_params(x, zeros)) for x in row] for row in layer]
             for layer in committed
         ]
-    maps = [LinearMap.identity(n, field)]
-    maps += [LinearMap(field, tuple(map(tuple, layer))) for layer in committed]
-    return _verified(d1, d2, EquivalenceWitness(order, tuple(maps)), "solved")
+    return _verified(d1, d2, EquivalenceWitness.from_layers(field, n, committed), "solved")
 
 
 def solve_equivalence(d1, d2) -> EquivVerdict:
@@ -460,9 +462,7 @@ def family2d_equiv(a_h, b_h, a2_h, b2_h, field=None) -> EquivVerdict:
     if top < order:
         eps = (w + g * mu).shift_down(v_b) * series_invert(b_h.shift_down(v_b))
         eps = TruncSeries(order, eps.coeffs[: order - v_b])
-    maps = [LinearMap.identity(2, field)]
-    for k in range(1, order):
-        maps.append(LinearMap(field, ((field.zero(),) * 2, (mu.coeffs[k - 1], eps.coeffs[k]))))
+    layers = [((field.zero(),) * 2, (mu.coeffs[k - 1], eps.coeffs[k])) for k in range(1, order)]
     d1 = family2d_construct(a_h, b_h, field)
     d2 = family2d_construct(a2_h, b2_h, field)
-    return _verified(d1, d2, EquivalenceWitness(order, tuple(maps)), "family")
+    return _verified(d1, d2, EquivalenceWitness.from_layers(field, 2, layers), "family")

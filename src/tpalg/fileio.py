@@ -29,17 +29,12 @@ from .errors import BadScalar, IndexOutOfRange, ParseError
 from .scalars import PolynomialRing, field_by_tag
 
 
-def _not_utf8(exc, path):
-    """The ParseError for input that ``exc`` found not to be UTF-8."""
-    return ParseError(f"not valid UTF-8 at byte {exc.start}: {exc.reason}", path)
-
-
 def _load_document(data, path):
     if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise _not_utf8(exc, path)
+            raise ParseError(f"not valid UTF-8 at byte {exc.start}: {exc.reason}", path)
     if isinstance(data, str):
         try:
             doc = json.loads(data)

@@ -4,6 +4,7 @@ the operad dimension table."""
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -39,7 +40,7 @@ from tpalg.dim2 import (
     operad_dims,
     solve_novikov_compatible,
 )
-from tpalg.equiv import family2d_equiv, verify_witness
+from tpalg.equiv import family2d_equiv, solve_equivalence, verify_witness
 from tpalg.errors import (
     BadScalar,
     NotAQuantization,
@@ -729,6 +730,57 @@ def test_normal_form_is_equivalent_to_input(acs, bcs, shape):
         family2d_construct(*nf.as_pair()),
         nf.witness,
     ).passed
+
+
+_CANON_COEFFS = {
+    "Q": (0, 0, 0, 1, -1, 2, F(1, 2)),
+    "Qi": (0, 0, 0, 1, -1, GAUSS_I, 1 + GAUSS_I),
+}
+
+
+def _same_a_pair(tag, order, shape, idx):
+    """A seeded pair (a, b1), (a, b2) over Q or Q(i) whose constant terms
+    match one limit shape: a0 != 0 only for lambda, b0 != 0 (drawn for each
+    b) only for unital; a third of the zero-shape pairs have a = -h."""
+    rng = random.Random(f"canon/{tag}/{order}/{shape}/{idx}")
+    field = {"Q": QQ, "Qi": QI}[tag]
+
+    def ser(nonzero_head):
+        head = rng.choice((1, -1, 2)) if nonzero_head else 0
+        tail = [rng.choice(_CANON_COEFFS[tag]) for _ in range(order - 1)]
+        return TruncSeries(order, tuple(map(field.coerce, [head] + tail)))
+
+    a = ser(shape == "lambda")
+    if shape == "zero" and rng.random() < 1 / 3:
+        a = TruncSeries(order, (field.zero(), field.coerce(-1)))
+    return field, a, ser(shape == "unital"), ser(shape == "unital")
+
+
+def _form(nf):
+    return nf.kind, nf.m, nf.leading, nf.canonical_a, nf.canonical_b
+
+
+@pytest.mark.parametrize("tag", ["Q", "Qi"])
+def test_normal_forms_agree_exactly_on_equivalent_pairs(tag):
+    # the classification up to equivalence read as a property: two family
+    # members with the same a_h have equal normal forms exactly when they
+    # are equivalent, by the solver and by the closed-form criterion alike
+    verdicts = set()
+    for order in (2, 3, 4):
+        for shape in ("zero", "unital", "lambda"):
+            for idx in range(6):
+                field, a, b1, b2 = _same_a_pair(tag, order, shape, idx)
+                where = (order, shape, idx)
+                d1, d2 = (family2d_construct(a, b, field) for b in (b1, b2))
+                v = solve_equivalence(d1, d2)
+                assert v.tag in ("equivalent", "not_equivalent"), where
+                assert family2d_equiv(a, b1, a, b2, field).tag == v.tag, where
+                nf1, nf2 = normalize_family(a, b1, field), normalize_family(a, b2, field)
+                assert (_form(nf1) == _form(nf2)) == v.is_equivalent, where
+                for nf in (nf1, nf2):
+                    assert _form(normalize_family(*nf.as_pair(), field)) == _form(nf), where
+                verdicts.add(v.tag)
+    assert verdicts == {"equivalent", "not_equivalent"}
 
 
 # ---------------------------------------------------------------------------

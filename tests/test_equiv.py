@@ -114,6 +114,16 @@ def test_identity_witness_shape():
         assert all(x == 0 for row in layer.m for x in row)
 
 
+def test_witness_from_layers_puts_f_k_at_h_k():
+    f1, f2 = ((F(0), F(1)), (F(2), F(0))), ((F(1), F(0)), (F(0), F(-1)))
+    w = EquivalenceWitness.from_layers(QQ, 2, [[list(row) for row in f1], f2])
+    expected = (LinearMap.identity(2, QQ), LinearMap(QQ, f1), LinearMap(QQ, f2))
+    assert repr(w) == repr(EquivalenceWitness(3, expected))
+    assert repr(EquivalenceWitness.from_layers(QI, 3, [])) == repr(
+        EquivalenceWitness(1, (LinearMap.identity(3, QI),))
+    )
+
+
 def test_witness_inverse_composes_to_identity():
     w = EquivalenceWitness(
         3,

@@ -719,6 +719,25 @@ def test_cli_refuses_undecodable_files_on_one_line(capsys, tmp_path, monkeypatch
         assert captured.err == f"tpalg: error: {source}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"\xff{}", 0), (b'{"dim": 1, "ops": {"dot": [[1, 1, 1, "\xff"]]}}', 38)],
+    ids=["before-the-document", "inside-a-scalar"],
+)
+def test_cli_refuses_undecodable_stdin_under_the_c_locale(data, offset):
+    # a real process: under the C locale a text-mode stdin lets bad bytes
+    # through as surrogates, which an in-process StringIO cannot show
+    env = dict(os.environ, LC_ALL="C", PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tpalg.cli", "check", "-", "--identity", "lie"],
+        input=data, capture_output=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    message = f"not valid UTF-8 at byte {offset}: invalid start byte"
+    assert proc.stderr == f"tpalg: error: -: {message}\n".encode()
+
+
 def test_cli_refuses_deeply_nested_json(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000 + "]" * 100000)

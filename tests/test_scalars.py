@@ -32,6 +32,7 @@ from tpalg.scalars import (
     _power,
     format_scalar,
     h_valuation,
+    integer_form,
     parse_series,
     series_invert,
     substitute_params,
@@ -899,3 +900,120 @@ def test_polynomial_ring_coerce_subset_variables():
     q = big.coerce(p)
     assert q.variables == ("lam", "a", "b")
     assert q == big.var("a") * 2 + 1
+
+
+# ---------------------------------------------------------------------------
+# Branches no other test reaches: each value, exception type and message
+# ---------------------------------------------------------------------------
+
+_Z = GaussianRational.of(1, 1)
+_R = PolynomialRing(QQ, ("a", "b"))
+_A = _R.var("a")
+_S = parse_series("1+h@order=3")
+_FOREIGN = object()
+
+
+@pytest.mark.parametrize(
+    "compute, message",
+    [
+        (lambda: _Z - _FOREIGN, "for -: 'GaussianRational' and 'object'"),
+        (lambda: _FOREIGN - _Z, "for -: 'object' and 'GaussianRational'"),
+        (lambda: _Z / _FOREIGN, "for /: 'GaussianRational' and 'object'"),
+        (lambda: _FOREIGN / _Z, "for /: 'object' and 'GaussianRational'"),
+        (lambda: _A + _FOREIGN, "for +: 'ParamPoly' and 'object'"),
+        (lambda: _A * _FOREIGN, "for *: 'ParamPoly' and 'object'"),
+        (lambda: _A - _FOREIGN, "for -: 'ParamPoly' and 'object'"),
+        (lambda: _FOREIGN - _A, "for -: 'object' and 'ParamPoly'"),
+        (lambda: _A / _FOREIGN, "for /: 'ParamPoly' and 'object'"),
+        (lambda: _S + _FOREIGN, "for +: 'TruncSeries' and 'object'"),
+        (lambda: _S * _FOREIGN, "for *: 'TruncSeries' and 'object'"),
+    ],
+    ids=[
+        "gauss-sub", "gauss-rsub", "gauss-div", "gauss-rdiv", "poly-add", "poly-mul",
+        "poly-sub", "poly-rsub", "poly-div", "series-add", "series-mul",
+    ],
+)
+def test_foreign_operands_are_refused(compute, message):
+    with pytest.raises(TypeError) as info:
+        compute()
+    assert str(info.value) == f"unsupported operand type(s) {message}"
+
+
+def test_series_compares_unequal_to_a_foreign_object():
+    assert _S.__eq__(_FOREIGN) is NotImplemented
+    assert (_S == _FOREIGN) is False
+
+
+@pytest.mark.parametrize(
+    "compute, expected",
+    [
+        (lambda: 2 / _Z, "GaussianRational(re=Fraction(1, 1), im=Fraction(-1, 1))"),
+        (lambda: str(_Z), "'1+i'"),
+        (lambda: parse_series("1+h@order=4") / parse_series("1-h@order=4"),
+         "TruncSeries('1+2h+2h^2+2h^3@order=4')"),
+        (lambda: integer_form(SeriesRing(QQ, 3), [F(1)], 1), "None"),
+        (lambda: substitute_params(F(3), {}), "Fraction(3, 1)"),
+        (lambda: QQ.parse("+3"), "Fraction(3, 1)"),
+        (lambda: QQ.parse("+2-5"), "Fraction(-3, 1)"),
+        (lambda: QQ.coerce(GaussianRational.of(2, 0)), "Fraction(2, 1)"),
+        (lambda: QQ.coerce(_R.coerce(F(1, 2))), "Fraction(1, 2)"),
+        (lambda: QI.coerce(_R.coerce(3)), "GaussianRational(re=Fraction(3, 1), im=Fraction(0, 1))"),
+        (lambda: QI.coerce(PolynomialRing(QI, ("a",)).coerce(GAUSS_I)),
+         "GaussianRational(re=Fraction(0, 1), im=Fraction(1, 1))"),
+        (lambda: SeriesRing(QI, 3).tag, "'Qi'"),
+    ],
+    ids=[
+        "int-over-gauss", "gauss-str", "series-over-series", "integer-form-not-series",
+        "substitute-number", "leading-plus", "leading-plus-sum", "q-coerce-real-gauss",
+        "q-coerce-constant-poly", "qi-coerce-constant-poly", "qi-coerce-gaussian-poly",
+        "series-ring-tag",
+    ],
+)
+def test_branch_values(compute, expected):
+    assert repr(compute()) == expected
+
+
+@pytest.mark.parametrize(
+    "base, text, printed",
+    [
+        (QQ, "a+1+h", "(a+1)+(1)h@order=3"),
+        (QI, "(1+i)+a h", "((1+i))+(a)h@order=3"),
+    ],
+    ids=["Q", "Qi"],
+)
+def test_polynomial_constant_term_of_a_series_round_trips(base, text, printed):
+    ring = SeriesRing(PolynomialRing(base, ("a",)), 3)
+    value = ring.parse(text)
+    assert format_scalar(value) == printed
+    assert ring.parse(printed) == value
+
+
+@pytest.mark.parametrize(
+    "compute, error, message",
+    [
+        (lambda: 2 / GaussianRational.of(0), NotInvertible, "division by zero in Q(i)"),
+        (lambda: _A ** -1, ValueError, "polynomial powers must be nonnegative integers"),
+        (lambda: _A ** 1.5, ValueError, "polynomial powers must be nonnegative integers"),
+        (lambda: _S ** -1, ValueError, "series powers must be nonnegative integers"),
+        (lambda: (_A * _R.var("b")).affine_parts(), ValueError, "polynomial is not affine"),
+        (lambda: TruncSeries(0, ()), ValueError, "truncation order must be at least 1"),
+        (lambda: SeriesRing(QQ, 0), ValueError, "truncation order must be at least 1"),
+        (lambda: format_scalar(True), TypeError, "booleans are not scalars"),
+        (lambda: QQ.coerce(True), BadScalar, "booleans are not scalars"),
+        (lambda: QI.coerce(True), BadScalar, "booleans are not scalars"),
+        (lambda: QI.coerce("x"), BadScalar, "not a Gaussian rational: 'x'"),
+        (lambda: _R.var("z"), MissingSymbol, "unknown parameter 'z'"),
+        (lambda: parse_series("h"), BadScalar, "series literal needs an '@order=N' suffix: 'h'"),
+    ],
+    ids=[
+        "int-over-gauss-zero", "poly-negative-power", "poly-fractional-power",
+        "series-negative-power", "non-affine-parts", "series-order-0", "series-ring-order-0",
+        "format-bool", "q-coerce-bool", "qi-coerce-bool", "qi-coerce-str", "unknown-var",
+        "series-without-order",
+    ],
+)
+def test_branch_refusals(compute, error, message):
+    with pytest.raises(error) as info:
+        compute()
+    assert type(info.value) is error
+    assert str(info.value) == message
