@@ -31,7 +31,7 @@ from .errors import BadScalar, DimMismatch, OrderMismatch, Record
 from .linalg import factor, general_solution, solve_affine
 from .scalars import (
     Packing, ParamPoly, PolynomialRing, SeriesRing, TruncSeries, h_valuation, integer_form,
-    join_fields, packed_format, series_invert, substitute_params,
+    join_fields, packed_format, series_invert,
 )
 
 
@@ -220,8 +220,9 @@ def _verified(d1, d2, witness, what):
 #       * nonlinear in parameters     -> Unknown (deciding it would need
 #                                        quadratic-system reasoning)
 #
-#     Its witness substitutes the accumulated constraint solution with every
-#     remaining free coordinate at zero.
+#     ``_ParamConstraints.absorb`` makes that call and returns the verdict;
+#     the witness is each layer entry read off by ``at_zero``: the solved
+#     symbols bound, every remaining free coordinate at zero.
 #
 # solve_equivalence runs the field pass, and the symbolic pass from the start
 # only where the field pass is undecided.  So Equivalent comes from either
@@ -232,7 +233,7 @@ def _verified(d1, d2, witness, what):
 # is 0 there too.  When the field pass is feasible at every order, each
 # stranded residual vanishes at 0, so each absorbed constraint has a zero
 # constant term and solves its pivot to an expression that is 0 at 0; by
-# induction the final assignment is all zeros and the symbolic layers are
+# induction every solved expression is 0 at 0 and the symbolic layers are
 # the field pass's particular solutions.  A contradiction (a nonzero
 # constant residual) cannot arise there either.  verify_witness re-checks
 # every witness through every order, with code that shares nothing with R_k.
@@ -240,7 +241,9 @@ def _verified(d1, d2, witness, what):
 
 class _ParamConstraints:
     """Triangular solved form for affine constraints on the free symbols:
-    maps a symbol to an affine polynomial in still-unsolved symbols."""
+    maps a symbol to an affine polynomial in still-unsolved symbols.  The
+    one place where the symbolic pass decides: ``absorb`` returns each
+    verdict, ``at_zero`` reads off the witness."""
 
     def __init__(self, pring, field):
         self.pring = pring
@@ -252,41 +255,33 @@ class _ParamConstraints:
             return poly
         return poly.subs(self.solved)
 
-    CONTRADICTION = "contradiction"
-    NONLINEAR = "nonlinear"
-    OK = "ok"
+    def absorb(self, residuals, k):
+        """Require each stranded residual of order k to vanish: None once
+        every one is absorbed, else the verdict it forces."""
+        for poly in residuals:
+            r = self.reduce(poly)
+            if r.is_zero():
+                continue
+            if not r.is_affine():
+                return unknown(
+                    f"obstruction at h^{k} is quadratic in free parameters from lower orders"
+                )
+            const, linear = r.affine_parts()
+            if not linear:
+                return not_equivalent(k, f"linear obstruction at h^{k} has no solution")
+            # pivot on the newest symbol so older choices stay free
+            pivot = max(linear, key=self.pring.variables.index)
+            coeff = linear[pivot]
+            expr = (self.pring.var(pivot) * coeff - r) / coeff
+            self.solved = {name: rhs.subs({pivot: expr}) for name, rhs in self.solved.items()}
+            self.solved[pivot] = expr
+        return None
 
-    def absorb(self, poly: ParamPoly) -> str:
-        """Require poly = 0; returns OK / CONTRADICTION / NONLINEAR."""
-        r = self.reduce(poly)
-        if r.is_zero():
-            return self.OK
-        if not r.is_affine():
-            return self.NONLINEAR
-        const, linear = r.affine_parts()
-        if not linear:
-            return self.CONTRADICTION
-        # pivot on the newest symbol so older choices stay free
-        pivot = max(linear, key=self.pring.variables.index)
-        coeff = linear[pivot]
-        expr = (self.pring.var(pivot) * coeff - r) / coeff
-        self.solved = {
-            name: rhs.subs({pivot: expr}) for name, rhs in self.solved.items()
-        }
-        self.solved[pivot] = expr
-        return self.OK
-
-    def final_assignment(self):
-        """Every symbol bound: unsolved ones at zero, solved ones evaluated."""
-        zeros = {
-            name: self.field.zero()
-            for name in self.pring.variables
-            if name not in self.solved
-        }
-        out = dict(zeros)
-        for name, expr in self.solved.items():
-            out[name] = self.field.coerce(expr.substitute(zeros))
-        return out
+    def at_zero(self, x: ParamPoly):
+        """x in the field, with the solved symbols bound and every other at
+        zero: each solved expression holds only unsolved symbols, so that
+        is the constant term of the reduced x."""
+        return self.field.coerce(self.reduce(x).constant_value())
 
 
 def _delta_matrix(dot: BilinearOp):
@@ -370,17 +365,9 @@ def _solve(d1, d2, field, amat, symbolic):
         if not sol.feasible:
             if not symbolic:
                 return None
-            for stranded in sol.residuals:
-                status = constraints.absorb(stranded)
-                if status == constraints.CONTRADICTION:
-                    return not_equivalent(
-                        k, f"linear obstruction at h^{k} has no solution"
-                    )
-                if status == constraints.NONLINEAR:
-                    return unknown(
-                        f"obstruction at h^{k} is quadratic in free parameters "
-                        "from lower orders"
-                    )
+            verdict = constraints.absorb(sol.residuals, k)
+            if verdict is not None:
+                return verdict
             sol = solve_affine(amat, [constraints.reduce(r) for r in rhs])
             if not sol.feasible:
                 raise AssertionError(
@@ -396,11 +383,7 @@ def _solve(d1, d2, field, amat, symbolic):
         )
 
     if symbolic:
-        zeros = constraints.final_assignment()
-        committed = [
-            [[field.coerce(substitute_params(x, zeros)) for x in row] for row in layer]
-            for layer in committed
-        ]
+        committed = [[list(map(constraints.at_zero, row)) for row in layer] for layer in committed]
     return _verified(d1, d2, EquivalenceWitness.from_layers(field, n, committed), "solved")
 
 

@@ -324,8 +324,8 @@ class ParamPoly(_Operators):
         return ParamPoly(self.ring, terms)
 
     def substitute(self, assignment):
-        """Evaluate with every variable bound; see ``substitute_params``.
-        The zero polynomial evaluates to the base field's zero."""
+        """Evaluate with every variable bound; raises MissingSymbol when one
+        is unbound.  The zero polynomial evaluates to the base field's zero."""
         missing = self.used_variables() - set(assignment)
         if missing:
             raise MissingSymbol(f"no value for parameter(s) {sorted(missing)}")
@@ -714,16 +714,6 @@ def integer_form(ring, values, degree):
         for m, c in zip(where, nonzero):
             ints[m] = c
     return lcm, ints, top
-
-
-def substitute_params(x, assignment):
-    """Bind every parameter appearing in ``x`` (a scalar of any layer)
-    to a concrete scalar; raises MissingSymbol when one is unbound."""
-    if isinstance(x, TruncSeries):
-        return TruncSeries(x.order, tuple(substitute_params(c, assignment) for c in x.coeffs))
-    if isinstance(x, ParamPoly):
-        return x.substitute(assignment)
-    return x
 
 
 # ---------------------------------------------------------------------------

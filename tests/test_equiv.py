@@ -40,7 +40,6 @@ from tpalg.equiv import (
     family2d_equiv,
     not_equivalent,
     solve_equivalence,
-    unknown,
     verify_witness,
 )
 from tpalg.errors import BadScalar, DimMismatch, OrderMismatch
@@ -55,7 +54,6 @@ from tpalg.scalars import (
     SeriesRing,
     TruncSeries,
     parse_series,
-    substitute_params,
 )
 
 F = Fraction
@@ -852,17 +850,9 @@ def series_solve_equivalence(d1, d2) -> EquivVerdict:
                     rhs.append(constraints.reduce(pring.coerce(-residual[l].coeffs[k])))
         sol = solve_affine(amat, rhs, field.one())
         if not sol.feasible:
-            for stranded in sol.residuals:
-                status = constraints.absorb(stranded)
-                if status == constraints.CONTRADICTION:
-                    return not_equivalent(
-                        k, f"linear obstruction at h^{k} has no solution"
-                    )
-                if status == constraints.NONLINEAR:
-                    return unknown(
-                        f"obstruction at h^{k} is quadratic in free parameters "
-                        "from lower orders"
-                    )
+            verdict = constraints.absorb(sol.residuals, k)
+            if verdict is not None:
+                return verdict
             sol = solve_affine(amat, [constraints.reduce(r) for r in rhs], field.one())
             if not sol.feasible:
                 raise AssertionError(
@@ -880,13 +870,9 @@ def series_solve_equivalence(d1, d2) -> EquivVerdict:
                 layer[i][j] = pring.coerce(entry)
         committed.append(layer)
 
-    zero_assignment = constraints.final_assignment()
     maps = [LinearMap.identity(n, field)]
     for layer in committed:
-        rows = tuple(
-            tuple(field.coerce(substitute_params(layer[i][j], zero_assignment)) for j in range(n))
-            for i in range(n)
-        )
+        rows = tuple(tuple(constraints.at_zero(layer[i][j]) for j in range(n)) for i in range(n))
         maps.append(LinearMap(field, rows))
     witness = EquivalenceWitness(order, tuple(maps))
     report = verify_witness(d1, d2, witness)

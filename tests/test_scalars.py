@@ -35,7 +35,6 @@ from tpalg.scalars import (
     integer_form,
     parse_series,
     series_invert,
-    substitute_params,
 )
 
 F = Fraction
@@ -879,18 +878,8 @@ def test_series_format_parse_roundtrip(s):
 
 
 # ---------------------------------------------------------------------------
-# Substitution across the tower
+# Coercion across the tower
 # ---------------------------------------------------------------------------
-
-
-def test_substitute_params_series():
-    ring = PolynomialRing(QQ, ("t",))
-    t = ring.var("t")
-    s = TruncSeries(3, (t, t * t, ring.one()))
-    out = substitute_params(s, {"t": F(2)})
-    assert out == TruncSeries(3, (F(2), F(4), F(1)))
-    with pytest.raises(MissingSymbol):
-        substitute_params(s, {})
 
 
 def test_polynomial_ring_coerce_subset_variables():
@@ -952,7 +941,6 @@ def test_series_compares_unequal_to_a_foreign_object():
         (lambda: parse_series("1+h@order=4") / parse_series("1-h@order=4"),
          "TruncSeries('1+2h+2h^2+2h^3@order=4')"),
         (lambda: integer_form(SeriesRing(QQ, 3), [F(1)], 1), "None"),
-        (lambda: substitute_params(F(3), {}), "Fraction(3, 1)"),
         (lambda: QQ.parse("+3"), "Fraction(3, 1)"),
         (lambda: QQ.parse("+2-5"), "Fraction(-3, 1)"),
         (lambda: QQ.coerce(GaussianRational.of(2, 0)), "Fraction(2, 1)"),
@@ -964,7 +952,7 @@ def test_series_compares_unequal_to_a_foreign_object():
     ],
     ids=[
         "int-over-gauss", "gauss-str", "series-over-series", "integer-form-not-series",
-        "substitute-number", "leading-plus", "leading-plus-sum", "q-coerce-real-gauss",
+        "leading-plus", "leading-plus-sum", "q-coerce-real-gauss",
         "q-coerce-constant-poly", "qi-coerce-constant-poly", "qi-coerce-gaussian-poly",
         "series-ring-tag",
     ],
