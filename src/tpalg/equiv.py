@@ -22,6 +22,7 @@ Three tools:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import starmap
 from operator import mul
 
@@ -240,8 +241,8 @@ def _verified(d1, d2, witness, what):
 
 
 class _ParamConstraints:
-    """Triangular solved form for affine constraints on the free symbols:
-    maps a symbol to an affine polynomial in still-unsolved symbols.  The
+    """Triangular solved form for polynomial constraints on the free
+    symbols: maps a symbol to a polynomial in still-unsolved symbols.  The
     one place where the symbolic pass decides: ``absorb`` returns each
     verdict, ``at_zero`` reads off the witness."""
 
@@ -262,16 +263,18 @@ class _ParamConstraints:
             r = self.reduce(poly)
             if r.is_zero():
                 continue
-            if not r.is_affine():
+            # the symbols that occur in r only as c*v, c a constant
+            uses = Counter(i for mono in r.sparse for i, _ in mono)
+            lone = [i for i, count in uses.items() if count == 1 and ((i, 1),) in r.sparse]
+            if not lone:
+                if r.is_constant():
+                    return not_equivalent(k, f"linear obstruction at h^{k} has no solution")
                 return unknown(
                     f"obstruction at h^{k} is quadratic in free parameters from lower orders"
                 )
-            const, linear = r.affine_parts()
-            if not linear:
-                return not_equivalent(k, f"linear obstruction at h^{k} has no solution")
             # pivot on the newest symbol so older choices stay free
-            pivot = max(linear, key=self.pring.variables.index)
-            coeff = linear[pivot]
+            i = max(lone)
+            pivot, coeff = self.pring.variables[i], r.sparse[((i, 1),)]
             expr = (self.pring.var(pivot) * coeff - r) / coeff
             self.solved = {name: rhs.subs({pivot: expr}) for name, rhs in self.solved.items()}
             self.solved[pivot] = expr

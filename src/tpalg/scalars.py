@@ -294,13 +294,6 @@ class ParamPoly(_Operators):
     def is_affine(self):
         return all(sum(e for _, e in mono) <= 1 for mono in self.sparse)
 
-    def affine_parts(self):
-        """(constant, {name: coefficient}) for an affine polynomial."""
-        if not self.is_affine():
-            raise ValueError("polynomial is not affine")
-        linear = {self.variables[mono[0][0]]: c for mono, c in self.sparse.items() if mono}
-        return self.constant_value(), linear
-
     def subs(self, mapping):
         """Replace some variables by polynomials of the same ring, or by
         numbers; variables absent from the mapping stay symbolic."""

@@ -642,16 +642,38 @@ def test_solver_lambda_scale_obstruction():
 
 
 def test_solver_declines_quadratic_obstruction():
+    # a stranded residual is absorbed by pivoting on its newest symbol that
+    # occurs only as c*v, c a constant; with no such symbol a constant
+    # residual is a contradiction and any other is declined as unknown
+    ring = PolynomialRing(QQ, ("s1_0", "s1_1", "s2_0"))
+    a, b, c = map(ring.var, ring.variables)
+    quadratic = "obstruction at h^3 is quadratic in free parameters from lower orders"
+    for residual in (a * a + 1, a * b + a + b * b):
+        v = _ParamConstraints(ring, QQ).absorb([residual], 3)
+        assert (v.tag, v.reason) == ("unknown", quadratic)
+    v = _ParamConstraints(ring, QQ).absorb([ring.coerce(3)], 2)
+    assert (v.tag, v.failure_order, v.reason) == (
+        "not_equivalent", 2, "linear obstruction at h^2 has no solution"
+    )
+    store = _ParamConstraints(ring, QQ)
+    assert store.absorb([a * b + 2 * c - 1, a + b], 3) is None
+    # the second pivot is substituted into the first: the solved form stays
+    # triangular, and at_zero reads each value with s1_0 at zero
+    assert store.solved == {"s2_0": (1 + a * a) / 2, "s1_1": -a}
+    assert [store.at_zero(x) for x in (a, b, c, c * b + 1)] == [0, 0, F(1, 2), 1]
     # with a zero base dot every first-layer coordinate is free, and from
-    # h^3 on the residual is quadratic in those parameters; the per-order
-    # affine strategy reports unknown instead of guessing.  A self-pair is
+    # h^3 on the residual is quadratic in those parameters.  A self-pair is
     # decided by the field pass (the identity is a witness); one entry of
-    # the h^3 layer changed leaves the field pass infeasible at h^3
+    # the h^3 layer changed leaves the field pass infeasible at h^3, and the
+    # symbolic pass solves one f_2 coordinate, which occurs linearly
     circ = euler_gelfand(3, QQ).op("circ")
     d = commutator_deform(circ, 4)
-    v = solve_equivalence(d, perturbed(d, 3, (0, 0, 2), F(1)))
-    assert v.is_unknown
-    assert v.reason == "obstruction at h^3 is quadratic in free parameters from lower orders"
+    e = perturbed(d, 3, (0, 0, 2), F(1))
+    v = solve_equivalence(d, e)
+    assert v.is_equivalent
+    assert verify_witness(d, e, v.witness).passed
+    zero = ((F(0),) * 3,) * 3
+    assert [f.m for f in v.witness.f[1:]] == [zero, (zero[0], zero[0], (F(-1, 2), F(0), F(0))), zero]
     v = solve_equivalence(d, d)
     assert v.is_equivalent
     assert verify_witness(d, d, v.witness).passed
@@ -904,7 +926,8 @@ def _differential_pairs():
                         e = perturbed(d, k, idx, delta)
                         pair = (d, e) if side == 0 else (e, d)
                         yield f"{ring.tag}/{label}/{n}/{order}/{k}{idx}/{side}", *pair
-    # a pair the field pass leaves to a quadratic obstruction
+    # a pair the field pass leaves to the symbolic pass, whose h^3 residual is
+    # quadratic in f_1 and linear in one coordinate of f_2
     d = commutator_deform(euler_gelfand(3, QQ).op("circ"), 4)
     yield "Q/comm/3/4/3(0, 0, 2)/quadratic", d, perturbed(d, 3, (0, 0, 2), F(1))
 
@@ -929,7 +952,7 @@ def test_solver_matches_series_reference():
             layers = [repr(m.m) for m in got.witness.f]
             assert layers == [repr(m.m) for m in want.witness.f], case
         tags.add(got.tag)
-    assert tags == {"equivalent", "not_equivalent", "unknown"}
+    assert tags == {"equivalent", "not_equivalent"}
 
 
 # ---------------------------------------------------------------------------
@@ -967,4 +990,4 @@ def test_field_pass_witness_matches_symbolic_pass():
             layers = [repr(m.m) for m in fast.witness.f]
             assert layers == [repr(m.m) for m in slow.witness.f], case
         outcomes.add(slow.tag)
-    assert outcomes == {"equivalent", "unknown"}
+    assert outcomes == {"equivalent"}

@@ -26,7 +26,7 @@ from tpalg.algebra import (
 from tpalg.cli import main
 from tpalg.deform import TruncatedDeformation, commutator_deform, family2d_construct
 from tpalg.dim2 import solve_novikov_compatible
-from tpalg.equiv import EquivalenceWitness, verify_witness
+from tpalg.equiv import EquivalenceWitness, unknown, verify_witness
 from tpalg.errors import IndexOutOfRange, ParseError
 from tpalg.fileio import (
     detect_kind,
@@ -328,7 +328,7 @@ def test_equiv_not_equivalent(capsys, tmp_path):
     assert "no admissible" in out
 
 
-def test_equiv_solver_route_and_unknown(capsys, tmp_path):
+def test_equiv_solver_route_and_unknown(capsys, tmp_path, monkeypatch):
     d = commutator_deform(euler_gelfand(3, QQ).op("circ"), 4)
     path = write(tmp_path, "zero_dot.json", dumps(serialize_deformation(d)))
     code, out = run_cli(capsys, "equiv", path, path, "--format", "json")
@@ -340,7 +340,8 @@ def test_equiv_solver_route_and_unknown(capsys, tmp_path):
         for m in doc["witness"]
     ]
     assert verify_witness(d, d, EquivalenceWitness(d.order, tuple(layers))).passed
-    # one more e3 in e1 *_h e1 at h^3: a quadratic obstruction at h^3
+    # one more e3 in e1 *_h e1 at h^3: the h^3 residual is quadratic in f_1
+    # and linear in one coordinate of f_2, which the solver pivots on
     n = d.dim
     entries = {
         (i, j, l): d.mu[3].c[i][j][l] for i in range(n) for j in range(n) for l in range(n)
@@ -349,6 +350,13 @@ def test_equiv_solver_route_and_unknown(capsys, tmp_path):
     mu = d.mu[:3] + (BilinearOp.from_entries(n, QQ, entries),)
     e = TruncatedDeformation(d.base, d.order, mu)
     other = write(tmp_path, "perturbed.json", dumps(serialize_deformation(e)))
+    code, out = run_cli(capsys, "equiv", path, other)
+    assert code == 0
+    assert out.startswith("verdict: EQUIVALENT\nmethod: solver\n")
+    # no known pair leaves the solver undecided, so an undecided verdict is
+    # stood in for to show how the CLI reports one
+    reason = "obstruction at h^3 is quadratic in free parameters from lower orders"
+    monkeypatch.setattr("tpalg.equiv.solve_equivalence", lambda d1, d2: unknown(reason))
     code, out = run_cli(capsys, "equiv", path, other)
     assert code == 2
     assert "verdict: UNKNOWN" in out

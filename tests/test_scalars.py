@@ -137,22 +137,19 @@ def test_poly_partial_subs():
     assert q == a * (a + 1) + (a + 1)
 
 
-def test_affine_parts():
+def test_is_affine():
     a, b = AB.var("a"), AB.var("b")
-    p = 2 * a - 3 * b + F(1, 2)
-    assert p.is_affine()
-    const, linear = p.affine_parts()
-    assert const == F(1, 2)
-    assert linear == {"a": F(2), "b": F(-3)}
+    assert (2 * a - 3 * b + F(1, 2)).is_affine()
+    assert AB.zero().is_affine()
     assert not (a * b).is_affine()
+    assert not (a * a + b).is_affine()
 
 
 def test_gaussian_poly_without_constant_term_has_gaussian_zero():
     p = PolynomialRing(QI, ("a", "b")).var("a") * QI.parse("2+i")
-    const, linear = p.affine_parts()
+    const = p.constant_value()
     assert isinstance(const, GaussianRational) and const == 0
-    assert linear == {"a": GaussianRational.of(2, 1)}
-    assert isinstance(p.constant_value(), GaussianRational)
+    assert p.sparse == {((0, 1),): GaussianRational.of(2, 1)}
     assert type(AB.zero().constant_value()) is F
 
 
@@ -383,21 +380,6 @@ class DenseParamPoly:
     def is_affine(self):
         return all(sum(expo) <= 1 for expo in self.terms)
 
-    def affine_parts(self):
-        """(constant, {name: coefficient}) for an affine polynomial."""
-        if not self.is_affine():
-            raise ValueError("polynomial is not affine")
-        const = Fraction(0)
-        linear = {}
-        for expo, coeff in self.terms.items():
-            deg = sum(expo)
-            if deg == 0:
-                const = coeff
-            else:
-                name = self.variables[expo.index(1)]
-                linear[name] = coeff
-        return const, linear
-
     def subs(self, mapping):
         """Replace some variables by polynomials (same variable tuple);
         variables absent from the mapping stay symbolic."""
@@ -506,8 +488,6 @@ def _same(sparse, dense):
     assert sparse.is_constant() == dense.is_constant()
     assert sparse.constant_value() == dense.constant_value()
     assert sparse.is_affine() == dense.is_affine()
-    if dense.is_affine():
-        assert sparse.affine_parts() == dense.affine_parts()
     values = {name: F(i % 7 - 3, i % 3 + 1) for i, name in enumerate(dense.variables)}
     assert sparse.substitute(values) == dense.substitute(values)
 
@@ -983,7 +963,6 @@ def test_polynomial_constant_term_of_a_series_round_trips(base, text, printed):
         (lambda: _A ** -1, ValueError, "polynomial powers must be nonnegative integers"),
         (lambda: _A ** 1.5, ValueError, "polynomial powers must be nonnegative integers"),
         (lambda: _S ** -1, ValueError, "series powers must be nonnegative integers"),
-        (lambda: (_A * _R.var("b")).affine_parts(), ValueError, "polynomial is not affine"),
         (lambda: TruncSeries(0, ()), ValueError, "truncation order must be at least 1"),
         (lambda: SeriesRing(QQ, 0), ValueError, "truncation order must be at least 1"),
         (lambda: format_scalar(True), TypeError, "booleans are not scalars"),
@@ -995,7 +974,7 @@ def test_polynomial_constant_term_of_a_series_round_trips(base, text, printed):
     ],
     ids=[
         "int-over-gauss-zero", "poly-negative-power", "poly-fractional-power",
-        "series-negative-power", "non-affine-parts", "series-order-0", "series-ring-order-0",
+        "series-negative-power", "series-order-0", "series-ring-order-0",
         "format-bool", "q-coerce-bool", "qi-coerce-bool", "qi-coerce-str", "unknown-var",
         "series-without-order",
     ],
