@@ -761,12 +761,15 @@ def _format_poly(p: ParamPoly) -> str:
 
 def _series_coeff_str(c, k):
     """Render one series term coeff*h^k; non-numeric coefficients are
-    parenthesized so the h factor cannot be misread as part of a name.
-    A Gaussian rational with zero imaginary part prints as its real part."""
+    parenthesized so the h factor cannot be misread as part of a name.  A
+    constant polynomial prints as its constant value, and a Gaussian
+    rational with zero imaginary part as its real part."""
+    if isinstance(c, ParamPoly) and c.is_constant():
+        c = c.constant_value()
     if isinstance(c, GaussianRational) and not c.im:
         c = c.re
     if k == 0:
-        if isinstance(c, (ParamPoly, GaussianRational)) and _needs_parens(c):
+        if isinstance(c, (ParamPoly, GaussianRational)):
             return f"({format_scalar(c)})"
         return format_scalar(c)
     hpow = "h" if k == 1 else f"h^{k}"
@@ -777,14 +780,6 @@ def _series_coeff_str(c, k):
             return f"-{hpow}"
         return f"{c}{hpow}"
     return f"({format_scalar(c)}){hpow}"
-
-
-def _needs_parens(c):
-    if isinstance(c, GaussianRational):
-        return bool(c.im)
-    if isinstance(c, ParamPoly):
-        return not c.is_constant() or _needs_parens(c.constant_value())
-    return False
 
 
 def _format_series(s: TruncSeries) -> str:

@@ -944,10 +944,11 @@ def test_branch_values(compute, expected):
 @pytest.mark.parametrize(
     "base, text, printed",
     [
-        (QQ, "a+1+h", "(a+1)+(1)h@order=3"),
-        (QI, "(1+i)+a h", "((1+i))+(a)h@order=3"),
+        (QQ, "a+1+h", "(a+1)+h@order=3"),
+        (QI, "(1+i)+a h", "(1+i)+(a)h@order=3"),
+        (QI, "i+(1+i)h", "(i)+(1+i)h@order=3"),
     ],
-    ids=["Q", "Qi"],
+    ids=["Q", "Qi", "Qi-constants"],
 )
 def test_polynomial_constant_term_of_a_series_round_trips(base, text, printed):
     ring = SeriesRing(PolynomialRing(base, ("a",)), 3)
