@@ -14,8 +14,8 @@ Three tools:
                         0, which can only find a witness, then, where that
                         pass meets an infeasible order, over polynomial
                         parameters (a sound semidecision: NotEquivalent only
-                        on parameter-free obstructions, Unknown on quadratic
-                        ones)
+                        on parameter-free obstructions, Unknown only where no
+                        parameter occurs in a residual just linearly)
 * family2d_equiv     -- the closed-form criterion for the two-parameter
                         dim-2 family, which is a complete decision there
 """
@@ -215,12 +215,15 @@ def _verified(d1, d2, witness, what):
 #                     (zero rows of the reduced system with nonzero
 #                     right-hand side) are then classified:
 #
-#       * parameter-free nonzero      -> genuine obstruction, NotEquivalent(k)
-#       * affine-linear in parameters -> absorbed as a constraint binding the
-#                                        earlier free coordinates, solve goes on
-#       * nonlinear in parameters     -> Unknown (deciding it would need
-#                                        quadratic-system reasoning)
+#       * some parameter v occurs     -> absorbed by solving for the newest
+#         only as c*v, c a constant      such v, a constraint binding earlier
+#                                        free coordinates; solve goes on
+#       * otherwise, parameter-free   -> genuine obstruction, NotEquivalent(k)
+#       * otherwise                   -> Unknown (deciding it would need
+#                                        polynomial-system reasoning)
 #
+#     Each pivot keeps the solution set the same over every extension
+#     field, so a parameter-free nonzero residual is a sound NotEquivalent.
 #     ``_ParamConstraints.absorb`` makes that call and returns the verdict;
 #     the witness is each layer entry read off by ``at_zero``: the solved
 #     symbols bound, every remaining free coordinate at zero.
