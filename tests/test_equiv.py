@@ -673,7 +673,8 @@ def test_solver_declines_quadratic_obstruction():
     assert v.is_equivalent
     assert verify_witness(d, e, v.witness).passed
     zero = ((F(0),) * 3,) * 3
-    assert [f.m for f in v.witness.f[1:]] == [zero, (zero[0], zero[0], (F(-1, 2), F(0), F(0))), zero]
+    f2 = (zero[0], zero[0], (F(-1, 2), F(0), F(0)))
+    assert [f.m for f in v.witness.f[1:]] == [zero, f2, zero]
     v = solve_equivalence(d, d)
     assert v.is_equivalent
     assert verify_witness(d, d, v.witness).passed

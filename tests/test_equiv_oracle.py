@@ -43,7 +43,9 @@ def intertwining_basis(d1, d2):
     unknowns = iter(gens)
     f = [[[R.one if i == j else R.zero for j in range(n)] for i in range(n)]]
     f += [[[next(unknowns) for _ in range(n)] for _ in range(n)] for _ in range(1, order)]
-    mu1, mu2 = ([[[[const(x) for x in v] for v in row] for row in op.c] for op in d.mu] for d in (d1, d2))
+    mu1, mu2 = (
+        [[[[const(x) for x in v] for v in row] for row in op.c] for op in d.mu] for d in (d1, d2)
+    )
     equations = [gens[-1] ** 2 + 1] if gaussian else []
     for t in range(order):
         for p in range(n):
